@@ -2,9 +2,9 @@
 
 Subcommands: solve, verify, decompose, enumerate, demo, random.
 Exit codes: 0 success / all checks pass, 1 negative verdict
-(non-equilibrium or non-separable input), 2 input error, 3 solver or
-write failure.  Text reports print values to 12 significant digits;
-JSON reports carry full-precision floats.
+(non-equilibrium or non-separable input), 2 input error, 3 solver,
+numerical or write failure.  Text reports print values to 12
+significant digits; JSON reports carry full-precision floats.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .equilibrium import (
     solve_joint_lp,
     verify_lp_pair,
 )
-from .errors import CertificationFailure, InputError, NotSeparable, SolverFailure
+from .errors import CertificationFailure, InputError, NotSeparable, SolverFailure, TpassError
 from .game import TpassGame, is_equilibrium, random_tpass
 from .gamefile import dumps_game, load_game
 from .oracle import SIZE_CAP, cross_check, enumerate_equilibria
@@ -304,6 +304,9 @@ def main(argv=None) -> int:
         return 1
     except (SolverFailure, CertificationFailure) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    except TpassError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

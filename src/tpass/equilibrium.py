@@ -24,10 +24,11 @@ normalized to ``sum(p) = 1``), so both share one optimal value.  At a
 joint optimum, complementary slackness pins the scalars to the expected
 payoffs: ``alpha = p.Aq + p.pi`` and ``beta = -p.Aq + rho.q``, and the
 pair ``(p, q)`` read from primal solution and dual multipliers is an
-equilibrium.  :func:`solve_equilibrium` therefore solves the primal LP
-once and takes ``p`` and ``beta`` from the returned dual values rather
-than solving the dual separately (the dual builder exists for
-cross-validation).
+equilibrium.  :func:`solve_equilibrium` therefore solves one of the two
+LPs and reads the other player's half off its multipliers.  It solves
+the one with fewer rows: the primal when ``m <= n``, and the dual LP,
+which is the ``m > n`` solve path, otherwise.  Simplex pivots grow with
+the row count, so a 200 x 10 game costs about what a 10 x 200 one does.
 
 **Joint LP** over ``(p, q, alpha, beta)``, all of the above at once::
 
@@ -42,7 +43,9 @@ and ``q`` shows the objective equals ``-(alpha - payoff_row) -
 (beta - payoff_col) <= 0`` at every feasible point; equilibria are
 exactly the feasible points reaching 0, and the optimum is always 0
 because an equilibrium always exists.  :func:`solve_joint_lp` asserts
-the zero optimum and reads the equilibrium off the optimal vertex.
+the zero optimum and reads the equilibrium off the optimal vertex.  The
+two blocks share no variable, so :func:`lp.solve` solves them on
+separate tableaus once the model is large enough to repay the split.
 
 Multiplicity: these LPs can have many optima (one per equilibrium, plus
 faces between them).  The solvers return the single vertex selected by
@@ -77,10 +80,10 @@ class EquilibriumSolution:
 
     ``alpha`` and ``beta`` are the players' equilibrium payoffs,
     ``lp_value`` the objective value of the LP that produced the pair
-    (primal LP for :func:`solve_equilibrium`, joint LP for
-    :func:`solve_joint_lp`), and ``slackness_residual`` the worst
-    violation of the optimality identities ``p.Aq - alpha = -p.pi`` and
-    ``p.Aq + beta = rho.q``.
+    (primal or dual LP for :func:`solve_equilibrium`, which share one
+    optimal value; joint LP for :func:`solve_joint_lp`), and
+    ``slackness_residual`` the worst violation of the optimality
+    identities ``p.Aq - alpha = -p.pi`` and ``p.Aq + beta = rho.q``.
     """
 
     p: MixedStrategy
@@ -94,48 +97,50 @@ class EquilibriumSolution:
 def build_primal_lp(game: TpassGame) -> lp.LpModel:
     """The primal program over ``(q, alpha)`` (variables in that order)."""
     m, n = game.shape
-    objective = np.concatenate([game.rho, [-1.0]])
-    constraints = [
-        lp.Constraint(np.concatenate([game.A[i], [-1.0]]), lp.LE, -game.pi[i])
-        for i in range(m)
-    ]
-    constraints.append(lp.Constraint(np.concatenate([np.ones(n), [0.0]]), lp.EQ, 1.0))
+    M = np.zeros((m + 1, n + 1))
+    M[:m, :n] = game.A
+    M[:m, n] = -1.0
+    M[m, :n] = 1.0
+    rel = np.full(m + 1, lp.LE)
+    rel[m] = lp.EQ
     bounds = (lp.NONNEG,) * n + (lp.FREE,)
-    return lp.LpModel(lp.MAX, objective, tuple(constraints), bounds)
+    return lp.LpModel.from_arrays(
+        lp.MAX, np.append(game.rho, -1.0), M, rel, np.append(-game.pi, 1.0), bounds
+    )
 
 
 def build_dual_lp(game: TpassGame) -> lp.LpModel:
     """The dual program over ``(p, beta)`` (variables in that order)."""
     m, n = game.shape
-    objective = np.concatenate([-game.pi, [1.0]])
-    constraints = [
-        lp.Constraint(np.concatenate([game.A[:, j], [1.0]]), lp.GE, game.rho[j])
-        for j in range(n)
-    ]
-    constraints.append(lp.Constraint(np.concatenate([np.ones(m), [0.0]]), lp.EQ, 1.0))
+    M = np.zeros((n + 1, m + 1))
+    M[:n, :m] = game.A.T
+    M[:n, m] = 1.0
+    M[n, :m] = 1.0
+    rel = np.full(n + 1, lp.GE)
+    rel[n] = lp.EQ
     bounds = (lp.NONNEG,) * m + (lp.FREE,)
-    return lp.LpModel(lp.MIN, objective, tuple(constraints), bounds)
+    return lp.LpModel.from_arrays(
+        lp.MIN, np.append(-game.pi, 1.0), M, rel, np.append(game.rho, 1.0), bounds
+    )
 
 
 def build_joint_lp(game: TpassGame) -> lp.LpModel:
     """The joint program over ``(p, q, alpha, beta)`` (in that order)."""
     m, n = game.shape
+    k = m + n
+    M = np.zeros((k + 2, k + 2))
+    M[:m, m:k] = game.A
+    M[:m, k] = -1.0
+    M[m:k, :m] = -game.A.T
+    M[m:k, k + 1] = -1.0
+    M[k, :m] = 1.0
+    M[k + 1, m:k] = 1.0
+    rel = np.full(k + 2, lp.LE)
+    rel[k:] = lp.EQ
     objective = np.concatenate([game.pi, game.rho, [-1.0, -1.0]])
-    constraints = []
-    for i in range(m):
-        coeffs = np.concatenate([np.zeros(m), game.A[i], [-1.0, 0.0]])
-        constraints.append(lp.Constraint(coeffs, lp.LE, -game.pi[i]))
-    for j in range(n):
-        coeffs = np.concatenate([-game.A[:, j], np.zeros(n), [0.0, -1.0]])
-        constraints.append(lp.Constraint(coeffs, lp.LE, -game.rho[j]))
-    constraints.append(
-        lp.Constraint(np.concatenate([np.ones(m), np.zeros(n), [0.0, 0.0]]), lp.EQ, 1.0)
-    )
-    constraints.append(
-        lp.Constraint(np.concatenate([np.zeros(m), np.ones(n), [0.0, 0.0]]), lp.EQ, 1.0)
-    )
-    bounds = (lp.NONNEG,) * (m + n) + (lp.FREE, lp.FREE)
-    return lp.LpModel(lp.MAX, objective, tuple(constraints), bounds)
+    b = np.concatenate([-game.pi, -game.rho, [1.0, 1.0]])
+    bounds = (lp.NONNEG,) * k + (lp.FREE, lp.FREE)
+    return lp.LpModel.from_arrays(lp.MAX, objective, M, rel, b, bounds)
 
 
 def _optimality_residual(game: TpassGame, p: np.ndarray, q: np.ndarray,
@@ -162,22 +167,28 @@ def _clean_simplex(v: np.ndarray, tol: float, name: str) -> np.ndarray:
 
 
 def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> EquilibriumSolution:
-    """Compute one equilibrium from the primal LP and certify it.
+    """Compute one equilibrium from the primal or the dual LP and certify it.
 
-    ``q`` and ``alpha`` come from the primal solution; ``p`` and ``beta``
-    are the simplex multipliers of the inequality block and the simplex
+    The LP with fewer rows is solved: the primal (``m + 1`` rows) unless
+    ``m > n``, then the dual (``n + 1`` rows).  From the primal, ``q``
+    and ``alpha`` are its values and ``p`` and ``beta`` the multipliers
+    of the inequality block and the simplex equality.  From the dual,
+    ``p`` and ``beta`` are its values, ``q`` the multipliers of its
+    inequality block and ``alpha`` minus the multiplier of its simplex
     equality.  The assembled pair must pass :func:`is_equilibrium` at
     ``tol`` or :class:`CertificationFailure` is raised.
     """
-    model = build_primal_lp(game)
-    sol = lp.solve(model)
-    if sol.status != lp.OPTIMAL:
-        raise SolverFailure(f"primal LP terminated {sol.status}; the program is always solvable")
     m, n = game.shape
-    q = _clean_simplex(sol.x[:n], tol, "q")
-    alpha = float(sol.x[n])
-    p = _clean_simplex(sol.duals[:m], tol, "p")
-    beta = float(sol.duals[m])
+    if m > n:
+        sol = _solved(build_dual_lp(game), "dual")
+        p, beta = sol.x[:m], float(sol.x[m])
+        q, alpha = sol.duals[:n], -float(sol.duals[n])
+    else:
+        sol = _solved(build_primal_lp(game), "primal")
+        q, alpha = sol.x[:n], float(sol.x[n])
+        p, beta = sol.duals[:m], float(sol.duals[m])
+    q = _clean_simplex(q, tol, "q")
+    p = _clean_simplex(p, tol, "p")
     report = is_equilibrium(game, p, q, tol)
     if not report.is_equilibrium:
         raise CertificationFailure(
@@ -192,6 +203,13 @@ def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> Equilibr
         lp_value=sol.objective_value,
         slackness_residual=_optimality_residual(game, p, q, alpha, beta),
     )
+
+
+def _solved(model: lp.LpModel, name: str) -> lp.LpSolution:
+    sol = lp.solve(model)
+    if sol.status != lp.OPTIMAL:
+        raise SolverFailure(f"{name} LP terminated {sol.status}; the program is always solvable")
+    return sol
 
 
 def verify_lp_pair(game: TpassGame, p, q, tol: float = TOL_EQUILIBRIUM) -> EquilibriumReport:
@@ -246,10 +264,7 @@ def solve_joint_lp(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> tuple[Equil
     exists, so a nonzero optimum signals a numerical problem and raises
     :class:`CertificationFailure`.
     """
-    model = build_joint_lp(game)
-    sol = lp.solve(model)
-    if sol.status != lp.OPTIMAL:
-        raise SolverFailure(f"joint LP terminated {sol.status}; the program is always solvable")
+    sol = _solved(build_joint_lp(game), "joint")
     value = sol.objective_value
     if abs(value) > tol:
         raise CertificationFailure(

@@ -2,12 +2,25 @@
 
 The model container accepts maximize or minimize objectives, ``<=``,
 ``=`` and ``>=`` rows, and per-variable bound classes (nonnegative or
-free).  Problems in this package are tiny (tens of variables), so the
-solver works on a dense tableau and favors transparency over sparse
-machinery.
+free).  A model stores its rows once, as arrays ``(M, rel, b)``, so the
+equilibrium builders fill them from slices of the payoff matrix and the
+solver's set-up and verification run vectorized.  The solver works on a
+dense tableau and favors transparency over sparse machinery.
 
 Solver design:
 
+* Block split: when no variable links one group of rows to the rest,
+  the model is several independent programs side by side.  The joint
+  equilibrium LP is exactly that: the row player's block over
+  ``(q, alpha)`` and the column player's over ``(p, beta)``.  From
+  :data:`SPLIT_MIN_ROWS` rows on, :func:`solve` finds these blocks and
+  solves each on its own tableau.  The pivot count stays about the same,
+  but a pivot updates only its block's rows and columns, so on two equal
+  blocks it costs about a quarter as much.  Each block is verified on
+  its own and the assembled ``x`` and duals once more against the whole
+  model.  Finding the blocks and setting up a second tableau cost a
+  fixed amount per solve, which the smaller pivots repay only on larger
+  models; :data:`SPLIT_MIN_ROWS` is the measured break-even.
 * Free variables enter the tableau as a split ``x = x+ - x-``; reported
   solutions recombine the halves.
 * Rows are normalized to nonnegative right-hand sides; ``<=`` rows get a
@@ -67,6 +80,9 @@ TOL_FEAS = 1e-9
 TOL_GAP = 1e-8
 PIVOT_EPS = 1e-11
 
+# Smallest row count at which solve looks for independent blocks.
+SPLIT_MIN_ROWS = 54
+
 _RELATIONS = (LE, EQ, GE)
 _BOUND_KINDS = (NONNEG, FREE)
 
@@ -95,47 +111,101 @@ class Constraint:
         object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, eq=False)
-class LpModel:
-    """A general-form linear program.
+def _frozen(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
+
+def _objective(sense, objective) -> np.ndarray:
+    """Validated sense and objective of a model (the objective, frozen)."""
+    if sense not in (MAX, MIN):
+        raise InputError(f"sense must be '{MAX}' or '{MIN}', got {sense!r}")
+    objective = _frozen(objective, float)
+    if objective.ndim != 1 or objective.size == 0:
+        raise InputError(f"objective must be a 1-d vector, got shape {objective.shape}")
+    if not np.all(np.isfinite(objective)):
+        raise InputError("objective contains non-finite entries")
+    return objective
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class LpModel:
+    """A general-form linear program: optimize ``objective . x`` subject
+    to ``M[i] . x  rel[i]  b[i]`` for every row ``i``.
+
+    ``rel`` holds one of ``"<="``, ``"="`` or ``">="`` per row.
     ``bounds`` gives each variable's class, ``"nonneg"`` or ``"free"``;
-    ``None`` means all nonnegative.  Constraints may be given as
-    :class:`Constraint` values or ``(coeffs, rel, rhs)`` triples.
+    ``None`` means all nonnegative.  The constructor takes rows as
+    :class:`Constraint` values or ``(coeffs, rel, rhs)`` triples;
+    :meth:`from_arrays` takes ``(M, rel, b)`` directly.  Every array is
+    a read-only copy.
     """
 
     sense: str
     objective: np.ndarray
-    constraints: tuple[Constraint, ...]
-    bounds: tuple[str, ...] | None = None
+    M: np.ndarray
+    rel: np.ndarray
+    b: np.ndarray
+    bounds: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.sense not in (MAX, MIN):
-            raise InputError(f"sense must be '{MAX}' or '{MIN}', got {self.sense!r}")
-        objective = np.array(self.objective, dtype=float)
-        if objective.ndim != 1 or objective.size == 0:
-            raise InputError(f"objective must be a 1-d vector, got shape {objective.shape}")
-        if not np.all(np.isfinite(objective)):
-            raise InputError("objective contains non-finite entries")
-        objective.setflags(write=False)
+    def __init__(self, sense, objective, constraints=(), bounds=None):
+        objective = _objective(sense, objective)
         n = objective.shape[0]
-        cons = tuple(
-            c if isinstance(c, Constraint) else Constraint(*c) for c in self.constraints
-        )
-        for k, con in enumerate(cons):
+        rows = tuple(c if isinstance(c, Constraint) else Constraint(*c) for c in constraints)
+        for k, con in enumerate(rows):
             if con.coeffs.shape[0] != n:
                 raise InputError(
                     f"constraint {k + 1} has {con.coeffs.shape[0]} coefficients, expected {n}"
                 )
-        bounds = tuple(self.bounds) if self.bounds is not None else (NONNEG,) * n
+        M = np.array([con.coeffs for con in rows]).reshape(len(rows), n)
+        self._fill(
+            sense, objective, M, [con.rel for con in rows], [con.rhs for con in rows], bounds
+        )
+
+    @classmethod
+    def from_arrays(cls, sense, objective, M, rel, b, bounds=None) -> LpModel:
+        """A model from its constraint arrays: ``M`` is rows by variables,
+        ``rel`` and ``b`` have one entry per row."""
+        model = cls.__new__(cls)
+        model._fill(sense, _objective(sense, objective), M, rel, b, bounds)
+        return model
+
+    def _fill(self, sense, objective, M, rel, b, bounds) -> None:
+        """Validate the constraint arrays and bounds and set every field;
+        ``objective`` comes from :func:`_objective`."""
+        n = objective.shape[0]
+        M = _frozen(M, float)
+        b = _frozen(b, float)
+        rel = _frozen(rel, str)
+        if M.ndim != 2 or M.shape[1] != n or b.shape != (M.shape[0],) or rel.shape != b.shape:
+            raise InputError(
+                f"constraint arrays have shapes M {M.shape}, rel {rel.shape}, b {b.shape}; "
+                f"expected (k, {n}), (k,), (k,)"
+            )
+        if not (np.all(np.isfinite(M)) and np.all(np.isfinite(b))):
+            raise InputError("constraint arrays contain non-finite entries")
+        valid = (rel == LE) | (rel == EQ) | (rel == GE)
+        if not valid.all():
+            bad = rel[np.argmin(valid)]
+            raise InputError(f"relation must be one of {_RELATIONS}, got {str(bad)!r}")
+        bounds = tuple(bounds) if bounds is not None else (NONNEG,) * n
         if len(bounds) != n:
             raise InputError(f"bounds has length {len(bounds)}, expected {n}")
-        for b in bounds:
-            if b not in _BOUND_KINDS:
-                raise InputError(f"variable bound must be one of {_BOUND_KINDS}, got {b!r}")
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "constraints", cons)
-        object.__setattr__(self, "bounds", bounds)
+        for kind in bounds:
+            if kind not in _BOUND_KINDS:
+                raise InputError(f"variable bound must be one of {_BOUND_KINDS}, got {kind!r}")
+        for name, value in (("sense", sense), ("objective", objective), ("M", M),
+                            ("rel", rel), ("b", b), ("bounds", bounds),
+                            ("_free", _frozen([kind == FREE for kind in bounds], bool))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The rows as :class:`Constraint` values, a read-only view."""
+        return tuple(
+            Constraint(row, str(rel), float(rhs)) for row, rel, rhs in zip(self.M, self.rel, self.b)
+        )
 
     @property
     def n_vars(self) -> int:
@@ -143,7 +213,7 @@ class LpModel:
 
     @property
     def n_rows(self) -> int:
-        return len(self.constraints)
+        return self.M.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,15 +234,6 @@ class LpSolution:
     iterations: int
 
 
-def constraint_matrix(model: LpModel) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked ``(M, b)`` of a model's constraint rows."""
-    if model.n_rows == 0:
-        return np.zeros((0, model.n_vars)), np.zeros(0)
-    M = np.vstack([c.coeffs for c in model.constraints])
-    b = np.array([c.rhs for c in model.constraints])
-    return M, b
-
-
 class _Tableau:
     """Mutable solver state; private to a single :func:`solve` call."""
 
@@ -188,69 +249,43 @@ class _Tableau:
         m, n = model.n_rows, model.n_vars
         c = model.objective if self.maximize else -model.objective
 
-        # Split free variables.
-        pos_col = np.zeros(n, dtype=int)
-        neg_col = np.full(n, -1, dtype=int)
-        k = 0
-        for j, kind in enumerate(model.bounds):
-            pos_col[j] = k
-            k += 1
-            if kind == FREE:
-                neg_col[j] = k
-                k += 1
-        n_struct = k
+        # Split free variables: x[j] = column pos_col[j] - column neg_col[j].
+        free = model._free
+        pos_col = np.arange(n) + np.cumsum(free) - free
+        neg_col = np.where(free, pos_col + 1, -1)
+        n_struct = n + int(free.sum())
         self.pos_col = pos_col
         self.neg_col = neg_col
 
         # Row normalization: nonnegative rhs, with the applied sign kept
-        # so original duals can be recovered.
-        sigma = np.ones(m)
-        rows = np.zeros((m, n_struct))
-        rhs = np.zeros(m)
-        rels = []
-        for i, con in enumerate(model.constraints):
-            a, b, rel = con.coeffs, con.rhs, con.rel
-            if b < 0:
-                a, b = -a, -b
-                sigma[i] = -1.0
-                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            rows[i, pos_col] = a
-            split = neg_col >= 0
-            rows[i, neg_col[split]] = -a[split]
-            rhs[i] = b
-            rels.append(rel)
+        # so original duals can be recovered.  kind is +1 for <=, -1 for
+        # >= and 0 for = after the flip.
+        sigma = np.where(model.b < 0, -1.0, 1.0)
+        kind = sigma * ((model.rel == LE).astype(float) - (model.rel == GE))
+        rows = model.M * sigma[:, None]
         self.sigma = sigma
 
-        n_slack = sum(1 for r in rels if r != EQ)
-        n_art = sum(1 for r in rels if r != LE)
-        total = n_struct + n_slack + n_art
+        slack_rows = np.flatnonzero(kind != 0)
+        art_rows = np.flatnonzero(kind <= 0)
+        art_first = n_struct + slack_rows.size
+        total = art_first + art_rows.size
         T = np.zeros((m + 1, total + 1))
-        T[:m, :n_struct] = rows
-        T[:m, -1] = rhs
+        T[:m, pos_col] = rows
+        T[:m, neg_col[free]] = -rows[:, free]
+        T[:m, -1] = model.b * sigma
+        slack_cols = n_struct + np.arange(slack_rows.size)
+        art_cols = art_first + np.arange(art_rows.size)
+        T[slack_rows, slack_cols] = kind[slack_rows]
+        T[art_rows, art_cols] = 1.0
 
-        basis: list[int] = []
-        col = n_struct
-        art_first = n_struct + n_slack
-        art = art_first
-        for i, rel in enumerate(rels):
-            if rel == LE:
-                T[i, col] = 1.0
-                basis.append(col)
-                col += 1
-            elif rel == GE:
-                T[i, col] = -1.0
-                col += 1
-                T[i, art] = 1.0
-                basis.append(art)
-                art += 1
-            else:
-                T[i, art] = 1.0
-                basis.append(art)
-                art += 1
+        basis = np.empty(m, dtype=int)
+        basis[art_rows] = art_cols
+        le = kind[slack_rows] > 0
+        basis[slack_rows[le]] = slack_cols[le]
 
         self.T = T
         self.basis = basis
-        self.row_ids = list(range(m))
+        self.row_ids = np.arange(m)
         # Pristine standard-form data for the final refactorization.
         self.A0 = T[:m, :-1].copy()
         self.b0 = T[:m, -1].copy()
@@ -261,9 +296,9 @@ class _Tableau:
         self.phase1_costs = np.where(self.artificial, -1.0, 0.0)
         costs2 = np.zeros(total)
         costs2[pos_col] = c
-        costs2[neg_col[neg_col >= 0]] = -c[neg_col >= 0]
+        costs2[neg_col[free]] = -c[free]
         self.phase2_costs = costs2
-        self.has_artificials = n_art > 0
+        self.has_artificials = art_rows.size > 0
 
     # -- tableau mechanics ------------------------------------------------
 
@@ -304,7 +339,7 @@ class _Tableau:
         theta = ratios.min()
         ties = np.nonzero(ratios == theta)[0]
         if bland:
-            row = int(ties[np.argmin([self.basis[t] for t in ties])])
+            row = int(ties[np.argmin(self.basis[ties])])
         else:
             # stabilizing tie-break: the largest pivot among exact ties
             row = int(ties[np.argmax(np.abs(column[ties]))])
@@ -416,9 +451,8 @@ class _Tableau:
                 drop.append(ri)  # redundant row: zero outside artificials
         if drop:
             self.T = np.delete(self.T, drop, axis=0)
-            keep = [i for i in range(len(self.basis)) if i not in drop]
-            self.basis = [self.basis[i] for i in keep]
-            self.row_ids = [self.row_ids[i] for i in keep]
+            self.basis = np.delete(self.basis, drop)
+            self.row_ids = np.delete(self.row_ids, drop)
 
     # -- result assembly ---------------------------------------------------
 
@@ -432,7 +466,7 @@ class _Tableau:
         model = self.model
         values = np.zeros(self.A0.shape[1])
         duals_internal = np.zeros(model.n_rows)
-        if self.basis:
+        if self.basis.size:
             base = self.A0[self.row_ids][:, self.basis]
             try:
                 values[self.basis] = np.linalg.solve(base, self.b0[self.row_ids])
@@ -450,75 +484,7 @@ class _Tableau:
         duals = duals_internal * self.sigma
         if not self.maximize:
             duals = -duals
-
-        objective_value = float(model.objective @ x)
-        self._verify(x, duals, objective_value)
-        x.setflags(write=False)
-        duals.setflags(write=False)
-        return LpSolution(OPTIMAL, x, objective_value, duals, self.iterations)
-
-    def _verify(self, x: np.ndarray, duals: np.ndarray, objective_value: float) -> None:
-        """Certify optimality: primal feasible, dual feasible, zero gap."""
-        model = self.model
-        worst = 0.0
-        for con in model.constraints:
-            gap = float(con.coeffs @ x - con.rhs)
-            scale = max(1.0, abs(con.rhs))
-            if con.rel == LE:
-                viol = max(gap, 0.0)
-            elif con.rel == GE:
-                viol = max(-gap, 0.0)
-            else:
-                viol = abs(gap)
-            worst = max(worst, viol / scale)
-        for j, kind in enumerate(model.bounds):
-            if kind == NONNEG:
-                worst = max(worst, -float(x[j]))
-        if worst > self.tol_feas:
-            raise SolverFailure(
-                "optimal basis fails the primal feasibility re-check",
-                violation=worst,
-                iterations=self.iterations,
-            )
-
-        M, b = constraint_matrix(model)
-        worst_dual = 0.0
-        if model.n_rows:
-            # multiplier sign conditions per relation
-            for i, con in enumerate(model.constraints):
-                if con.rel == EQ:
-                    continue
-                sign = 1.0 if con.rel == LE else -1.0
-                if not self.maximize:
-                    sign = -sign
-                worst_dual = max(worst_dual, -sign * float(duals[i]))
-            reduced = model.objective - M.T @ duals
-            for j, kind in enumerate(model.bounds):
-                scale = max(1.0, abs(float(model.objective[j])))
-                if kind == FREE:
-                    viol = abs(float(reduced[j]))
-                elif self.maximize:
-                    viol = max(float(reduced[j]), 0.0)
-                else:
-                    viol = max(-float(reduced[j]), 0.0)
-                worst_dual = max(worst_dual, viol / scale)
-        if worst_dual > self.tol_feas:
-            raise SolverFailure(
-                "optimal basis fails the dual feasibility re-check",
-                violation=worst_dual,
-                iterations=self.iterations,
-            )
-
-        dual_objective = float(duals @ b) if b.size else 0.0
-        gap = abs(objective_value - dual_objective)
-        if gap > self.tol_gap * max(1.0, abs(objective_value)):
-            raise SolverFailure(
-                "primal and dual objectives disagree",
-                gap=gap,
-                primal=objective_value,
-                dual=dual_objective,
-                iterations=self.iterations,
-            )
+        return _certified(model, x, duals, self.iterations, self.tol_feas, self.tol_gap)
 
     # -- driver -------------------------------------------------------------
 
@@ -537,9 +503,122 @@ class _Tableau:
         self._price_out(self.phase2_costs)
         status = self._pivot_loop(phase=2)
         if status == UNBOUNDED:
-            value = float("inf") if self.maximize else float("-inf")
-            return LpSolution(UNBOUNDED, None, value, None, self.iterations)
+            return _unbounded(self.model, self.iterations)
         return self._extract()
+
+
+def _unbounded(model: LpModel, iterations: int) -> LpSolution:
+    value = float("inf") if model.sense == MAX else float("-inf")
+    return LpSolution(UNBOUNDED, None, value, None, iterations)
+
+
+def _certified(model: LpModel, x: np.ndarray, duals: np.ndarray, iterations: int,
+               tol_feas: float, tol_gap: float) -> LpSolution:
+    """An optimal solution, once :func:`_verify` has certified it."""
+    objective_value = float(model.objective @ x)
+    _verify(model, x, duals, objective_value, tol_feas, tol_gap, iterations)
+    x.setflags(write=False)
+    duals.setflags(write=False)
+    return LpSolution(OPTIMAL, x, objective_value, duals, iterations)
+
+
+def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: float,
+            tol_feas: float, tol_gap: float, iterations: int) -> None:
+    """Certify optimality: primal feasible, dual feasible, zero gap."""
+    M, b = model.M, model.b
+    le, ge = model.rel == LE, model.rel == GE
+    gap = M @ x - b
+    row_viol = np.where(le, np.maximum(gap, 0.0), np.where(ge, np.maximum(-gap, 0.0), np.abs(gap)))
+    worst = max(
+        float((row_viol / np.maximum(1.0, np.abs(b))).max(initial=0.0)),
+        float((-x[~model._free]).max(initial=0.0)),
+    )
+    if worst > tol_feas:
+        raise SolverFailure(
+            "optimal basis fails the primal feasibility re-check",
+            violation=worst,
+            iterations=iterations,
+        )
+
+    # multiplier sign conditions per relation
+    maximize = model.sense == MAX
+    sign = np.where(le, 1.0, -1.0) if maximize else np.where(le, -1.0, 1.0)
+    worst_dual = float((-sign * duals)[le | ge].max(initial=0.0))
+    reduced = model.objective - M.T @ duals
+    var_viol = np.maximum(reduced, 0.0) if maximize else np.maximum(-reduced, 0.0)
+    var_viol = np.where(model._free, np.abs(reduced), var_viol)
+    scale = np.maximum(1.0, np.abs(model.objective))
+    worst_dual = max(worst_dual, float((var_viol / scale).max()))
+    if worst_dual > tol_feas:
+        raise SolverFailure(
+            "optimal basis fails the dual feasibility re-check",
+            violation=worst_dual,
+            iterations=iterations,
+        )
+
+    dual_objective = float(duals @ b)
+    gap = abs(objective_value - dual_objective)
+    if gap > tol_gap * max(1.0, abs(objective_value)):
+        raise SolverFailure(
+            "primal and dual objectives disagree",
+            gap=gap,
+            primal=objective_value,
+            dual=dual_objective,
+            iterations=iterations,
+        )
+
+
+def _blocks(model: LpModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row and variable indices of the model's independent blocks.
+
+    Two rows share a block when some variable has a nonzero coefficient
+    in both.  Rows with no nonzero coefficient and variables in no row
+    couple nothing; they join the first block.
+    """
+    nz = model.M != 0
+    in_rows, in_cols = nz.any(axis=1), nz.any(axis=0)
+    left = in_rows.copy()
+    blocks = []
+    while left.any():
+        rows = np.zeros_like(left)
+        rows[np.argmax(left)] = True
+        while True:
+            cols = nz[rows].any(axis=0)
+            grown = nz[:, cols].any(axis=1)
+            if np.array_equal(grown, rows):
+                break
+            rows = grown
+        blocks.append((rows, cols))
+        left &= ~rows
+    if blocks:
+        rows, cols = blocks[0]
+        blocks[0] = (rows | ~in_rows, cols | ~in_cols)
+    return [(np.flatnonzero(rows), np.flatnonzero(cols)) for rows, cols in blocks]
+
+
+def _solve_blocks(model: LpModel, blocks, tol_feas: float, tol_gap: float,
+                  pivot_eps: float) -> LpSolution:
+    """Solve each block on its own tableau and assemble the results."""
+    x = np.zeros(model.n_vars)
+    duals = np.zeros(model.n_rows)
+    iterations = 0
+    statuses = set()
+    for rows, cols in blocks:
+        part = LpModel.from_arrays(
+            model.sense, model.objective[cols], model.M[np.ix_(rows, cols)],
+            model.rel[rows], model.b[rows], [model.bounds[j] for j in cols],
+        )
+        sol = _Tableau(part, tol_feas, tol_gap, pivot_eps).run()
+        iterations += sol.iterations
+        statuses.add(sol.status)
+        if sol.status == OPTIMAL:
+            x[cols] = sol.x
+            duals[rows] = sol.duals
+    if INFEASIBLE in statuses:
+        return LpSolution(INFEASIBLE, None, float("nan"), None, iterations)
+    if UNBOUNDED in statuses:
+        return _unbounded(model, iterations)
+    return _certified(model, x, duals, iterations, tol_feas, tol_gap)
 
 
 def solve(
@@ -552,10 +631,17 @@ def solve(
     """Solve a model with the two-phase simplex method.
 
     Deterministic: the same model always follows the same pivot path and
-    returns the same solution and iteration count.  Raises
+    returns the same solution and iteration count.  Models of at least
+    :data:`SPLIT_MIN_ROWS` rows are split into independent blocks; the
+    result is infeasible if any block is, otherwise unbounded if any
+    block is, and ``iterations`` sums the blocks' pivots.  Raises
     :class:`SolverFailure` on numerical breakdown instead of returning
     an untrustworthy status.
     """
+    if model.n_rows >= SPLIT_MIN_ROWS:
+        blocks = _blocks(model)
+        if len(blocks) > 1:
+            return _solve_blocks(model, blocks, tol_feas, tol_gap, pivot_eps)
     return _Tableau(model, tol_feas, tol_gap, pivot_eps).run()
 
 
@@ -575,23 +661,20 @@ def dualize(model: LpModel) -> LpModel:
     """
     if model.n_rows == 0:
         raise InputError("cannot dualize a model with no constraints")
-    flip_rel = GE if model.sense == MAX else LE
-    rows = []
-    for con in model.constraints:
-        if con.rel == flip_rel:
-            rows.append(Constraint(-con.coeffs, LE if flip_rel == GE else GE, -con.rhs))
-        else:
-            rows.append(con)
-    dual_sense = MIN if model.sense == MAX else MAX
-    dual_objective = np.array([row.rhs for row in rows])
-    dual_bounds = tuple(FREE if row.rel == EQ else NONNEG for row in rows)
-    M = np.vstack([row.coeffs for row in rows])
-    var_rel = GE if model.sense == MAX else LE
-    dual_constraints = tuple(
-        Constraint(M[:, j], EQ if model.bounds[j] == FREE else var_rel, model.objective[j])
-        for j in range(model.n_vars)
+    maximize = model.sense == MAX
+    flip = model.rel == (GE if maximize else LE)
+    sign = np.where(flip, -1.0, 1.0)
+    rel = np.where(flip, LE if maximize else GE, model.rel)
+    dual_bounds = tuple(FREE if r == EQ else NONNEG for r in rel.tolist())
+    dual_rel = np.where(model._free, EQ, GE if maximize else LE)
+    return LpModel.from_arrays(
+        MIN if maximize else MAX,
+        model.b * sign,
+        (model.M * sign[:, None]).T,
+        dual_rel,
+        model.objective,
+        dual_bounds,
     )
-    return LpModel(dual_sense, dual_objective, dual_constraints, dual_bounds)
 
 
 def check_complementary_slackness(
@@ -606,11 +689,8 @@ def check_complementary_slackness(
     """
     if sol.status != OPTIMAL:
         raise InputError(f"complementary slackness needs an optimal solution, got {sol.status!r}")
-    M, b = constraint_matrix(model)
-    slacks = b - M @ sol.x if b.size else np.zeros(0)
-    residual = 0.0
-    if slacks.size:
-        residual = float(np.abs(sol.duals * slacks).max())
-    reduced = model.objective - (M.T @ sol.duals if b.size else 0.0)
+    slacks = model.b - model.M @ sol.x
+    residual = float(np.abs(sol.duals * slacks).max(initial=0.0))
+    reduced = model.objective - model.M.T @ sol.duals
     residual = max(residual, float(np.abs(sol.x * reduced).max()))
     return residual <= tol, residual

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from tpass import cli
 from tpass.cli import main
+from tpass.errors import TpassError
 
 DEMO_TPASS = '{"kind": "tpass", "A": [[0, 1], [-1, 0]], "pi": ["1/2", "3/4"], "rho": [0.5, 0.75]}'
 DEMO_TPASS_DECIMAL = '{"kind": "tpass", "A": [[0, 1], [-1, 0]], "pi": [0.5, 0.75], "rho": [0.5, 0.75]}'
@@ -76,6 +78,18 @@ class TestSolve:
         code = main(["solve", write(NEAR_MISS_BIMATRIX)])
         assert code == 1
         assert "not additively separable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "decompose"])
+    def test_bare_tpass_error_exits_3(self, write, capsys, monkeypatch, command):
+        # decompose's residual-bound check raises the base class itself
+        def failing(bg, tol=None):
+            raise TpassError("decomposition residual 1 exceeds bound 0")
+
+        monkeypatch.setattr(cli, "decompose", failing)
+        code = main([command, write(DERIVED_BIMATRIX)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: decomposition residual")
 
     def test_malformed_file_exits_2(self, write, capsys):
         code = main(["solve", write('{"kind": "tpass", "A": [[0, 1], [-1]], "pi": [0, 0], "rho": [0, 0]}')])

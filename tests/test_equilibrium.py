@@ -137,6 +137,28 @@ class TestSolveEquilibrium:
         sol = solve_equilibrium(g, 1e-8)
         assert is_equilibrium(g, sol.p, sol.q, 1e-8).is_equilibrium
 
+    def test_tall_game_reads_the_dual_lp(self):
+        g = random_tpass(12, 3, -1.0, 1.0, seed=17)
+        sol = solve_equilibrium(g)
+        dual = lp.solve(build_dual_lp(g))
+        assert sol.lp_value == dual.objective_value
+        assert np.allclose(sol.p.weights, dual.x[:12], atol=1e-12)
+        assert sol.beta == dual.x[12]
+        assert np.allclose(sol.q.weights, dual.duals[:3], atol=1e-12)
+        assert sol.alpha == -dual.duals[3]
+        assert sol.slackness_residual <= 1e-12
+
+    @given(games(min_m=1, max_m=7, min_n=1, max_n=7).filter(lambda g: g.m != g.n))
+    @settings(max_examples=60, deadline=None)
+    def test_routes_agree_on_value_in_both_orientations(self, g):
+        # rho.q - alpha is minus the value of Z = A + pi 1' - 1 rho', so it
+        # is the same at every equilibrium even when equilibria are not
+        primal = solve_equilibrium(g, 1e-8)
+        joint, _ = solve_joint_lp(g, 1e-8)
+        assert float(g.rho @ primal.q.weights) - primal.alpha == pytest.approx(
+            float(g.rho @ joint.q.weights) - joint.alpha, abs=1e-8
+        )
+
 
 class TestVerifyLpPair:
     def test_dilemma_equilibrium_passes(self):
