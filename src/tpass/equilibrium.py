@@ -47,6 +47,18 @@ the zero optimum and reads the equilibrium off the optimal vertex.  The
 two blocks share no variable, so :func:`lp.solve` solves them on
 separate tableaus once the model is large enough to repay the split.
 
+Certification: a pair is an equilibrium exactly when it solves the LP
+pair, and exactly when it reaches the joint LP's zero optimum.  So the
+LP-pair and joint-LP certificates are the best-response gaps of
+:func:`tpass.game.is_equilibrium` under other names, and they are
+computed once: :func:`verify_lp_pair` returns its report and
+:func:`check_joint_lp` its verdict, and their docstrings state the
+identities.  Both solvers end in one tail: the simplex points read off
+the LP are cleaned of roundoff and certified at ``tol``, a failure
+raises :class:`CertificationFailure` naming the route (primal, dual or
+joint), and the slackness residual compares the LP's ``alpha`` and
+``beta`` with the payoffs the certificate computed.
+
 Multiplicity: these LPs can have many optima (one per equilibrium, plus
 faces between them).  The solvers return the single vertex selected by
 the deterministic pivot rule; enumerating equilibria is the oracle
@@ -66,11 +78,8 @@ from .game import (
     MixedStrategy,
     TOL_EQUILIBRIUM,
     TpassGame,
-    _validated_strategy,
+    _certificate,
     is_equilibrium,
-    payoff_col,
-    payoff_row,
-    simplex_deviation,
 )
 
 
@@ -83,7 +92,7 @@ class EquilibriumSolution:
     (primal or dual LP for :func:`solve_equilibrium`, which share one
     optimal value; joint LP for :func:`solve_joint_lp`), and
     ``slackness_residual`` the worst violation of the optimality
-    identities ``p.Aq - alpha = -p.pi`` and ``p.Aq + beta = rho.q``.
+    identities ``alpha = p.Aq + p.pi`` and ``beta = -p.Aq + rho.q``.
     """
 
     p: MixedStrategy
@@ -143,15 +152,6 @@ def build_joint_lp(game: TpassGame) -> lp.LpModel:
     return lp.LpModel.from_arrays(lp.MAX, objective, M, rel, b, bounds)
 
 
-def _optimality_residual(game: TpassGame, p: np.ndarray, q: np.ndarray,
-                         alpha: float, beta: float) -> float:
-    pAq = float(p @ game.A @ q)
-    return max(
-        abs(pAq - alpha + float(p @ game.pi)),
-        abs(pAq + beta - float(game.rho @ q)),
-    )
-
-
 def _clean_simplex(v: np.ndarray, tol: float, name: str) -> np.ndarray:
     """Clamp solver roundoff off a simplex point; reject real violations."""
     low = float(v.min())
@@ -179,30 +179,16 @@ def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> Equilibr
     ``tol`` or :class:`CertificationFailure` is raised.
     """
     m, n = game.shape
+    route = "dual" if m > n else "primal"
     if m > n:
-        sol = _solved(build_dual_lp(game), "dual")
+        sol = _solved(build_dual_lp(game), route)
         p, beta = sol.x[:m], float(sol.x[m])
         q, alpha = sol.duals[:n], -float(sol.duals[n])
     else:
-        sol = _solved(build_primal_lp(game), "primal")
+        sol = _solved(build_primal_lp(game), route)
         q, alpha = sol.x[:n], float(sol.x[n])
         p, beta = sol.duals[:m], float(sol.duals[m])
-    q = _clean_simplex(q, tol, "q")
-    p = _clean_simplex(p, tol, "p")
-    report = is_equilibrium(game, p, q, tol)
-    if not report.is_equilibrium:
-        raise CertificationFailure(
-            f"LP solution failed the best-response check "
-            f"(max violation {report.max_violation:.3g} at tol {tol:g})"
-        )
-    return EquilibriumSolution(
-        MixedStrategy(p),
-        MixedStrategy(q),
-        alpha,
-        beta,
-        lp_value=sol.objective_value,
-        slackness_residual=_optimality_residual(game, p, q, alpha, beta),
-    )
+    return _certified(game, route, p, q, alpha, beta, sol.objective_value, tol)
 
 
 def _solved(model: lp.LpModel, name: str) -> lp.LpSolution:
@@ -212,48 +198,61 @@ def _solved(model: lp.LpModel, name: str) -> lp.LpSolution:
     return sol
 
 
+def _certified(game: TpassGame, route: str, p: np.ndarray, q: np.ndarray, alpha: float,
+               beta: float, lp_value: float, tol: float) -> EquilibriumSolution:
+    """The certified solution read off the ``route`` LP.
+
+    Cleans the simplex points, runs the best-response certificate and
+    measures the slackness residual from the payoffs it computed.
+    """
+    p = _clean_simplex(p, tol, "p")
+    q = _clean_simplex(q, tol, "q")
+    report, f_row, f_col = _certificate(game, p, q, tol)
+    if not report.is_equilibrium:
+        raise CertificationFailure(
+            f"{route} LP solution failed the best-response check "
+            f"(max violation {report.max_violation:.3g} at tol {tol:g})"
+        )
+    return EquilibriumSolution(
+        MixedStrategy(p),
+        MixedStrategy(q),
+        alpha,
+        beta,
+        lp_value=lp_value,
+        slackness_residual=max(abs(f_row - alpha), abs(f_col - beta)),
+    )
+
+
 def verify_lp_pair(game: TpassGame, p, q, tol: float = TOL_EQUILIBRIUM) -> EquilibriumReport:
     """Certify that a strategy pair yields optima of the primal/dual LPs.
 
     With ``alpha = payoff_row(p, q)`` and ``beta = payoff_col(p, q)``,
-    checks that ``(q, alpha)`` is primal-feasible, ``(p, beta)`` is
-    dual-feasible, and the two objective values agree; matching feasible
-    objectives certify joint optimality.  All three hold exactly when
-    ``(p, q)`` is an equilibrium.
+    the pair solves the LP pair exactly when ``(q, alpha)`` is
+    primal-feasible, ``(p, beta)`` is dual-feasible and the objectives
+    agree.  Each reading is an identity of :func:`is_equilibrium`, whose
+    report is returned:
 
-    Report fields: ``row_violation`` is the worst primal-row violation,
-    ``col_violation`` the worst dual-row violation, and
-    ``simplex_violation`` folds the simplex deviations together with the
-    primal-dual objective gap (which is zero by construction up to
-    roundoff).
+    * the worst primal-row violation ``max(A q + pi) - alpha`` at
+      ``(q, alpha)`` is its ``row_violation``;
+    * the worst dual-row violation ``max(rho - A' p) - beta`` at
+      ``(p, beta)`` is its ``col_violation``;
+    * the objective gap ``(rho.q - alpha) - (-pi.p + beta)`` is
+      identically zero, since both sides equal ``rho.q - p.Aq - p.pi``.
     """
-    pw, _ = _validated_strategy(p, game.m, "p")
-    qw, _ = _validated_strategy(q, game.n, "q")
-    alpha = payoff_row(game, pw, qw)
-    beta = payoff_col(game, pw, qw)
-    primal_violation = float((game.A @ qw + game.pi).max() - alpha)
-    dual_violation = float((game.rho - game.A.T @ pw).max() - beta)
-    gap = abs((float(game.rho @ qw) - alpha) - (-float(game.pi @ pw) + beta))
-    off_simplex = max(simplex_deviation(pw), simplex_deviation(qw), gap)
-    ok = max(primal_violation, dual_violation, off_simplex) <= tol
-    return EquilibriumReport(ok, primal_violation, dual_violation, off_simplex)
+    return is_equilibrium(game, p, q, tol)
 
 
 def check_joint_lp(game: TpassGame, p, q, tol: float = TOL_EQUILIBRIUM) -> bool:
     """Whether ``(p, q)`` is certified by the joint program.
 
-    Sets ``alpha = payoff_row(p, q)`` and ``beta = payoff_col(p, q)``,
-    which make the joint objective exactly zero, and tests feasibility
-    of ``(p, q, alpha, beta)`` within ``tol``.  True exactly when the
-    pair is an equilibrium.
+    With ``alpha = payoff_row(p, q)`` and ``beta = payoff_col(p, q)``
+    the joint objective is exactly zero, and ``(p, q, alpha, beta)`` is
+    feasible within ``tol`` when both of :func:`is_equilibrium`'s gaps
+    are: the joint LP's two inequality blocks are the primal and dual
+    rows of :func:`verify_lp_pair`, and its equality rows are the
+    simplex conditions.  So the verdict is :func:`is_equilibrium`'s.
     """
-    pw, _ = _validated_strategy(p, game.m, "p")
-    qw, _ = _validated_strategy(q, game.n, "q")
-    alpha = payoff_row(game, pw, qw)
-    beta = payoff_col(game, pw, qw)
-    row_block = float((game.A @ qw + game.pi).max() - alpha)
-    col_block = float((-(game.A.T @ pw) + game.rho).max() - beta)
-    return max(row_block, col_block) <= tol
+    return is_equilibrium(game, p, q, tol).is_equilibrium
 
 
 def solve_joint_lp(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> tuple[EquilibriumSolution, float]:
@@ -271,22 +270,6 @@ def solve_joint_lp(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> tuple[Equil
             f"joint LP optimum {value:.3g} is nonzero beyond tol {tol:g}"
         )
     m, n = game.shape
-    p = _clean_simplex(sol.x[:m], tol, "p")
-    q = _clean_simplex(sol.x[m : m + n], tol, "q")
-    alpha = float(sol.x[m + n])
-    beta = float(sol.x[m + n + 1])
-    report = is_equilibrium(game, p, q, tol)
-    if not report.is_equilibrium:
-        raise CertificationFailure(
-            f"joint LP vertex failed the best-response check "
-            f"(max violation {report.max_violation:.3g} at tol {tol:g})"
-        )
-    solution = EquilibriumSolution(
-        MixedStrategy(p),
-        MixedStrategy(q),
-        alpha,
-        beta,
-        lp_value=value,
-        slackness_residual=_optimality_residual(game, p, q, alpha, beta),
-    )
+    alpha, beta = float(sol.x[m + n]), float(sol.x[m + n + 1])
+    solution = _certified(game, "joint", sol.x[:m], sol.x[m : m + n], alpha, beta, value, tol)
     return solution, value

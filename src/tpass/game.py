@@ -215,27 +215,41 @@ def build_payoff_matrices(game: TpassGame) -> tuple[np.ndarray, np.ndarray]:
     return B, C
 
 
+def _certificate(game: TpassGame, p, q, tol: float) -> tuple[EquilibriumReport, float, float]:
+    """:func:`is_equilibrium`'s report together with the payoffs
+    ``payoff_row(p, q)`` and ``payoff_col(p, q)`` it was measured from."""
+    if not tol > 0:
+        raise InputError("tol must be positive")
+    pw, pdev = _validated_strategy(p, game.m, "p")
+    qw, qdev = _validated_strategy(q, game.n, "q")
+    Aq = game.A @ qw
+    Atp = game.A.T @ pw
+    pAq = float(Atp @ qw)
+    f_row = pAq + float(pw @ game.pi)
+    f_col = -pAq + float(game.rho @ qw)
+    row_violation = float((Aq + game.pi).max()) - f_row
+    col_violation = float((game.rho - Atp).max()) - f_col
+    simplex_violation = max(pdev, qdev)
+    ok = max(row_violation, col_violation, simplex_violation) <= tol
+    return EquilibriumReport(ok, row_violation, col_violation, simplex_violation), f_row, f_col
+
+
 def is_equilibrium(game: TpassGame, p, q, tol: float = TOL_EQUILIBRIUM) -> EquilibriumReport:
     """Best-response check for the pair ``(p, q)``.
 
     Payoffs are bilinear, so a mixed deviation can never beat the best
     pure deviation; only the ``m + n`` pure deviations are examined.
-    Violations are reported as absolute payoff gaps.
+    Violations are reported as absolute payoff gaps.  ``A q`` and
+    ``A' p`` are formed once and both payoffs and both gaps are read off
+    them.  This is the package's one equilibrium certificate: the LP-pair
+    and joint-LP certificates of :mod:`tpass.equilibrium` are identities
+    of it.
 
-    Raises :class:`InputError` when dimensions mismatch or either vector
-    is off the simplex by more than ``TOL_SIMPLEX``.
+    Raises :class:`InputError` when ``tol`` is not positive, dimensions
+    mismatch or either vector is off the simplex by more than
+    ``TOL_SIMPLEX``.
     """
-    if not tol > 0:
-        raise InputError("tol must be positive")
-    pw, pdev = _validated_strategy(p, game.m, "p")
-    qw, qdev = _validated_strategy(q, game.n, "q")
-    f_row = payoff_row(game, pw, qw)
-    f_col = payoff_col(game, pw, qw)
-    row_violation = float((game.A @ qw + game.pi).max() - f_row)
-    col_violation = float((-(game.A.T @ pw) + game.rho).max() - f_col)
-    simplex_violation = max(pdev, qdev)
-    ok = max(row_violation, col_violation, simplex_violation) <= tol
-    return EquilibriumReport(ok, row_violation, col_violation, simplex_violation)
+    return _certificate(game, p, q, tol)[0]
 
 
 # SplitMix64 constants.  The generator is fixed so that fixtures can be

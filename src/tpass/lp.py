@@ -44,8 +44,8 @@ Solver design:
   the original data (``B x_B = b`` and ``B' y = c_B``), so accumulated
   tableau roundoff never leaks into results.
 * Every "optimal" result is re-verified against the original model:
-  primal feasibility and dual feasibility within ``tol_feas`` and a
-  primal-dual objective gap within ``tol_gap``, which together certify
+  primal feasibility and dual feasibility within :data:`TOL_FEAS` and a
+  primal-dual objective gap within :data:`TOL_GAP`, which together certify
   optimality.  A violation raises :class:`SolverFailure` rather than
   returning a silently wrong status.
 
@@ -79,6 +79,8 @@ UNBOUNDED = "unbounded"
 TOL_FEAS = 1e-9
 TOL_GAP = 1e-8
 PIVOT_EPS = 1e-11
+# Reduced costs above -_RC_TOL count as nonnegative when pricing.
+_RC_TOL = max(10.0 * PIVOT_EPS, TOL_FEAS / 10.0)
 
 # Smallest row count at which solve looks for independent blocks.
 SPLIT_MIN_ROWS = 54
@@ -237,12 +239,8 @@ class LpSolution:
 class _Tableau:
     """Mutable solver state; private to a single :func:`solve` call."""
 
-    def __init__(self, model: LpModel, tol_feas: float, tol_gap: float, pivot_eps: float):
+    def __init__(self, model: LpModel):
         self.model = model
-        self.tol_feas = tol_feas
-        self.tol_gap = tol_gap
-        self.pivot_eps = pivot_eps
-        self.rc_tol = max(10.0 * pivot_eps, tol_feas / 10.0)
         self.maximize = model.sense == MAX
         self.iterations = 0
 
@@ -311,9 +309,9 @@ class _Tableau:
     def _pivot(self, row: int, col: int) -> None:
         T = self.T
         piv = T[row, col]
-        if abs(piv) < self.pivot_eps:
+        if abs(piv) < PIVOT_EPS:
             raise SolverFailure(
-                "pivot element below pivot_eps", pivot=piv, iterations=self.iterations
+                "pivot element below PIVOT_EPS", pivot=piv, iterations=self.iterations
             )
         T[row] /= piv
         column = T[:, col].copy()
@@ -329,7 +327,7 @@ class _Tableau:
         'ok', 'unbounded' or 'breakdown'."""
         T = self.T
         column = T[:-1, col]
-        positive = column > self.pivot_eps
+        positive = column > PIVOT_EPS
         if not positive.any():
             if (column > 0).any():
                 return "breakdown", -1
@@ -359,7 +357,7 @@ class _Tableau:
         saw_breakdown = False
         for rank in range(order.size):
             col = int(order[rank])
-            if reduced[col] >= -self.rc_tol:
+            if reduced[col] >= -_RC_TOL:
                 break
             kind, row = self._ratio_row(col, bland=False)
             if kind == "unbounded":
@@ -380,7 +378,7 @@ class _Tableau:
             return fallback
         if saw_breakdown:
             raise SolverFailure(
-                "pivot breakdown: all candidate pivots below pivot_eps",
+                "pivot breakdown: all candidate pivots below PIVOT_EPS",
                 phase=phase,
                 iterations=self.iterations,
             )
@@ -396,7 +394,7 @@ class _Tableau:
         while True:
             if bland:
                 reduced = T[-1, :-1]
-                favorable = np.nonzero(self.enterable & (reduced < -self.rc_tol))[0]
+                favorable = np.nonzero(self.enterable & (reduced < -_RC_TOL))[0]
                 if favorable.size == 0:
                     return OPTIMAL
                 col = int(favorable[0])
@@ -405,7 +403,7 @@ class _Tableau:
                     return UNBOUNDED
                 if kind == "breakdown":
                     raise SolverFailure(
-                        "pivot breakdown: all candidate pivots below pivot_eps",
+                        "pivot breakdown: all candidate pivots below PIVOT_EPS",
                         phase=phase,
                         column=col,
                         iterations=self.iterations,
@@ -440,7 +438,7 @@ class _Tableau:
             if not self.artificial[self.basis[ri]]:
                 continue
             row = T[ri, :-1]
-            candidates = np.nonzero(self.enterable & (np.abs(row) > self.pivot_eps))[0]
+            candidates = np.nonzero(self.enterable & (np.abs(row) > PIVOT_EPS))[0]
             if candidates.size:
                 # rhs is zero here, so any pivot is degenerate-feasible;
                 # take the largest for stability
@@ -484,7 +482,7 @@ class _Tableau:
         duals = duals_internal * self.sigma
         if not self.maximize:
             duals = -duals
-        return _certified(model, x, duals, self.iterations, self.tol_feas, self.tol_gap)
+        return _certified(model, x, duals, self.iterations)
 
     # -- driver -------------------------------------------------------------
 
@@ -497,7 +495,7 @@ class _Tableau:
                 raise SolverFailure(
                     f"phase 1 terminated {status}", iterations=self.iterations
                 )
-            if self.T[-1, -1] < -self.tol_feas:
+            if self.T[-1, -1] < -TOL_FEAS:
                 return LpSolution(INFEASIBLE, None, float("nan"), None, self.iterations)
             self._drive_out_artificials()
         self._price_out(self.phase2_costs)
@@ -512,18 +510,17 @@ def _unbounded(model: LpModel, iterations: int) -> LpSolution:
     return LpSolution(UNBOUNDED, None, value, None, iterations)
 
 
-def _certified(model: LpModel, x: np.ndarray, duals: np.ndarray, iterations: int,
-               tol_feas: float, tol_gap: float) -> LpSolution:
+def _certified(model: LpModel, x: np.ndarray, duals: np.ndarray, iterations: int) -> LpSolution:
     """An optimal solution, once :func:`_verify` has certified it."""
     objective_value = float(model.objective @ x)
-    _verify(model, x, duals, objective_value, tol_feas, tol_gap, iterations)
+    _verify(model, x, duals, objective_value, iterations)
     x.setflags(write=False)
     duals.setflags(write=False)
     return LpSolution(OPTIMAL, x, objective_value, duals, iterations)
 
 
 def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: float,
-            tol_feas: float, tol_gap: float, iterations: int) -> None:
+            iterations: int) -> None:
     """Certify optimality: primal feasible, dual feasible, zero gap."""
     M, b = model.M, model.b
     le, ge = model.rel == LE, model.rel == GE
@@ -533,7 +530,7 @@ def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: f
         float((row_viol / np.maximum(1.0, np.abs(b))).max(initial=0.0)),
         float((-x[~model._free]).max(initial=0.0)),
     )
-    if worst > tol_feas:
+    if worst > TOL_FEAS:
         raise SolverFailure(
             "optimal basis fails the primal feasibility re-check",
             violation=worst,
@@ -549,7 +546,7 @@ def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: f
     var_viol = np.where(model._free, np.abs(reduced), var_viol)
     scale = np.maximum(1.0, np.abs(model.objective))
     worst_dual = max(worst_dual, float((var_viol / scale).max()))
-    if worst_dual > tol_feas:
+    if worst_dual > TOL_FEAS:
         raise SolverFailure(
             "optimal basis fails the dual feasibility re-check",
             violation=worst_dual,
@@ -558,7 +555,7 @@ def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: f
 
     dual_objective = float(duals @ b)
     gap = abs(objective_value - dual_objective)
-    if gap > tol_gap * max(1.0, abs(objective_value)):
+    if gap > TOL_GAP * max(1.0, abs(objective_value)):
         raise SolverFailure(
             "primal and dual objectives disagree",
             gap=gap,
@@ -596,8 +593,7 @@ def _blocks(model: LpModel) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(np.flatnonzero(rows), np.flatnonzero(cols)) for rows, cols in blocks]
 
 
-def _solve_blocks(model: LpModel, blocks, tol_feas: float, tol_gap: float,
-                  pivot_eps: float) -> LpSolution:
+def _solve_blocks(model: LpModel, blocks) -> LpSolution:
     """Solve each block on its own tableau and assemble the results."""
     x = np.zeros(model.n_vars)
     duals = np.zeros(model.n_rows)
@@ -608,7 +604,7 @@ def _solve_blocks(model: LpModel, blocks, tol_feas: float, tol_gap: float,
             model.sense, model.objective[cols], model.M[np.ix_(rows, cols)],
             model.rel[rows], model.b[rows], [model.bounds[j] for j in cols],
         )
-        sol = _Tableau(part, tol_feas, tol_gap, pivot_eps).run()
+        sol = _Tableau(part).run()
         iterations += sol.iterations
         statuses.add(sol.status)
         if sol.status == OPTIMAL:
@@ -618,16 +614,10 @@ def _solve_blocks(model: LpModel, blocks, tol_feas: float, tol_gap: float,
         return LpSolution(INFEASIBLE, None, float("nan"), None, iterations)
     if UNBOUNDED in statuses:
         return _unbounded(model, iterations)
-    return _certified(model, x, duals, iterations, tol_feas, tol_gap)
+    return _certified(model, x, duals, iterations)
 
 
-def solve(
-    model: LpModel,
-    *,
-    tol_feas: float = TOL_FEAS,
-    tol_gap: float = TOL_GAP,
-    pivot_eps: float = PIVOT_EPS,
-) -> LpSolution:
+def solve(model: LpModel) -> LpSolution:
     """Solve a model with the two-phase simplex method.
 
     Deterministic: the same model always follows the same pivot path and
@@ -641,8 +631,8 @@ def solve(
     if model.n_rows >= SPLIT_MIN_ROWS:
         blocks = _blocks(model)
         if len(blocks) > 1:
-            return _solve_blocks(model, blocks, tol_feas, tol_gap, pivot_eps)
-    return _Tableau(model, tol_feas, tol_gap, pivot_eps).run()
+            return _solve_blocks(model, blocks)
+    return _Tableau(model).run()
 
 
 def dualize(model: LpModel) -> LpModel:

@@ -28,7 +28,7 @@ import numpy as np
 from .decompose import BimatrixGame, compose
 from .equilibrium import EquilibriumSolution
 from .errors import InputError
-from .game import MixedStrategy, TOL_EQUILIBRIUM, TpassGame, is_equilibrium
+from .game import MixedStrategy, TOL_EQUILIBRIUM, TpassGame
 
 SIZE_CAP = 5
 DEDUP_EPS = 1e-7
@@ -82,7 +82,6 @@ def enumerate_equilibria(
     tol: float = TOL_EQUILIBRIUM,
     *,
     size_cap: int = SIZE_CAP,
-    dedup_eps: float = DEDUP_EPS,
 ) -> list[tuple[MixedStrategy, MixedStrategy]]:
     """All equilibria found by support enumeration, deduplicated.
 
@@ -114,7 +113,7 @@ def enumerate_equilibria(
             if (C.T @ p).max() > col_value + tol:
                 continue
             duplicate = any(
-                max(np.abs(p - fp).max(), np.abs(q - fq).max()) <= dedup_eps
+                max(np.abs(p - fp).max(), np.abs(q - fq).max()) <= DEDUP_EPS
                 for _, _, fp, fq in found
             )
             if not duplicate:
@@ -132,19 +131,27 @@ def cross_check(
 ) -> bool:
     """Confirm an LP solution against the enumeration oracle.
 
-    True when the pair matches an enumerated equilibrium within ``tol``
-    or, failing that, passes the direct best-response check (the LP can
-    land on a degenerate-support point that enumeration represents
-    differently).
+    The game is strategically equivalent to the zero-sum game
+    ``Z = A + pi 1' - 1 rho'`` (Moulin & Vial 1978): its equilibria are
+    exactly the saddle points of ``Z``, which all share the value of
+    ``Z``.  The enumerated equilibria supply that value ``v = p'Z q``;
+    False when there are none or they disagree on ``v`` by more than
+    ``tol``.  Otherwise the LP pair is confirmed when it is a saddle
+    point at that value: ``max_i (Z q)_i <= v + tol`` and
+    ``min_j (p'Z)_j >= v - tol``.  A pair on a degenerate face that the
+    enumeration represents by other points is confirmed too.
     """
     m, n = game.shape
     if m > size_cap or n > size_cap:
         raise InputError(f"game is {m}x{n} but the oracle cap is {size_cap}")
-    p = np.asarray(sol.p, dtype=float)
-    q = np.asarray(sol.q, dtype=float)
-    for pe, qe in enumerate_equilibria(compose(game), tol, size_cap=size_cap):
-        pe_w = np.asarray(pe, dtype=float)
-        qe_w = np.asarray(qe, dtype=float)
-        if max(np.abs(p - pe_w).max(), np.abs(q - qe_w).max()) <= max(tol, 1e-8):
-            return True
-    return is_equilibrium(game, p, q, tol).is_equilibrium
+    Z = game.A + game.pi[:, None] - game.rho[None, :]
+    values = [
+        float(pe.weights @ Z @ qe.weights)
+        for pe, qe in enumerate_equilibria(compose(game), tol, size_cap=size_cap)
+    ]
+    if not values or max(values) - min(values) > tol:
+        return False
+    v = values[0]
+    return bool(
+        (Z @ sol.q.weights).max() <= v + tol and (sol.p.weights @ Z).min() >= v - tol
+    )

@@ -13,7 +13,7 @@ from tpass.equilibrium import (
     solve_joint_lp,
     verify_lp_pair,
 )
-from tpass.errors import InputError
+from tpass.errors import CertificationFailure, InputError
 from tpass.game import TpassGame, is_equilibrium, payoff_col, payoff_row, random_tpass
 
 from gamegen import games, random_games, random_simplex
@@ -256,6 +256,71 @@ class TestJointProgram:
             sol = solve_equilibrium(g)
             assert check_joint_lp(g, sol.p, sol.q)
         assert checked == 750
+
+
+def _worst_row_violation(model, x):
+    """Largest violation of the model's rows at ``x``: signed for
+    inequality rows, absolute for equality rows."""
+    gap = model.M @ x - model.b
+    signed = np.where(model.rel == lp.LE, gap, np.where(model.rel == lp.GE, -gap, np.abs(gap)))
+    return float(signed.max())
+
+
+class TestCertificateIdentities:
+    def test_gaps_are_the_built_models_row_violations(self):
+        rng = np.random.default_rng(41)
+        for g in random_games(60, seed_base=60_000, min_dim=1, max_dim=8, rng_seed=9):
+            for _ in range(5):
+                p = random_simplex(rng, g.m)
+                q = random_simplex(rng, g.n)
+                alpha, beta = payoff_row(g, p, q), payoff_col(g, p, q)
+                report = is_equilibrium(g, p, q)
+                primal = _worst_row_violation(build_primal_lp(g), np.append(q, alpha))
+                dual = _worst_row_violation(build_dual_lp(g), np.append(p, beta))
+                joint = _worst_row_violation(build_joint_lp(g), np.concatenate([p, q, [alpha, beta]]))
+                assert primal == pytest.approx(report.row_violation, abs=1e-12)
+                assert dual == pytest.approx(report.col_violation, abs=1e-12)
+                assert joint == pytest.approx(
+                    max(report.row_violation, report.col_violation), abs=1e-12
+                )
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8])
+    def test_every_certificate_rejects_nonpositive_tol(self, tol):
+        for check in (is_equilibrium, verify_lp_pair, check_joint_lp):
+            with pytest.raises(InputError):
+                check(dilemma(), [1, 0], [1, 0], tol)
+
+    def test_certificates_agree_on_a_pair_just_off_the_simplex(self):
+        p, q = [1.0 + 5e-10, 0.0], [1.0, 0.0]
+        for tol, verdict in ((1e-10, False), (1e-8, True)):
+            assert is_equilibrium(dilemma(), p, q, tol).is_equilibrium is verdict
+            assert verify_lp_pair(dilemma(), p, q, tol).is_equilibrium is verdict
+            assert check_joint_lp(dilemma(), p, q, tol) is verdict
+
+    @pytest.mark.parametrize(
+        "route, game",
+        [
+            ("primal", dilemma()),
+            ("joint", dilemma()),
+            # three rows: solve_equilibrium takes the dual LP
+            ("dual", TpassGame([[0, 1], [-1, 0], [-2, -1]], [0.5, 0.75, 0.0], [0.5, 0.75])),
+        ],
+    )
+    def test_certification_failure_names_the_route(self, monkeypatch, route, game):
+        # swapping the first two LP values moves the first player off the
+        # unique (dominant-strategy) equilibrium
+        real = lp.solve
+
+        def swapped(model):
+            sol = real(model)
+            x = sol.x.copy()
+            x[[0, 1]] = x[[1, 0]]
+            return lp.LpSolution(sol.status, x, sol.objective_value, sol.duals, sol.iterations)
+
+        monkeypatch.setattr(lp, "solve", swapped)
+        solve = solve_joint_lp if route == "joint" else solve_equilibrium
+        with pytest.raises(CertificationFailure, match=f"^{route} LP solution failed"):
+            solve(game)
 
 
 class TestZeroSumReduction:

@@ -6,6 +6,7 @@ from tpass.demo import dilemma
 from tpass.equilibrium import EquilibriumSolution, solve_equilibrium
 from tpass.errors import InputError
 from tpass.game import MixedStrategy, is_equilibrium, random_tpass
+from tpass import oracle
 from tpass.oracle import cross_check, enumerate_equilibria
 
 from gamegen import random_games
@@ -109,3 +110,33 @@ class TestCrossCheck:
     def test_agreement_on_random_games(self):
         for g in random_games(60, seed_base=90_000, min_dim=2, max_dim=4, rng_seed=7):
             assert cross_check(g, solve_equilibrium(g))
+
+    @pytest.mark.parametrize(
+        "stub",
+        [
+            [],
+            # off-equilibrium cells whose value of Z differs from the game's 0
+            [(MixedStrategy([0.0, 1.0]), MixedStrategy([1.0, 0.0]))],
+            [(MixedStrategy([1.0, 0.0]), MixedStrategy([0.0, 1.0]))],
+        ],
+        ids=["empty", "row-2-col-1", "row-1-col-2"],
+    )
+    def test_rejects_a_certified_solve_when_the_enumeration_disagrees(self, monkeypatch, stub):
+        g = dilemma()
+        sol = solve_equilibrium(g)
+        monkeypatch.setattr(oracle, "enumerate_equilibria", lambda *args, **kwargs: stub)
+        assert not cross_check(g, sol)
+
+    def test_rejects_enumerated_equilibria_with_different_values(self, monkeypatch):
+        g = dilemma()
+        sol = solve_equilibrium(g)
+        found = [(sol.p, sol.q), (MixedStrategy([0.0, 1.0]), MixedStrategy([1.0, 0.0]))]
+        monkeypatch.setattr(oracle, "enumerate_equilibria", lambda *args, **kwargs: found)
+        assert not cross_check(g, sol)
+
+    def test_confirms_both_routes_on_random_games(self):
+        from tpass.equilibrium import solve_joint_lp
+
+        for g in random_games(60, seed_base=91_000, min_dim=1, max_dim=5, rng_seed=8):
+            assert cross_check(g, solve_equilibrium(g))
+            assert cross_check(g, solve_joint_lp(g)[0])
