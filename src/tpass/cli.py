@@ -72,7 +72,7 @@ def _cmd_solve(args) -> int:
         objective = sol.lp_value
     else:
         sol, objective = solve_joint_lp(game, args.tol)
-    report = is_equilibrium(game, sol.p, sol.q, args.tol)
+    report = sol.report
     oracle_ok = None
     if max(game.shape) <= SIZE_CAP:
         oracle_ok = cross_check(game, sol, args.tol)

@@ -85,12 +85,13 @@ def _tetrad_residual(S: np.ndarray) -> float:
 def is_separable_sum(bg: BimatrixGame, tol: float | None = None) -> tuple[bool, float]:
     """Whether ``B + C`` is additively separable, plus the tetrad residual.
 
-    ``tol=None`` uses :func:`default_separability_tol`.
+    ``tol=None`` uses :func:`default_separability_tol`; any other
+    ``tol`` must be finite and nonnegative.
     """
     if tol is None:
         tol = default_separability_tol(bg)
-    elif tol < 0:
-        raise InputError("tol must be nonnegative")
+    elif not 0 <= tol < np.inf:
+        raise InputError("tol must be finite and nonnegative")
     residual = _tetrad_residual(bg.B + bg.C)
     return residual <= tol, residual
 

@@ -24,11 +24,21 @@ normalized to ``sum(p) = 1``), so both share one optimal value.  At a
 joint optimum, complementary slackness pins the scalars to the expected
 payoffs: ``alpha = p.Aq + p.pi`` and ``beta = -p.Aq + rho.q``, and the
 pair ``(p, q)`` read from primal solution and dual multipliers is an
-equilibrium.  :func:`solve_equilibrium` therefore solves one of the two
-LPs and reads the other player's half off its multipliers.  It solves
-the one with fewer rows: the primal when ``m <= n``, and the dual LP,
-which is the ``m > n`` solve path, otherwise.  Simplex pivots grow with
-the row count, so a 200 x 10 game costs about what a 10 x 200 one does.
+equilibrium.
+
+The dual LP is also the primal LP of the transposed game ``(-A', rho,
+pi)``, in which the players swap seats: negating its objective and its
+rows gives ``maximize pi . p - beta`` subject to ``-A' p - beta 1 <=
+-rho`` and ``sum(p) = 1``, the primal program with ``(q, alpha)``
+renamed ``(p, beta)``, whose optimum is minus the dual's.  So one
+builder, :func:`build_primal_lp`, serves both orientations, and every
+solve reads the same way: ``(q, alpha)`` off the values and ``(p,
+beta)`` off the multipliers of the game it was built from.
+:func:`solve_equilibrium` solves the orientation with fewer rows: the
+game's own primal LP (route ``primal``, ``m + 1`` rows) when ``m <= n``,
+otherwise the transposed game's (route ``dual``, ``n + 1`` rows), whose
+two halves it swaps back.  Simplex pivots grow with the row count, so a
+200 x 10 game costs about what a 10 x 200 one does.
 
 **Joint LP** over ``(p, q, alpha, beta)``, all of the above at once::
 
@@ -44,8 +54,12 @@ and ``q`` shows the objective equals ``-(alpha - payoff_row) -
 exactly the feasible points reaching 0, and the optimum is always 0
 because an equilibrium always exists.  :func:`solve_joint_lp` asserts
 the zero optimum and reads the equilibrium off the optimal vertex.  The
-two blocks share no variable, so :func:`lp.solve` solves them on
-separate tableaus once the model is large enough to repay the split.
+two blocks share no variable: the first ``m`` rows with ``sum(q) = 1``
+are the game's primal LP and the next ``n`` rows with ``sum(p) = 1`` the
+transposed game's, row for row and column for column.  From
+:data:`SPLIT_MIN_ROWS` joint rows on, :func:`solve_joint_lp` solves the
+two player LPs on their own tableaus, and the joint optimum is the sum
+of theirs; below that, one joint tableau is cheaper.
 
 Certification: a pair is an equilibrium exactly when it solves the LP
 pair, and exactly when it reaches the joint LP's zero optimum.  So the
@@ -78,9 +92,15 @@ from .game import (
     MixedStrategy,
     TOL_EQUILIBRIUM,
     TpassGame,
-    _certificate,
+    _check_tol,
     is_equilibrium,
 )
+
+# Joint-LP rows (m + n + 2) from which solve_joint_lp solves the two
+# player LPs on separate tableaus.  A pivot then updates only its own
+# program's rows and columns, which repays the second tableau's set-up
+# from about a 26 x 26 game on; the constant is the measured break-even.
+SPLIT_MIN_ROWS = 54
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,11 +108,12 @@ class EquilibriumSolution:
     """A certified equilibrium with its LP provenance.
 
     ``alpha`` and ``beta`` are the players' equilibrium payoffs,
-    ``lp_value`` the objective value of the LP that produced the pair
-    (primal or dual LP for :func:`solve_equilibrium`, which share one
-    optimal value; joint LP for :func:`solve_joint_lp`), and
-    ``slackness_residual`` the worst violation of the optimality
-    identities ``alpha = p.Aq + p.pi`` and ``beta = -p.Aq + rho.q``.
+    ``lp_value`` the optimal value of the primal/dual LP pair for
+    :func:`solve_equilibrium` and of the joint LP for
+    :func:`solve_joint_lp`, and ``slackness_residual`` the worst
+    violation of the optimality identities ``alpha = p.Aq + p.pi`` and
+    ``beta = -p.Aq + rho.q``.  ``report`` is the :func:`is_equilibrium`
+    certificate of exactly ``p`` and ``q``; the solvers always set it.
     """
 
     p: MixedStrategy
@@ -101,6 +122,7 @@ class EquilibriumSolution:
     beta: float
     lp_value: float
     slackness_residual: float
+    report: EquilibriumReport | None = None
 
 
 def build_primal_lp(game: TpassGame) -> lp.LpModel:
@@ -119,7 +141,15 @@ def build_primal_lp(game: TpassGame) -> lp.LpModel:
 
 
 def build_dual_lp(game: TpassGame) -> lp.LpModel:
-    """The dual program over ``(p, beta)`` (variables in that order)."""
+    """The dual program over ``(p, beta)`` (variables in that order), in
+    its textbook minimize form.
+
+    The solvers do not use it: they solve the same program as
+    ``build_primal_lp(_transposed(game))``.  Where a bonus ``rho[j]`` is
+    exactly 0, this form's ``>=`` row has a zero right-hand side and
+    needs an artificial column, which costs phase-1 pivots the
+    maximize form's slack does not.
+    """
     m, n = game.shape
     M = np.zeros((n + 1, m + 1))
     M[:n, :m] = game.A.T
@@ -152,7 +182,12 @@ def build_joint_lp(game: TpassGame) -> lp.LpModel:
     return lp.LpModel.from_arrays(lp.MAX, objective, M, rel, b, bounds)
 
 
-def _clean_simplex(v: np.ndarray, tol: float, name: str) -> np.ndarray:
+def _transposed(game: TpassGame) -> TpassGame:
+    """The game with the players' seats swapped: ``(-A', rho, pi)``."""
+    return TpassGame(-game.A.T, game.rho, game.pi)
+
+
+def _clean_simplex(v: np.ndarray, tol: float, name: str) -> MixedStrategy:
     """Clamp solver roundoff off a simplex point; reject real violations."""
     low = float(v.min())
     if low < -tol:
@@ -163,38 +198,42 @@ def _clean_simplex(v: np.ndarray, tol: float, name: str) -> np.ndarray:
     total = v.sum()
     if abs(total - 1.0) > 10.0 * max(tol, 1e-9):
         raise CertificationFailure(f"{name} from the LP sums to {total}, expected 1")
-    return v / total
+    return MixedStrategy(v / total)
 
 
 def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> EquilibriumSolution:
-    """Compute one equilibrium from the primal or the dual LP and certify it.
+    """Compute one equilibrium from the primal LP of the game or of its
+    transpose, and certify it.
 
-    The LP with fewer rows is solved: the primal (``m + 1`` rows) unless
-    ``m > n``, then the dual (``n + 1`` rows).  From the primal, ``q``
-    and ``alpha`` are its values and ``p`` and ``beta`` the multipliers
-    of the inequality block and the simplex equality.  From the dual,
-    ``p`` and ``beta`` are its values, ``q`` the multipliers of its
-    inequality block and ``alpha`` minus the multiplier of its simplex
-    equality.  The assembled pair must pass :func:`is_equilibrium` at
-    ``tol`` or :class:`CertificationFailure` is raised.
+    The orientation with fewer rows is solved: the game's primal LP
+    (``m + 1`` rows, route ``primal``) unless ``m > n``, then the
+    transposed game's (``n + 1`` rows, route ``dual``), whose ``(q,
+    alpha)`` and ``(p, beta)`` are the game's ``(p, beta)`` and ``(q,
+    alpha)``, and whose optimum is minus the dual LP's.  The pair must
+    pass :func:`is_equilibrium` at ``tol`` or
+    :class:`CertificationFailure` is raised; a ``tol`` that is not
+    positive raises :class:`InputError` before any work.
     """
+    _check_tol(tol)
+    if game.m > game.n:
+        p, beta, q, alpha, value = _player_lp(_transposed(game), "dual")
+        return _certified(game, "dual", p, q, alpha, beta, -value, tol)
+    q, alpha, p, beta, value = _player_lp(game, "primal")
+    return _certified(game, "primal", p, q, alpha, beta, value, tol)
+
+
+def _player_lp(game: TpassGame, route: str) -> tuple[np.ndarray, float, np.ndarray, float, float]:
+    """Solve ``build_primal_lp(game)``: ``(q, alpha)`` from its values,
+    ``(p, beta)`` from its multipliers, then its optimal value."""
     m, n = game.shape
-    route = "dual" if m > n else "primal"
-    if m > n:
-        sol = _solved(build_dual_lp(game), route)
-        p, beta = sol.x[:m], float(sol.x[m])
-        q, alpha = sol.duals[:n], -float(sol.duals[n])
-    else:
-        sol = _solved(build_primal_lp(game), route)
-        q, alpha = sol.x[:n], float(sol.x[n])
-        p, beta = sol.duals[:m], float(sol.duals[m])
-    return _certified(game, route, p, q, alpha, beta, sol.objective_value, tol)
+    sol = _solved(build_primal_lp(game), route)
+    return sol.x[:n], float(sol.x[n]), sol.duals[:m], float(sol.duals[m]), sol.objective_value
 
 
-def _solved(model: lp.LpModel, name: str) -> lp.LpSolution:
+def _solved(model: lp.LpModel, route: str) -> lp.LpSolution:
     sol = lp.solve(model)
     if sol.status != lp.OPTIMAL:
-        raise SolverFailure(f"{name} LP terminated {sol.status}; the program is always solvable")
+        raise SolverFailure(f"{route} LP terminated {sol.status}; the program is always solvable")
     return sol
 
 
@@ -202,24 +241,26 @@ def _certified(game: TpassGame, route: str, p: np.ndarray, q: np.ndarray, alpha:
                beta: float, lp_value: float, tol: float) -> EquilibriumSolution:
     """The certified solution read off the ``route`` LP.
 
-    Cleans the simplex points, runs the best-response certificate and
-    measures the slackness residual from the payoffs it computed.
+    Cleans the simplex points into the strategies it returns, certifies
+    them with :func:`is_equilibrium` and measures the slackness residual
+    from the payoffs the certificate computed.
     """
     p = _clean_simplex(p, tol, "p")
     q = _clean_simplex(q, tol, "q")
-    report, f_row, f_col = _certificate(game, p, q, tol)
+    report = is_equilibrium(game, p, q, tol)
     if not report.is_equilibrium:
         raise CertificationFailure(
             f"{route} LP solution failed the best-response check "
             f"(max violation {report.max_violation:.3g} at tol {tol:g})"
         )
     return EquilibriumSolution(
-        MixedStrategy(p),
-        MixedStrategy(q),
+        p,
+        q,
         alpha,
         beta,
         lp_value=lp_value,
-        slackness_residual=max(abs(f_row - alpha), abs(f_col - beta)),
+        slackness_residual=max(abs(report.payoff_row - alpha), abs(report.payoff_col - beta)),
+        report=report,
     )
 
 
@@ -258,18 +299,30 @@ def check_joint_lp(game: TpassGame, p, q, tol: float = TOL_EQUILIBRIUM) -> bool:
 def solve_joint_lp(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> tuple[EquilibriumSolution, float]:
     """Solve the joint program and read an equilibrium off its optimum.
 
-    Returns the certified solution together with the optimal objective
-    value, which must vanish within ``tol``: an equilibrium always
-    exists, so a nonzero optimum signals a numerical problem and raises
-    :class:`CertificationFailure`.
+    Below :data:`SPLIT_MIN_ROWS` joint rows the joint LP is solved on one
+    tableau.  From there on its two blocks are solved as what they are,
+    the primal LPs of the game and of its transpose: ``(q, alpha)`` and
+    ``(p, beta)`` are their values, and the joint optimum is the sum of
+    their optima.  Returns the certified solution together with that
+    optimal value, which must vanish within ``tol``: an equilibrium
+    always exists, so a nonzero optimum signals a numerical problem and
+    raises :class:`CertificationFailure`.  ``tol`` must be positive, as
+    for :func:`solve_equilibrium`.
     """
-    sol = _solved(build_joint_lp(game), "joint")
-    value = sol.objective_value
+    _check_tol(tol)
+    m, n = game.shape
+    if m + n + 2 < SPLIT_MIN_ROWS:
+        sol = _solved(build_joint_lp(game), "joint")
+        p, q = sol.x[:m], sol.x[m : m + n]
+        alpha, beta = float(sol.x[m + n]), float(sol.x[m + n + 1])
+        value = sol.objective_value
+    else:
+        q, alpha, _, _, row_value = _player_lp(game, "joint")
+        p, beta, _, _, col_value = _player_lp(_transposed(game), "joint")
+        value = row_value + col_value
     if abs(value) > tol:
         raise CertificationFailure(
             f"joint LP optimum {value:.3g} is nonzero beyond tol {tol:g}"
         )
-    m, n = game.shape
-    alpha, beta = float(sol.x[m + n]), float(sol.x[m + n + 1])
-    solution = _certified(game, "joint", sol.x[:m], sol.x[m : m + n], alpha, beta, value, tol)
+    solution = _certified(game, "joint", p, q, alpha, beta, value, tol)
     return solution, value

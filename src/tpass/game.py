@@ -139,12 +139,16 @@ class EquilibriumReport:
     column player, and ``simplex_violation`` the largest deviation of
     the inputs from the probability simplex.  The pair is an equilibrium
     exactly when all three are at most the check's tolerance.
+    ``payoff_row`` and ``payoff_col`` are the pair's expected payoffs,
+    the baselines the two gains are measured from.
     """
 
     is_equilibrium: bool
     row_violation: float
     col_violation: float
     simplex_violation: float
+    payoff_row: float
+    payoff_col: float
 
     @property
     def max_violation(self) -> float:
@@ -215,23 +219,10 @@ def build_payoff_matrices(game: TpassGame) -> tuple[np.ndarray, np.ndarray]:
     return B, C
 
 
-def _certificate(game: TpassGame, p, q, tol: float) -> tuple[EquilibriumReport, float, float]:
-    """:func:`is_equilibrium`'s report together with the payoffs
-    ``payoff_row(p, q)`` and ``payoff_col(p, q)`` it was measured from."""
+def _check_tol(tol: float) -> None:
+    """Reject a certification tolerance that is not positive (or is nan)."""
     if not tol > 0:
         raise InputError("tol must be positive")
-    pw, pdev = _validated_strategy(p, game.m, "p")
-    qw, qdev = _validated_strategy(q, game.n, "q")
-    Aq = game.A @ qw
-    Atp = game.A.T @ pw
-    pAq = float(Atp @ qw)
-    f_row = pAq + float(pw @ game.pi)
-    f_col = -pAq + float(game.rho @ qw)
-    row_violation = float((Aq + game.pi).max()) - f_row
-    col_violation = float((game.rho - Atp).max()) - f_col
-    simplex_violation = max(pdev, qdev)
-    ok = max(row_violation, col_violation, simplex_violation) <= tol
-    return EquilibriumReport(ok, row_violation, col_violation, simplex_violation), f_row, f_col
 
 
 def is_equilibrium(game: TpassGame, p, q, tol: float = TOL_EQUILIBRIUM) -> EquilibriumReport:
@@ -243,13 +234,25 @@ def is_equilibrium(game: TpassGame, p, q, tol: float = TOL_EQUILIBRIUM) -> Equil
     ``A' p`` are formed once and both payoffs and both gaps are read off
     them.  This is the package's one equilibrium certificate: the LP-pair
     and joint-LP certificates of :mod:`tpass.equilibrium` are identities
-    of it.
+    of it, and both solvers certify their pair with it.
 
     Raises :class:`InputError` when ``tol`` is not positive, dimensions
     mismatch or either vector is off the simplex by more than
     ``TOL_SIMPLEX``.
     """
-    return _certificate(game, p, q, tol)[0]
+    _check_tol(tol)
+    pw, pdev = _validated_strategy(p, game.m, "p")
+    qw, qdev = _validated_strategy(q, game.n, "q")
+    Aq = game.A @ qw
+    Atp = game.A.T @ pw
+    pAq = float(Atp @ qw)
+    f_row = pAq + float(pw @ game.pi)
+    f_col = -pAq + float(game.rho @ qw)
+    row_violation = float((Aq + game.pi).max()) - f_row
+    col_violation = float((game.rho - Atp).max()) - f_col
+    simplex_violation = max(pdev, qdev)
+    ok = max(row_violation, col_violation, simplex_violation) <= tol
+    return EquilibriumReport(ok, row_violation, col_violation, simplex_violation, f_row, f_col)
 
 
 # SplitMix64 constants.  The generator is fixed so that fixtures can be

@@ -9,18 +9,6 @@ dense tableau and favors transparency over sparse machinery.
 
 Solver design:
 
-* Block split: when no variable links one group of rows to the rest,
-  the model is several independent programs side by side.  The joint
-  equilibrium LP is exactly that: the row player's block over
-  ``(q, alpha)`` and the column player's over ``(p, beta)``.  From
-  :data:`SPLIT_MIN_ROWS` rows on, :func:`solve` finds these blocks and
-  solves each on its own tableau.  The pivot count stays about the same,
-  but a pivot updates only its block's rows and columns, so on two equal
-  blocks it costs about a quarter as much.  Each block is verified on
-  its own and the assembled ``x`` and duals once more against the whole
-  model.  Finding the blocks and setting up a second tableau cost a
-  fixed amount per solve, which the smaller pivots repay only on larger
-  models; :data:`SPLIT_MIN_ROWS` is the measured break-even.
 * Free variables enter the tableau as a split ``x = x+ - x-``; reported
   solutions recombine the halves.
 * Rows are normalized to nonnegative right-hand sides; ``<=`` rows get a
@@ -81,9 +69,6 @@ TOL_GAP = 1e-8
 PIVOT_EPS = 1e-11
 # Reduced costs above -_RC_TOL count as nonnegative when pricing.
 _RC_TOL = max(10.0 * PIVOT_EPS, TOL_FEAS / 10.0)
-
-# Smallest row count at which solve looks for independent blocks.
-SPLIT_MIN_ROWS = 54
 
 _RELATIONS = (LE, EQ, GE)
 _BOUND_KINDS = (NONNEG, FREE)
@@ -482,7 +467,11 @@ class _Tableau:
         duals = duals_internal * self.sigma
         if not self.maximize:
             duals = -duals
-        return _certified(model, x, duals, self.iterations)
+        objective_value = float(model.objective @ x)
+        _verify(model, x, duals, objective_value, self.iterations)
+        x.setflags(write=False)
+        duals.setflags(write=False)
+        return LpSolution(OPTIMAL, x, objective_value, duals, self.iterations)
 
     # -- driver -------------------------------------------------------------
 
@@ -501,22 +490,9 @@ class _Tableau:
         self._price_out(self.phase2_costs)
         status = self._pivot_loop(phase=2)
         if status == UNBOUNDED:
-            return _unbounded(self.model, self.iterations)
+            value = float("inf") if self.maximize else float("-inf")
+            return LpSolution(UNBOUNDED, None, value, None, self.iterations)
         return self._extract()
-
-
-def _unbounded(model: LpModel, iterations: int) -> LpSolution:
-    value = float("inf") if model.sense == MAX else float("-inf")
-    return LpSolution(UNBOUNDED, None, value, None, iterations)
-
-
-def _certified(model: LpModel, x: np.ndarray, duals: np.ndarray, iterations: int) -> LpSolution:
-    """An optimal solution, once :func:`_verify` has certified it."""
-    objective_value = float(model.objective @ x)
-    _verify(model, x, duals, objective_value, iterations)
-    x.setflags(write=False)
-    duals.setflags(write=False)
-    return LpSolution(OPTIMAL, x, objective_value, duals, iterations)
 
 
 def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: float,
@@ -565,73 +541,14 @@ def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: f
         )
 
 
-def _blocks(model: LpModel) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Row and variable indices of the model's independent blocks.
-
-    Two rows share a block when some variable has a nonzero coefficient
-    in both.  Rows with no nonzero coefficient and variables in no row
-    couple nothing; they join the first block.
-    """
-    nz = model.M != 0
-    in_rows, in_cols = nz.any(axis=1), nz.any(axis=0)
-    left = in_rows.copy()
-    blocks = []
-    while left.any():
-        rows = np.zeros_like(left)
-        rows[np.argmax(left)] = True
-        while True:
-            cols = nz[rows].any(axis=0)
-            grown = nz[:, cols].any(axis=1)
-            if np.array_equal(grown, rows):
-                break
-            rows = grown
-        blocks.append((rows, cols))
-        left &= ~rows
-    if blocks:
-        rows, cols = blocks[0]
-        blocks[0] = (rows | ~in_rows, cols | ~in_cols)
-    return [(np.flatnonzero(rows), np.flatnonzero(cols)) for rows, cols in blocks]
-
-
-def _solve_blocks(model: LpModel, blocks) -> LpSolution:
-    """Solve each block on its own tableau and assemble the results."""
-    x = np.zeros(model.n_vars)
-    duals = np.zeros(model.n_rows)
-    iterations = 0
-    statuses = set()
-    for rows, cols in blocks:
-        part = LpModel.from_arrays(
-            model.sense, model.objective[cols], model.M[np.ix_(rows, cols)],
-            model.rel[rows], model.b[rows], [model.bounds[j] for j in cols],
-        )
-        sol = _Tableau(part).run()
-        iterations += sol.iterations
-        statuses.add(sol.status)
-        if sol.status == OPTIMAL:
-            x[cols] = sol.x
-            duals[rows] = sol.duals
-    if INFEASIBLE in statuses:
-        return LpSolution(INFEASIBLE, None, float("nan"), None, iterations)
-    if UNBOUNDED in statuses:
-        return _unbounded(model, iterations)
-    return _certified(model, x, duals, iterations)
-
-
 def solve(model: LpModel) -> LpSolution:
-    """Solve a model with the two-phase simplex method.
+    """Solve a model with the two-phase simplex method on one tableau.
 
     Deterministic: the same model always follows the same pivot path and
-    returns the same solution and iteration count.  Models of at least
-    :data:`SPLIT_MIN_ROWS` rows are split into independent blocks; the
-    result is infeasible if any block is, otherwise unbounded if any
-    block is, and ``iterations`` sums the blocks' pivots.  Raises
+    returns the same solution and iteration count.  Raises
     :class:`SolverFailure` on numerical breakdown instead of returning
     an untrustworthy status.
     """
-    if model.n_rows >= SPLIT_MIN_ROWS:
-        blocks = _blocks(model)
-        if len(blocks) > 1:
-            return _solve_blocks(model, blocks)
     return _Tableau(model).run()
 
 

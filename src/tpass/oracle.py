@@ -28,7 +28,7 @@ import numpy as np
 from .decompose import BimatrixGame, compose
 from .equilibrium import EquilibriumSolution
 from .errors import InputError
-from .game import MixedStrategy, TOL_EQUILIBRIUM, TpassGame
+from .game import MixedStrategy, TOL_EQUILIBRIUM, TpassGame, _check_tol
 
 SIZE_CAP = 5
 DEDUP_EPS = 1e-7
@@ -87,9 +87,10 @@ def enumerate_equilibria(
 
     Output order is normalized (lexicographic by support pair) so it is
     deterministic regardless of evaluation order.  Singular indifference
-    systems are skipped, not errors.  Raises :class:`InputError` when a
-    dimension exceeds ``size_cap``.
+    systems are skipped, not errors.  Raises :class:`InputError` when
+    ``tol`` is not positive or a dimension exceeds ``size_cap``.
     """
+    _check_tol(tol)
     m, n = bg.shape
     if m > size_cap or n > size_cap:
         raise InputError(
@@ -139,8 +140,10 @@ def cross_check(
     ``tol``.  Otherwise the LP pair is confirmed when it is a saddle
     point at that value: ``max_i (Z q)_i <= v + tol`` and
     ``min_j (p'Z)_j >= v - tol``.  A pair on a degenerate face that the
-    enumeration represents by other points is confirmed too.
+    enumeration represents by other points is confirmed too.  Raises
+    :class:`InputError` when ``tol`` is not positive.
     """
+    _check_tol(tol)
     m, n = game.shape
     if m > size_cap or n > size_cap:
         raise InputError(f"game is {m}x{n} but the oracle cap is {size_cap}")

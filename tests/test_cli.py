@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from tpass import cli
+from tpass import cli, game
 from tpass.cli import main
+from tpass.decompose import compose
 from tpass.errors import TpassError
+from tpass.gamefile import dumps_game, load_game
 
 DEMO_TPASS = '{"kind": "tpass", "A": [[0, 1], [-1, 0]], "pi": ["1/2", "3/4"], "rho": [0.5, 0.75]}'
 DEMO_TPASS_DECIMAL = '{"kind": "tpass", "A": [[0, 1], [-1, 0]], "pi": [0.5, 0.75], "rho": [0.5, 0.75]}'
@@ -91,6 +93,21 @@ class TestSolve:
         assert code == 3
         assert captured.err.startswith("error: decomposition residual")
 
+    @pytest.mark.parametrize("method", ["primal", "joint"])
+    def test_solve_certifies_once(self, write, capsys, monkeypatch, method):
+        # every certificate builds one report; the printed residuals are
+        # the solver's own report, not a second run
+        made = []
+
+        class Counted(game.EquilibriumReport):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(game, "EquilibriumReport", Counted)
+        assert main(["solve", write(DEMO_TPASS), "--method", method]) == 0
+        assert len(made) == 1
+
     def test_malformed_file_exits_2(self, write, capsys):
         code = main(["solve", write('{"kind": "tpass", "A": [[0, 1], [-1]], "pi": [0, 0], "rho": [0, 0]}')])
         assert code == 2
@@ -98,6 +115,35 @@ class TestSolve:
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.json")]) == 2
+
+
+class TestBadTol:
+    @pytest.fixture
+    def files(self, tmp_path):
+        """The random 3x3 game of seed 1, as a tpass file and as a bimatrix."""
+        path = tmp_path / "game.json"
+        assert main(["random", "-m", "3", "-n", "3", "--seed", "1", "-o", str(path)]) == 0
+        bimatrix = tmp_path / "bimatrix.json"
+        bimatrix.write_text(dumps_game(compose(load_game(path))), encoding="utf-8")
+        return str(path), str(bimatrix)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", 0, "--tol", "-1"],
+            ["solve", 0, "--method", "joint", "--tol", "0"],
+            ["enumerate", 0, "--tol", "nan"],
+            ["enumerate", 0, "--tol", "-1"],
+            ["decompose", 1, "--tol", "nan"],
+        ],
+        ids=["solve-negative", "joint-zero", "enumerate-nan", "enumerate-negative", "decompose-nan"],
+    )
+    def test_exits_2(self, files, capsys, args):
+        args = [args[0], files[args[1]], *args[2:]]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol must be")
 
 
 class TestVerify:

@@ -65,6 +65,16 @@ class TestSeparability:
         with pytest.raises(InputError):
             is_separable_sum(compose(dilemma()), tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tol_rejected(self, tol):
+        for check in (is_separable_sum, decompose):
+            with pytest.raises(InputError):
+                check(compose(dilemma()), tol=tol)
+
+    def test_zero_tol_allowed(self):
+        assert is_separable_sum(compose(dilemma()), tol=0.0) == (True, 0.0)
+        assert decompose(compose(dilemma()), tol=0.0).max_residual == 0.0
+
     def test_default_tol_scales_with_payoffs(self):
         big = BimatrixGame([[1e6, 0.0], [0.0, 0.0]], [[1e6, 0.0], [0.0, 0.0]])
         assert default_separability_tol(big) == pytest.approx(2e-3, rel=1e-6)

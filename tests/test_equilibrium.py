@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from tpass import lp
 from tpass.demo import dilemma
 from tpass.equilibrium import (
+    _transposed,
     build_dual_lp,
     build_joint_lp,
     build_primal_lp,
@@ -159,6 +160,34 @@ class TestSolveEquilibrium:
             float(g.rho @ joint.q.weights) - joint.alpha, abs=1e-8
         )
 
+    def test_transposed_game_swaps_the_players(self):
+        # both orientations solve the same primal LP, so the swap is exact
+        for g in random_games(40, seed_base=95_000, min_dim=1, max_dim=9, rng_seed=11):
+            if g.m == g.n:
+                continue
+            sol = solve_equilibrium(g)
+            swapped = solve_equilibrium(_transposed(g))
+            assert np.array_equal(swapped.p.weights, sol.q.weights)
+            assert np.array_equal(swapped.q.weights, sol.p.weights)
+            assert swapped.alpha == sol.beta
+            assert swapped.beta == sol.alpha
+            assert swapped.lp_value == -sol.lp_value
+
+    def test_report_certifies_the_returned_pair(self):
+        for g in random_games(20, seed_base=96_000, min_dim=1, max_dim=6, rng_seed=12):
+            for sol in (solve_equilibrium(g), solve_joint_lp(g)[0]):
+                report = is_equilibrium(g, sol.p, sol.q)
+                assert sol.report.is_equilibrium
+                for field in ("row_violation", "col_violation", "simplex_violation",
+                              "payoff_row", "payoff_col"):
+                    assert getattr(sol.report, field) == getattr(report, field)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_solvers_reject_a_bad_tol(self, tol):
+        for solve in (solve_equilibrium, solve_joint_lp):
+            with pytest.raises(InputError, match="tol must be positive"):
+                solve(dilemma(), tol)
+
 
 class TestVerifyLpPair:
     def test_dilemma_equilibrium_passes(self):
@@ -237,6 +266,29 @@ class TestJointProgram:
             sol, value = solve_joint_lp(g, 1e-8)
             assert abs(value) <= 1e-8
             assert is_equilibrium(g, sol.p, sol.q, 1e-8).is_equilibrium
+
+    @pytest.mark.parametrize("m, n", [(25, 25), (26, 26), (30, 24)])
+    def test_player_lps_match_the_joint_tableau(self, monkeypatch, m, n):
+        # from 54 joint rows on, the two player LPs are solved instead
+        g = random_tpass(m, n, -1.0, 1.0, seed=97_000 + m + n)
+        whole = lp.solve(build_joint_lp(g))
+        real, pivots = lp.solve, []
+
+        def counted(model):
+            sol = real(model)
+            pivots.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(lp, "solve", counted)
+        sol, value = solve_joint_lp(g)
+        assert len(pivots) == (1 if m + n + 2 < 54 else 2)
+        assert sum(pivots) == whole.iterations
+        x = whole.x
+        assert np.abs(sol.p.weights - x[:m]).max() <= 1e-9
+        assert np.abs(sol.q.weights - x[m : m + n]).max() <= 1e-9
+        assert sol.alpha == pytest.approx(x[m + n], abs=1e-9)
+        assert sol.beta == pytest.approx(x[m + n + 1], abs=1e-9)
+        assert value == pytest.approx(whole.objective_value, abs=1e-9)
 
     def test_check_joint_dilemma_cases(self):
         g = dilemma()

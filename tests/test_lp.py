@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from tpass import lp
-from tpass.equilibrium import build_dual_lp, build_primal_lp
+from tpass.equilibrium import build_dual_lp, build_joint_lp, build_primal_lp
 from tpass.errors import InputError, SolverFailure
 from tpass.game import random_tpass
 
@@ -241,36 +241,6 @@ class TestComplementarySlackness:
             lp.check_complementary_slackness(model, bad)
 
 
-def block_diagonal(*models):
-    """The models side by side: one model whose blocks share no variable."""
-    M = np.zeros((sum(m.n_rows for m in models), sum(m.n_vars for m in models)))
-    r = c = 0
-    for model in models:
-        M[r : r + model.n_rows, c : c + model.n_vars] = model.M
-        r, c = r + model.n_rows, c + model.n_vars
-    return lp.LpModel.from_arrays(
-        models[0].sense,
-        np.concatenate([m.objective for m in models]),
-        M,
-        np.concatenate([m.rel for m in models]),
-        np.concatenate([m.b for m in models]),
-        sum((m.bounds for m in models), ()),
-    )
-
-
-def infeasible_block():
-    return lp.LpModel(lp.MAX, [1.0], [([1.0], lp.GE, 2.0), ([1.0], lp.LE, 1.0)])
-
-
-def unbounded_block():
-    return lp.LpModel(lp.MAX, [1.0], [([1.0], lp.GE, 0.0)])
-
-
-def large_block(seed):
-    """A primal equilibrium LP with more rows than the split threshold."""
-    return build_primal_lp(random_tpass(lp.SPLIT_MIN_ROWS, 6, -1.0, 1.0, seed=seed))
-
-
 @pytest.fixture
 def tableau_rows(monkeypatch):
     """Row counts of the tableaus each solve sets up."""
@@ -285,82 +255,10 @@ def tableau_rows(monkeypatch):
     return rows
 
 
-class TestBlockSplit:
-    def test_blocks_match_solving_each_alone(self, tableau_rows):
-        half = lp.SPLIT_MIN_ROWS // 2
-        a = build_primal_lp(random_tpass(half, 5, -1.0, 1.0, seed=11))
-        b = build_primal_lp(random_tpass(half, 7, -1.0, 1.0, seed=12))
-        model = block_diagonal(a, b)
-        assert model.n_rows >= lp.SPLIT_MIN_ROWS
-        sol = lp.solve(model)
-        assert tableau_rows == [a.n_rows, b.n_rows]
-        sol_a, sol_b = lp.solve(a), lp.solve(b)
-        assert sol.status == lp.OPTIMAL
-        assert np.array_equal(sol.x, np.concatenate([sol_a.x, sol_b.x]))
-        assert np.array_equal(sol.duals, np.concatenate([sol_a.duals, sol_b.duals]))
-        assert sol.objective_value == pytest.approx(
-            sol_a.objective_value + sol_b.objective_value, abs=1e-12
-        )
-        assert sol.iterations == sol_a.iterations + sol_b.iterations
-
-    def test_small_models_stay_on_one_tableau(self, tableau_rows):
-        model = block_diagonal(box_problem(), box_problem())
-        assert model.n_rows < lp.SPLIT_MIN_ROWS
+class TestOneTableau:
+    def test_joint_lp_is_solved_on_one_tableau(self, tableau_rows):
+        # 26 x 26: 54 rows in two blocks that share no variable, the size
+        # from which solve_joint_lp solves the blocks apart
+        model = build_joint_lp(random_tpass(26, 26, -1.0, 1.0, seed=18))
         assert lp.solve(model).status == lp.OPTIMAL
-        assert tableau_rows == [4]
-
-    @pytest.mark.parametrize(
-        "extra, status",
-        [
-            ((infeasible_block(),), lp.INFEASIBLE),
-            ((unbounded_block(),), lp.UNBOUNDED),
-            # infeasibility outranks unboundedness, in either block order
-            ((unbounded_block(), infeasible_block()), lp.INFEASIBLE),
-        ],
-    )
-    def test_status_of_a_failing_block(self, extra, status):
-        base = large_block(seed=13)
-        model = block_diagonal(base, *extra)
-        sol = lp.solve(model)
-        assert sol.status == status
-        assert sol.x is None and sol.duals is None
-        alone = [lp.solve(m) for m in (base, *extra)]
-        assert sol.iterations == sum(s.iterations for s in alone)
-        if status == lp.UNBOUNDED:
-            assert sol.objective_value == np.inf
-        else:
-            assert np.isnan(sol.objective_value)
-
-    def test_zero_row_and_unused_variable(self, tableau_rows):
-        # one row with no nonzero coefficient, one variable in no row
-        idle = lp.LpModel(lp.MAX, [-1.0], [([0.0], lp.LE, 1.0)])
-        a = large_block(seed=14)
-        b = build_primal_lp(random_tpass(5, 5, -1.0, 1.0, seed=15))
-        model = block_diagonal(a, idle, b)
-        sol = lp.solve(model)
-        # the idle row and variable join the first block
-        assert tableau_rows == [a.n_rows + 1, b.n_rows]
-        assert sol.status == lp.OPTIMAL
-        idle_var, idle_row = a.n_vars, a.n_rows
-        assert sol.x[idle_var] == 0.0
-        assert sol.duals[idle_row] == 0.0
-        gap = model.M @ sol.x - model.b
-        assert gap[model.rel == lp.LE].max() <= 1e-9
-        assert np.abs(gap[model.rel == lp.EQ]).max() <= 1e-9
-        ok, _ = lp.check_complementary_slackness(model, sol, 1e-9)
-        assert ok
-        sol_a, sol_b = lp.solve(a), lp.solve(b)
-        assert sol.objective_value == pytest.approx(
-            sol_a.objective_value + sol_b.objective_value, abs=1e-12
-        )
-
-    @pytest.mark.parametrize(
-        "idle, status",
-        [
-            (lp.LpModel(lp.MAX, [-1.0], [([0.0], lp.GE, 1.0)]), lp.INFEASIBLE),
-            (lp.LpModel(lp.MAX, [1.0], [([0.0], lp.LE, 1.0)]), lp.UNBOUNDED),
-        ],
-    )
-    def test_idle_row_or_variable_decides_status(self, idle, status):
-        model = block_diagonal(large_block(seed=16), idle, box_problem())
-        assert lp.solve(model).status == status
+        assert tableau_rows == [54]

@@ -54,6 +54,16 @@ def test_size_cap_enforced():
     assert enumerate_equilibria(big, size_cap=6)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_bad_tol_rejected(tol):
+    g = dilemma()
+    sol = solve_equilibrium(g)
+    with pytest.raises(InputError, match="tol must be positive"):
+        enumerate_equilibria(compose(g), tol)
+    with pytest.raises(InputError, match="tol must be positive"):
+        cross_check(g, sol, tol)
+
+
 def test_output_is_deterministic():
     g = random_tpass(3, 3, -1.0, 1.0, seed=404)
     bg = compose(g)
