@@ -40,7 +40,6 @@ from .game import (
 )
 from .gamefile import dumps_game, load_game, parse_game, save_game
 from .lp import (
-    Constraint,
     LpModel,
     LpSolution,
     check_complementary_slackness,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BimatrixGame",
     "CertificationFailure",
-    "Constraint",
     "DecompositionResult",
     "EquilibriumReport",
     "EquilibriumSolution",

@@ -135,7 +135,7 @@ def build_primal_lp(game: TpassGame) -> lp.LpModel:
     rel = np.full(m + 1, lp.LE)
     rel[m] = lp.EQ
     bounds = (lp.NONNEG,) * n + (lp.FREE,)
-    return lp.LpModel.from_arrays(
+    return lp.LpModel(
         lp.MAX, np.append(game.rho, -1.0), M, rel, np.append(-game.pi, 1.0), bounds
     )
 
@@ -158,7 +158,7 @@ def build_dual_lp(game: TpassGame) -> lp.LpModel:
     rel = np.full(n + 1, lp.GE)
     rel[n] = lp.EQ
     bounds = (lp.NONNEG,) * m + (lp.FREE,)
-    return lp.LpModel.from_arrays(
+    return lp.LpModel(
         lp.MIN, np.append(-game.pi, 1.0), M, rel, np.append(game.rho, 1.0), bounds
     )
 
@@ -179,7 +179,7 @@ def build_joint_lp(game: TpassGame) -> lp.LpModel:
     objective = np.concatenate([game.pi, game.rho, [-1.0, -1.0]])
     b = np.concatenate([-game.pi, -game.rho, [1.0, 1.0]])
     bounds = (lp.NONNEG,) * k + (lp.FREE, lp.FREE)
-    return lp.LpModel.from_arrays(lp.MAX, objective, M, rel, b, bounds)
+    return lp.LpModel(lp.MAX, objective, M, rel, b, bounds)
 
 
 def _transposed(game: TpassGame) -> TpassGame:
@@ -212,7 +212,7 @@ def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> Equilibr
     alpha)``, and whose optimum is minus the dual LP's.  The pair must
     pass :func:`is_equilibrium` at ``tol`` or
     :class:`CertificationFailure` is raised; a ``tol`` that is not
-    positive raises :class:`InputError` before any work.
+    positive and finite raises :class:`InputError` before any work.
     """
     _check_tol(tol)
     if game.m > game.n:
@@ -306,8 +306,8 @@ def solve_joint_lp(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> tuple[Equil
     their optima.  Returns the certified solution together with that
     optimal value, which must vanish within ``tol``: an equilibrium
     always exists, so a nonzero optimum signals a numerical problem and
-    raises :class:`CertificationFailure`.  ``tol`` must be positive, as
-    for :func:`solve_equilibrium`.
+    raises :class:`CertificationFailure`.  ``tol`` must be positive and
+    finite, as for :func:`solve_equilibrium`.
     """
     _check_tol(tol)
     m, n = game.shape

@@ -220,9 +220,10 @@ def build_payoff_matrices(game: TpassGame) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_tol(tol: float) -> None:
-    """Reject a certification tolerance that is not positive (or is nan)."""
-    if not tol > 0:
-        raise InputError("tol must be positive")
+    """Reject a certification tolerance that is not positive and finite
+    (nan included)."""
+    if not 0 < tol < float("inf"):
+        raise InputError("tol must be positive and finite")
 
 
 def is_equilibrium(game: TpassGame, p, q, tol: float = TOL_EQUILIBRIUM) -> EquilibriumReport:
@@ -236,8 +237,8 @@ def is_equilibrium(game: TpassGame, p, q, tol: float = TOL_EQUILIBRIUM) -> Equil
     and joint-LP certificates of :mod:`tpass.equilibrium` are identities
     of it, and both solvers certify their pair with it.
 
-    Raises :class:`InputError` when ``tol`` is not positive, dimensions
-    mismatch or either vector is off the simplex by more than
+    Raises :class:`InputError` when ``tol`` is not positive and finite,
+    dimensions mismatch or either vector is off the simplex by more than
     ``TOL_SIMPLEX``.
     """
     _check_tol(tol)

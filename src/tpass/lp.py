@@ -1,11 +1,12 @@
 """General-form linear programs and a dense two-phase simplex solver.
 
-The model container accepts maximize or minimize objectives, ``<=``,
-``=`` and ``>=`` rows, and per-variable bound classes (nonnegative or
-free).  A model stores its rows once, as arrays ``(M, rel, b)``, so the
-equilibrium builders fill them from slices of the payoff matrix and the
-solver's set-up and verification run vectorized.  The solver works on a
-dense tableau and favors transparency over sparse machinery.
+A model, :class:`LpModel`, is one constructor over arrays: a maximize or
+minimize objective, the rows ``(M, rel, b)`` with ``<=``, ``=`` and
+``>=`` relations, and per-variable bound classes (nonnegative or free).
+The equilibrium builders fill the arrays from slices of the payoff
+matrix, and the solver's set-up and verification run vectorized.  The
+solver works on a dense tableau and favors transparency over sparse
+machinery.
 
 Solver design:
 
@@ -20,13 +21,15 @@ Solver design:
   Basic artificials left over from phase 1 are driven out by degenerate
   pivots; rows that cannot be pivoted are redundant and are dropped with
   a zero dual.
-* Pricing is Dantzig's rule with a stability twist: among the most
-  favorable columns, one whose ratio-test pivot is not vanishingly small
-  relative to its column is preferred, which avoids the roundoff blowup
-  of near-degenerate pivots.  After ``50 * n_rows`` pivots without
-  objective progress the solver switches permanently to Bland's rule
-  (pure, unstabilized), which guarantees termination on degenerate
-  (cycling) instances.
+* One chooser serves both pricing rules.  The default is Dantzig's
+  rule with a stability twist: among the most favorable columns, one
+  whose ratio-test pivot is not vanishingly small relative to its column
+  is preferred, which avoids the roundoff blowup of near-degenerate
+  pivots.  After ``50 * n_rows`` pivots without objective progress the
+  solver switches permanently to Bland's rule (pure, unstabilized),
+  which guarantees termination on degenerate (cycling) instances.
+  Under either rule, a favorable column with no entry above
+  :data:`PIVOT_EPS` is a ray, and the model is reported unbounded.
 * The tableau only decides which basis is optimal.  The reported ``x``
   and duals are recomputed from that basis by a fresh factorization of
   the original data (``B x_B = b`` and ``B' y = c_B``), so accumulated
@@ -46,7 +49,7 @@ objective at optimality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,59 +77,22 @@ _RELATIONS = (LE, EQ, GE)
 _BOUND_KINDS = (NONNEG, FREE)
 
 
-@dataclass(frozen=True, eq=False)
-class Constraint:
-    """One linear row ``coeffs . x  <rel>  rhs``."""
-
-    coeffs: np.ndarray
-    rel: str
-    rhs: float
-
-    def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=float)
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise InputError(f"constraint coefficients must be a 1-d vector, got shape {coeffs.shape}")
-        if not np.all(np.isfinite(coeffs)):
-            raise InputError("constraint coefficients contain non-finite entries")
-        if self.rel not in _RELATIONS:
-            raise InputError(f"relation must be one of {_RELATIONS}, got {self.rel!r}")
-        rhs = float(self.rhs)
-        if not np.isfinite(rhs):
-            raise InputError("constraint rhs must be finite")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", rhs)
-
-
 def _frozen(values, dtype) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
-def _objective(sense, objective) -> np.ndarray:
-    """Validated sense and objective of a model (the objective, frozen)."""
-    if sense not in (MAX, MIN):
-        raise InputError(f"sense must be '{MAX}' or '{MIN}', got {sense!r}")
-    objective = _frozen(objective, float)
-    if objective.ndim != 1 or objective.size == 0:
-        raise InputError(f"objective must be a 1-d vector, got shape {objective.shape}")
-    if not np.all(np.isfinite(objective)):
-        raise InputError("objective contains non-finite entries")
-    return objective
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class LpModel:
     """A general-form linear program: optimize ``objective . x`` subject
     to ``M[i] . x  rel[i]  b[i]`` for every row ``i``.
 
-    ``rel`` holds one of ``"<="``, ``"="`` or ``">="`` per row.
+    ``M`` is rows by variables; ``rel`` holds one of ``"<="``, ``"="``
+    or ``">="`` per row and ``b`` one right-hand side per row.
     ``bounds`` gives each variable's class, ``"nonneg"`` or ``"free"``;
-    ``None`` means all nonnegative.  The constructor takes rows as
-    :class:`Constraint` values or ``(coeffs, rel, rhs)`` triples;
-    :meth:`from_arrays` takes ``(M, rel, b)`` directly.  Every array is
-    a read-only copy.
+    ``None`` means all nonnegative.  Every array is validated and stored
+    as a read-only copy.
     """
 
     sense: str
@@ -134,37 +100,21 @@ class LpModel:
     M: np.ndarray
     rel: np.ndarray
     b: np.ndarray
-    bounds: tuple[str, ...]
+    bounds: tuple[str, ...] | None = None
+    _free: np.ndarray = field(init=False, repr=False)
 
-    def __init__(self, sense, objective, constraints=(), bounds=None):
-        objective = _objective(sense, objective)
+    def __post_init__(self):
+        if self.sense not in (MAX, MIN):
+            raise InputError(f"sense must be '{MAX}' or '{MIN}', got {self.sense!r}")
+        objective = _frozen(self.objective, float)
+        if objective.ndim != 1 or objective.size == 0:
+            raise InputError(f"objective must be a 1-d vector, got shape {objective.shape}")
+        if not np.all(np.isfinite(objective)):
+            raise InputError("objective contains non-finite entries")
         n = objective.shape[0]
-        rows = tuple(c if isinstance(c, Constraint) else Constraint(*c) for c in constraints)
-        for k, con in enumerate(rows):
-            if con.coeffs.shape[0] != n:
-                raise InputError(
-                    f"constraint {k + 1} has {con.coeffs.shape[0]} coefficients, expected {n}"
-                )
-        M = np.array([con.coeffs for con in rows]).reshape(len(rows), n)
-        self._fill(
-            sense, objective, M, [con.rel for con in rows], [con.rhs for con in rows], bounds
-        )
-
-    @classmethod
-    def from_arrays(cls, sense, objective, M, rel, b, bounds=None) -> LpModel:
-        """A model from its constraint arrays: ``M`` is rows by variables,
-        ``rel`` and ``b`` have one entry per row."""
-        model = cls.__new__(cls)
-        model._fill(sense, _objective(sense, objective), M, rel, b, bounds)
-        return model
-
-    def _fill(self, sense, objective, M, rel, b, bounds) -> None:
-        """Validate the constraint arrays and bounds and set every field;
-        ``objective`` comes from :func:`_objective`."""
-        n = objective.shape[0]
-        M = _frozen(M, float)
-        b = _frozen(b, float)
-        rel = _frozen(rel, str)
+        M = _frozen(self.M, float)
+        b = _frozen(self.b, float)
+        rel = _frozen(self.rel, str)
         if M.ndim != 2 or M.shape[1] != n or b.shape != (M.shape[0],) or rel.shape != b.shape:
             raise InputError(
                 f"constraint arrays have shapes M {M.shape}, rel {rel.shape}, b {b.shape}; "
@@ -176,23 +126,16 @@ class LpModel:
         if not valid.all():
             bad = rel[np.argmin(valid)]
             raise InputError(f"relation must be one of {_RELATIONS}, got {str(bad)!r}")
-        bounds = tuple(bounds) if bounds is not None else (NONNEG,) * n
+        bounds = tuple(self.bounds) if self.bounds is not None else (NONNEG,) * n
         if len(bounds) != n:
             raise InputError(f"bounds has length {len(bounds)}, expected {n}")
         for kind in bounds:
             if kind not in _BOUND_KINDS:
                 raise InputError(f"variable bound must be one of {_BOUND_KINDS}, got {kind!r}")
-        for name, value in (("sense", sense), ("objective", objective), ("M", M),
-                            ("rel", rel), ("b", b), ("bounds", bounds),
+        for name, value in (("objective", objective), ("M", M), ("rel", rel), ("b", b),
+                            ("bounds", bounds),
                             ("_free", _frozen([kind == FREE for kind in bounds], bool))):
             object.__setattr__(self, name, value)
-
-    @property
-    def constraints(self) -> tuple[Constraint, ...]:
-        """The rows as :class:`Constraint` values, a read-only view."""
-        return tuple(
-            Constraint(row, str(rel), float(rhs)) for row, rel, rhs in zip(self.M, self.rel, self.b)
-        )
 
     @property
     def n_vars(self) -> int:
@@ -307,99 +250,62 @@ class _Tableau:
         T[row, col] = 1.0
         self.iterations += 1
 
-    def _ratio_row(self, col: int, bland: bool) -> tuple[str, int]:
-        """Leaving row for an entering column: (kind, row) where kind is
-        'ok', 'unbounded' or 'breakdown'."""
-        T = self.T
-        column = T[:-1, col]
-        positive = column > PIVOT_EPS
-        if not positive.any():
-            if (column > 0).any():
-                return "breakdown", -1
-            return "unbounded", -1
-        ratios = np.full(column.shape[0], np.inf)
-        ratios[positive] = T[:-1, -1][positive] / column[positive]
-        theta = ratios.min()
-        ties = np.nonzero(ratios == theta)[0]
-        if bland:
-            row = int(ties[np.argmin(self.basis[ties])])
-        else:
-            # stabilizing tie-break: the largest pivot among exact ties
-            row = int(ties[np.argmax(np.abs(column[ties]))])
-        return "ok", row
-
     # How many favorable columns the stabilized Dantzig scan examines,
-    # and how small a pivot must be (relative to its column) before a
-    # better-conditioned alternative is preferred.
+    # how small a pivot must be (relative to its column) before a
+    # better-conditioned alternative is preferred, and how many pivots
+    # per row may pass without objective progress before Bland's rule
+    # takes over.
     _SCAN_LIMIT = 8
     _STABLE_REL = 1e-7
+    _STALL_PER_ROW = 50
 
-    def _choose_dantzig(self, phase: int) -> tuple[int, int] | str:
+    def _choose(self, bland: bool) -> tuple[int, int] | str:
+        """The pivot ``(col, row)``, or OPTIMAL or UNBOUNDED.
+
+        The favorable columns are the enterable ones with a reduced cost
+        below ``-_RC_TOL``.  Bland's rule takes the first and breaks ratio
+        ties by the lowest basic index.  Dantzig's rule scans them from
+        the most negative reduced cost, breaks ratio ties by the largest
+        pivot, and takes the first column whose pivot is not tiny
+        relative to the column; if none of the first ``_SCAN_LIMIT``
+        columns has one, it settles for the first of them.  A candidate
+        column with no entry above ``PIVOT_EPS`` is a ray, so the
+        objective is unbounded.
+        """
         T = self.T
-        reduced = np.where(self.enterable, T[-1, :-1], np.inf)
-        order = np.argsort(reduced, kind="stable")
+        reduced = T[-1, :-1]
+        favorable = np.flatnonzero(self.enterable & (reduced < -_RC_TOL))
+        if not bland:
+            favorable = favorable[np.argsort(reduced[favorable], kind="stable")]
         fallback = None
-        saw_breakdown = False
-        for rank in range(order.size):
-            col = int(order[rank])
-            if reduced[col] >= -_RC_TOL:
-                break
-            kind, row = self._ratio_row(col, bland=False)
-            if kind == "unbounded":
+        for col in favorable[: self._SCAN_LIMIT].tolist():
+            column = T[:-1, col]
+            rows = np.flatnonzero(column > PIVOT_EPS)
+            if rows.size == 0:
                 return UNBOUNDED
-            if kind == "breakdown":
-                saw_breakdown = True
-                continue
-            pivot = abs(T[row, col])
-            column_scale = float(np.abs(T[:-1, col]).max())
-            if pivot >= self._STABLE_REL * max(1.0, column_scale):
+            ratios = T[rows, -1] / column[rows]
+            ties = rows[ratios == ratios.min()]
+            if bland:
+                return col, int(ties[np.argmin(self.basis[ties])])
+            row = int(ties[np.argmax(np.abs(column[ties]))])
+            if abs(column[row]) >= self._STABLE_REL * max(1.0, float(np.abs(column).max())):
                 return col, row
             if fallback is None:
                 fallback = (col, row)
-            if rank + 1 >= self._SCAN_LIMIT and fallback is not None:
-                # bounded scan: settle for the best seen so far
-                return fallback
-        if fallback is not None:
-            return fallback
-        if saw_breakdown:
-            raise SolverFailure(
-                "pivot breakdown: all candidate pivots below PIVOT_EPS",
-                phase=phase,
-                iterations=self.iterations,
-            )
-        return OPTIMAL
+        return fallback or OPTIMAL
 
     def _pivot_loop(self, phase: int) -> str:
         T = self.T
-        stall_limit = 50 * max(1, T.shape[0] - 1)
+        stall_limit = self._STALL_PER_ROW * max(1, T.shape[0] - 1)
         hard_cap = 10_000 + 200 * (T.shape[0] + T.shape[1])
         bland = False
         best = T[-1, -1]
         stall = 0
         while True:
-            if bland:
-                reduced = T[-1, :-1]
-                favorable = np.nonzero(self.enterable & (reduced < -_RC_TOL))[0]
-                if favorable.size == 0:
-                    return OPTIMAL
-                col = int(favorable[0])
-                kind, row = self._ratio_row(col, bland=True)
-                if kind == "unbounded":
-                    return UNBOUNDED
-                if kind == "breakdown":
-                    raise SolverFailure(
-                        "pivot breakdown: all candidate pivots below PIVOT_EPS",
-                        phase=phase,
-                        column=col,
-                        iterations=self.iterations,
-                    )
-            else:
-                choice = self._choose_dantzig(phase)
-                if choice == OPTIMAL:
-                    return OPTIMAL
-                if choice == UNBOUNDED:
-                    return UNBOUNDED
-                col, row = choice
+            choice = self._choose(bland)
+            if isinstance(choice, str):
+                return choice
+            col, row = choice
             self._pivot(row, col)
             self.basis[row] = col
 
@@ -546,8 +452,9 @@ def solve(model: LpModel) -> LpSolution:
 
     Deterministic: the same model always follows the same pivot path and
     returns the same solution and iteration count.  Raises
-    :class:`SolverFailure` on numerical breakdown instead of returning
-    an untrustworthy status.
+    :class:`SolverFailure` when the numbers cannot be trusted (a singular
+    final basis, a failed re-check, the iteration limit) instead of
+    returning a doubtful status.
     """
     return _Tableau(model).run()
 
@@ -574,7 +481,7 @@ def dualize(model: LpModel) -> LpModel:
     rel = np.where(flip, LE if maximize else GE, model.rel)
     dual_bounds = tuple(FREE if r == EQ else NONNEG for r in rel.tolist())
     dual_rel = np.where(model._free, EQ, GE if maximize else LE)
-    return LpModel.from_arrays(
+    return LpModel(
         MIN if maximize else MAX,
         model.b * sign,
         (model.M * sign[:, None]).T,

@@ -88,7 +88,8 @@ def enumerate_equilibria(
     Output order is normalized (lexicographic by support pair) so it is
     deterministic regardless of evaluation order.  Singular indifference
     systems are skipped, not errors.  Raises :class:`InputError` when
-    ``tol`` is not positive or a dimension exceeds ``size_cap``.
+    ``tol`` is not positive and finite or a dimension exceeds
+    ``size_cap``.
     """
     _check_tol(tol)
     m, n = bg.shape
@@ -141,7 +142,7 @@ def cross_check(
     point at that value: ``max_i (Z q)_i <= v + tol`` and
     ``min_j (p'Z)_j >= v - tol``.  A pair on a degenerate face that the
     enumeration represents by other points is confirmed too.  Raises
-    :class:`InputError` when ``tol`` is not positive.
+    :class:`InputError` when ``tol`` is not positive and finite.
     """
     _check_tol(tol)
     m, n = game.shape

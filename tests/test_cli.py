@@ -135,8 +135,12 @@ class TestBadTol:
             ["enumerate", 0, "--tol", "nan"],
             ["enumerate", 0, "--tol", "-1"],
             ["decompose", 1, "--tol", "nan"],
+            ["verify", 0, "--p", "1,0,0", "--q", "1,0,0", "--tol", "inf"],
+            ["solve", 0, "--tol", "inf"],
+            ["enumerate", 0, "--tol", "inf"],
         ],
-        ids=["solve-negative", "joint-zero", "enumerate-nan", "enumerate-negative", "decompose-nan"],
+        ids=["solve-negative", "joint-zero", "enumerate-nan", "enumerate-negative", "decompose-nan",
+             "verify-inf", "solve-inf", "enumerate-inf"],
     )
     def test_exits_2(self, files, capsys, args):
         args = [args[0], files[args[1]], *args[2:]]

@@ -28,13 +28,12 @@ def zero_game():
     return TpassGame(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
 
 
-def _normalize_row(con):
-    coeffs = np.array(con.coeffs)
-    rhs = con.rhs
+def _normalize_row(coeffs, rel, rhs):
+    coeffs = np.array(coeffs)
     pivot = coeffs[np.nonzero(coeffs)[0][0]] if coeffs.any() else 1.0
     if pivot < 0:
         coeffs, rhs = -coeffs, -rhs
-    rel = {lp.LE: lp.GE, lp.GE: lp.LE, lp.EQ: lp.EQ}[con.rel] if pivot < 0 else con.rel
+    rel = {lp.LE: lp.GE, lp.GE: lp.LE, lp.EQ: lp.EQ}[rel] if pivot < 0 else rel
     return rel, tuple(np.round(coeffs, 12)), round(rhs, 12)
 
 
@@ -44,7 +43,7 @@ class TestBuilders:
         assert model.sense == lp.MAX
         assert model.objective.tolist() == [0.5, 0.75, -1.0]
         assert model.bounds == (lp.NONNEG, lp.NONNEG, lp.FREE)
-        rows = [(c.coeffs.tolist(), c.rel, c.rhs) for c in model.constraints]
+        rows = [(c.tolist(), rel, rhs) for c, rel, rhs in zip(model.M, model.rel, model.b)]
         assert rows == [
             ([0.0, 1.0, -1.0], lp.LE, -0.5),
             ([-1.0, 0.0, -1.0], lp.LE, -0.75),
@@ -55,7 +54,7 @@ class TestBuilders:
         model = build_dual_lp(dilemma())
         assert model.sense == lp.MIN
         assert model.objective.tolist() == [-0.5, -0.75, 1.0]
-        rows = [(c.coeffs.tolist(), c.rel, c.rhs) for c in model.constraints]
+        rows = [(c.tolist(), rel, rhs) for c, rel, rhs in zip(model.M, model.rel, model.b)]
         assert rows == [
             ([0.0, -1.0, 1.0], lp.GE, 0.5),
             ([1.0, 0.0, 1.0], lp.GE, 0.75),
@@ -70,8 +69,8 @@ class TestBuilders:
         assert mechanical.sense == handwritten.sense
         assert np.allclose(mechanical.objective, handwritten.objective, atol=1e-12)
         assert mechanical.bounds == handwritten.bounds
-        lhs = sorted(_normalize_row(c) for c in mechanical.constraints)
-        rhs = sorted(_normalize_row(c) for c in handwritten.constraints)
+        lhs = sorted(_normalize_row(*c) for c in zip(mechanical.M, mechanical.rel, mechanical.b))
+        rhs = sorted(_normalize_row(*c) for c in zip(handwritten.M, handwritten.rel, handwritten.b))
         assert lhs == rhs
 
     def test_joint_structure(self):
@@ -82,9 +81,9 @@ class TestBuilders:
         assert model.bounds == (lp.NONNEG,) * 5 + (lp.FREE, lp.FREE)
         # block decoupling: p appears only in column rows, q only in row rows
         for i in range(3):
-            assert not model.constraints[i].coeffs[:3].any()
+            assert not model.M[i, :3].any()
         for j in range(3, 5):
-            assert not model.constraints[j].coeffs[3:5].any()
+            assert not model.M[j, 3:5].any()
 
 
 class TestPrimalValues:
@@ -182,7 +181,7 @@ class TestSolveEquilibrium:
                               "payoff_row", "payoff_col"):
                     assert getattr(sol.report, field) == getattr(report, field)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_solvers_reject_a_bad_tol(self, tol):
         for solve in (solve_equilibrium, solve_joint_lp):
             with pytest.raises(InputError, match="tol must be positive"):
@@ -241,9 +240,9 @@ class TestJointProgram:
             beta = float((-(g.A.T @ p) + g.rho).max())
             x = np.concatenate([p, q, [alpha, beta]])
             model = build_joint_lp(g)
-            for con in model.constraints:
-                gap = float(con.coeffs @ x) - con.rhs
-                if con.rel == lp.LE:
+            for coeffs, rel, rhs in zip(model.M, model.rel, model.b):
+                gap = float(coeffs @ x) - rhs
+                if rel == lp.LE:
                     assert gap <= 1e-10
                 else:
                     assert abs(gap) <= 1e-10
@@ -336,7 +335,7 @@ class TestCertificateIdentities:
                     max(report.row_violation, report.col_violation), abs=1e-12
                 )
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("inf")])
     def test_every_certificate_rejects_nonpositive_tol(self, tol):
         for check in (is_equilibrium, verify_lp_pair, check_joint_lp):
             with pytest.raises(InputError):

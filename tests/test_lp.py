@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,31 +13,29 @@ from gamegen import games, random_simplex
 
 
 def box_problem():
-    return lp.LpModel(
-        lp.MAX, [1.0, 1.0], [([1.0, 0.0], lp.LE, 1.0), ([0.0, 1.0], lp.LE, 1.0)]
-    )
+    return lp.LpModel(lp.MAX, [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [lp.LE, lp.LE], [1.0, 1.0])
 
 
 class TestModelValidation:
     def test_bad_sense(self):
         with pytest.raises(InputError):
-            lp.LpModel("maximize", [1.0], [])
+            lp.LpModel("maximize", [1.0], np.zeros((0, 1)), [], [])
 
     def test_wrong_coefficient_length(self):
         with pytest.raises(InputError):
-            lp.LpModel(lp.MAX, [1.0, 2.0], [([1.0], lp.LE, 0.0)])
+            lp.LpModel(lp.MAX, [1.0, 2.0], [[1.0]], [lp.LE], [0.0])
 
     def test_bad_relation_and_bounds(self):
         with pytest.raises(InputError):
-            lp.Constraint([1.0], "<", 0.0)
+            lp.LpModel(lp.MAX, [1.0], [[1.0]], ["<"], [0.0])
         with pytest.raises(InputError):
-            lp.LpModel(lp.MAX, [1.0], [], bounds=("positive",))
+            lp.LpModel(lp.MAX, [1.0], np.zeros((0, 1)), [], [], bounds=("positive",))
 
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
-            lp.LpModel(lp.MAX, [np.nan], [])
+            lp.LpModel(lp.MAX, [np.nan], np.zeros((0, 1)), [], [])
         with pytest.raises(InputError):
-            lp.Constraint([1.0], lp.LE, np.inf)
+            lp.LpModel(lp.MAX, [1.0], [[1.0]], [lp.LE], [np.inf])
 
     @pytest.mark.parametrize(
         "M, rel, b",
@@ -49,16 +49,17 @@ class TestModelValidation:
     )
     def test_from_arrays_rejects_malformed_arrays(self, M, rel, b):
         with pytest.raises(InputError):
-            lp.LpModel.from_arrays(lp.MAX, [1.0], M, rel, b)
+            lp.LpModel(lp.MAX, [1.0], M, rel, b)
 
     def test_arrays_are_read_only_and_match_the_rows(self):
         M = np.array([[1.0, 0.0], [0.0, 1.0]])
-        model = lp.LpModel.from_arrays(lp.MAX, [1.0, 1.0], M, [lp.LE, lp.LE], [1.0, 1.0])
+        model = lp.LpModel(lp.MAX, [1.0, 1.0], M, [lp.LE, lp.LE], [1.0, 1.0])
         M[0, 0] = 5.0  # the model keeps its own copy
         with pytest.raises(ValueError):
             model.M[0, 0] = 2.0
-        rows = [(c.coeffs.tolist(), c.rel, c.rhs) for c in model.constraints]
-        expected = [(c.coeffs.tolist(), c.rel, c.rhs) for c in box_problem().constraints]
+        rows = [(c.tolist(), rel, rhs) for c, rel, rhs in zip(model.M, model.rel, model.b)]
+        box = box_problem()
+        expected = [(c.tolist(), rel, rhs) for c, rel, rhs in zip(box.M, box.rel, box.b)]
         assert rows == expected == [([1.0, 0.0], lp.LE, 1.0), ([0.0, 1.0], lp.LE, 1.0)]
 
 
@@ -71,48 +72,45 @@ class TestSolveBasics:
         assert sol.duals.tolist() == [1.0, 1.0]
 
     def test_infeasible(self):
-        model = lp.LpModel(
-            lp.MAX, [1.0], [([1.0], lp.GE, 2.0), ([1.0], lp.LE, 1.0)]
-        )
+        model = lp.LpModel(lp.MAX, [1.0], [[1.0], [1.0]], [lp.GE, lp.LE], [2.0, 1.0])
         sol = lp.solve(model)
         assert sol.status == lp.INFEASIBLE
         assert sol.x is None and sol.duals is None
 
     def test_unbounded(self):
-        no_rows = lp.LpModel(lp.MAX, [1.0], [])
+        no_rows = lp.LpModel(lp.MAX, [1.0], np.zeros((0, 1)), [], [])
         assert lp.solve(no_rows).status == lp.UNBOUNDED
-        one_row = lp.LpModel(lp.MAX, [1.0], [([1.0], lp.GE, 0.0)])
+        one_row = lp.LpModel(lp.MAX, [1.0], [[1.0]], [lp.GE], [0.0])
         sol = lp.solve(one_row)
         assert sol.status == lp.UNBOUNDED
         assert sol.objective_value == np.inf
-        assert lp.solve(lp.LpModel(lp.MIN, [1.0], [([1.0], lp.LE, 0.0)], bounds=(lp.FREE,))).objective_value == -np.inf
+        assert lp.solve(lp.LpModel(lp.MIN, [1.0], [[1.0]], [lp.LE], [0.0], bounds=(lp.FREE,))).objective_value == -np.inf
 
     def test_free_variable_recombination(self):
         # a free variable pinned to a negative value by an equality
-        model = lp.LpModel(lp.MIN, [1.0], [([1.0], lp.EQ, -2.0)], bounds=(lp.FREE,))
+        model = lp.LpModel(lp.MIN, [1.0], [[1.0]], [lp.EQ], [-2.0], bounds=(lp.FREE,))
         sol = lp.solve(model)
         assert sol.status == lp.OPTIMAL
         assert sol.x[0] == pytest.approx(-2.0, abs=1e-12)
         assert sol.objective_value == pytest.approx(-2.0, abs=1e-12)
 
     def test_negative_rhs_rows(self):
-        model = lp.LpModel(lp.MAX, [1.0], [([-1.0], lp.GE, -3.0)])
+        model = lp.LpModel(lp.MAX, [1.0], [[-1.0]], [lp.GE], [-3.0])
         sol = lp.solve(model)
         assert sol.status == lp.OPTIMAL
         assert sol.x[0] == pytest.approx(3.0, abs=1e-12)
         assert sol.duals[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_beale_degenerate_terminates(self):
-        # classic cycling instance for Dantzig pricing; the stall guard
-        # must hand over to Bland and still find the optimum
+        # classic cycling instance for textbook Dantzig pricing; this
+        # solver's Dantzig rule solves it in 2 pivots and never switches
+        # to Bland (TestTableauBranches::test_bland_switch forces it)
         model = lp.LpModel(
             lp.MIN,
             [-0.75, 150.0, -0.02, 6.0],
-            [
-                ([0.25, -60.0, -0.04, 9.0], lp.LE, 0.0),
-                ([0.5, -90.0, -0.02, 3.0], lp.LE, 0.0),
-                ([0.0, 0.0, 1.0, 0.0], lp.LE, 1.0),
-            ],
+            [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]],
+            [lp.LE, lp.LE, lp.LE],
+            [0.0, 0.0, 1.0],
         )
         sol = lp.solve(model)
         assert sol.status == lp.OPTIMAL
@@ -131,9 +129,7 @@ class TestSolveBasics:
         model = build_primal_lp(random_tpass(4, 4, -1.0, 1.0, seed=321))
         base = lp.solve(model)
         for lam in (2.0, 10.0):
-            scaled = lp.LpModel(
-                model.sense, lam * model.objective, model.constraints, model.bounds
-            )
+            scaled = replace(model, objective=lam * model.objective)
             sol = lp.solve(scaled)
             assert np.allclose(sol.x, base.x, atol=1e-12)
             assert sol.objective_value == pytest.approx(
@@ -150,9 +146,9 @@ class TestDuals:
         assert sol.status == lp.OPTIMAL
         dual = lp.dualize(model)
         y = sol.duals
-        for con in dual.constraints:
-            gap = float(con.coeffs @ y) - con.rhs
-            if con.rel == lp.GE:
+        for coeffs, rel, rhs in zip(dual.M, dual.rel, dual.b):
+            gap = float(coeffs @ y) - rhs
+            if rel == lp.GE:
                 assert gap >= -1e-8
             else:
                 assert abs(gap) <= 1e-8
@@ -185,11 +181,11 @@ class TestDualize:
         dual = lp.dualize(model)
         assert dual.sense == lp.MIN
         assert dual.objective.tolist() == [1.0, 1.0]
-        assert all(con.rel == lp.GE for con in dual.constraints)
+        assert all(rel == lp.GE for rel in dual.rel)
         assert dual.bounds == (lp.NONNEG, lp.NONNEG)
         # min b.y  s.t.  A^T y >= c
-        assert [con.coeffs.tolist() for con in dual.constraints] == [[1.0, 0.0], [0.0, 1.0]]
-        assert [con.rhs for con in dual.constraints] == [1.0, 1.0]
+        assert dual.M.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert dual.b.tolist() == [1.0, 1.0]
 
     def test_double_dual_solves_to_same_value(self):
         model = build_primal_lp(random_tpass(3, 3, -1.0, 1.0, seed=7))
@@ -206,7 +202,7 @@ class TestDualize:
 
     def test_no_constraints_rejected(self):
         with pytest.raises(InputError):
-            lp.dualize(lp.LpModel(lp.MAX, [1.0], []))
+            lp.dualize(lp.LpModel(lp.MAX, [1.0], np.zeros((0, 1)), [], []))
 
 
 class TestComplementarySlackness:
@@ -262,3 +258,120 @@ class TestOneTableau:
         model = build_joint_lp(random_tpass(26, 26, -1.0, 1.0, seed=18))
         assert lp.solve(model).status == lp.OPTIMAL
         assert tableau_rows == [54]
+
+
+def beale():
+    """Beale's cycling instance, as in TestSolveBasics."""
+    return lp.LpModel(
+        lp.MIN,
+        [-0.75, 150.0, -0.02, 6.0],
+        [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        [lp.LE, lp.LE, lp.LE],
+        [0.0, 0.0, 1.0],
+    )
+
+
+@pytest.fixture
+def drive_outs(monkeypatch):
+    """(pivots, dropped rows) of each drive-out of phase-1 artificials."""
+    log = []
+    drive_out = lp._Tableau._drive_out_artificials
+
+    def spy(self):
+        pivots, rows = self.iterations, self.row_ids.size
+        drive_out(self)
+        log.append((self.iterations - pivots, rows - self.row_ids.size))
+
+    monkeypatch.setattr(lp._Tableau, "_drive_out_artificials", spy)
+    return log
+
+
+@pytest.fixture
+def pricing_rules(monkeypatch):
+    """The ``bland`` flag of every pivot choice."""
+    log = []
+    choose = lp._Tableau._choose
+
+    def spy(self, bland):
+        log.append(bland)
+        return choose(self, bland)
+
+    monkeypatch.setattr(lp._Tableau, "_choose", spy)
+    return log
+
+
+class TestTableauBranches:
+    def test_ray_with_a_roundoff_entry_is_unbounded(self):
+        # After 4 pivots the entering column is [-1/3, 1.1e-16, -1/3]: its
+        # one positive entry is roundoff, so the column is a ray.
+        model = lp.LpModel(
+            lp.MAX,
+            [-2.0, -3.0, -1.0, 3.0, -1.0],
+            [[2.0, -1.0, 2.0, 3.0, 0.0], [2.0, 1.0, 0.0, 1.0, -1.0], [-3.0, 2.0, 3.0, 2.0, -2.0]],
+            [lp.GE, lp.LE, lp.EQ],
+            [0.0, 0.0, 0.0],
+        )
+        sol = lp.solve(model)
+        assert sol.status == lp.UNBOUNDED
+        assert sol.objective_value == np.inf
+
+    def test_drive_out_pivot(self, drive_outs):
+        model = lp.LpModel(
+            lp.MAX,
+            [-1.0, 2.0, -1.0, 2.0],
+            [[1.0, -1.0, 3.0, -3.0], [1.0, 2.0, 2.0, 0.0], [-1.0, -1.0, -1.0, 0.0],
+             [2.0, 3.0, -3.0, 3.0]],
+            [lp.EQ, lp.LE, lp.GE, lp.LE],
+            [0.0, 0.0, 0.0, 0.0],
+        )
+        sol = lp.solve(model)
+        assert drive_outs == [(1, 0)]
+        assert sol.status == lp.OPTIMAL
+        assert sol.objective_value == 0.0
+        assert sol.x.tolist() == [0.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "M, b, duals",
+        [
+            ([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0], [1.0, 0.0]),
+            ([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], [1.0, 0.0]),
+        ],
+        ids=["zero-row", "duplicated-row"],
+    )
+    def test_redundant_equality_row_is_dropped(self, drive_outs, M, b, duals):
+        model = lp.LpModel(lp.MAX, [1.0, 0.0], M, [lp.EQ, lp.EQ], b)
+        sol = lp.solve(model)
+        assert drive_outs == [(0, 1)]
+        assert sol.status == lp.OPTIMAL
+        assert sol.objective_value == 1.0
+        assert sol.duals.tolist() == duals
+
+    def test_tiny_pivot_gives_way_to_a_stable_one(self, monkeypatch):
+        # x1 prices best, but its ratio-test pivot is 1e-9; Dantzig takes
+        # x2 first, Bland the tiny pivot.
+        model = lp.LpModel(lp.MAX, [10.0, 1.0], [[1e-9, 1.0], [1.0, 0.0]], [lp.LE, lp.LE],
+                           [1e-9, 5.0])
+        tableau = lp._Tableau(model)
+        tableau._price_out(tableau.phase2_costs)
+        assert tableau._choose(bland=False) == (1, 0)
+        assert tableau._choose(bland=True) == (0, 0)
+        # a scan that sees only x1 settles for its tiny pivot
+        monkeypatch.setattr(lp._Tableau, "_SCAN_LIMIT", 1)
+        assert tableau._choose(bland=False) == (0, 0)
+        monkeypatch.undo()
+        sol = lp.solve(model)
+        assert sol.objective_value == 10.0
+        assert sol.x.tolist() == [1.0, 0.0]
+
+    def test_bland_switch(self, monkeypatch, pricing_rules):
+        sol = lp.solve(beale())
+        assert sol.iterations == 2
+        assert not any(pricing_rules)
+        pricing_rules.clear()
+        # no stall allowed: the first degenerate pivot hands over to Bland
+        monkeypatch.setattr(lp._Tableau, "_STALL_PER_ROW", 0)
+        sol = lp.solve(beale())
+        assert pricing_rules[0] is False and pricing_rules[1:] and all(pricing_rules[1:])
+        assert sol.status == lp.OPTIMAL
+        assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
+        assert np.allclose(sol.x, [0.04, 0.0, 1.0, 0.0], atol=1e-9)

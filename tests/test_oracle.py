@@ -54,7 +54,7 @@ def test_size_cap_enforced():
     assert enumerate_equilibria(big, size_cap=6)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_tol_rejected(tol):
     g = dilemma()
     sol = solve_equilibrium(g)

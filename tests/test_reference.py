@@ -1,6 +1,9 @@
 """Differential tests against an independent LP solver (SciPy's HiGHS).
 
-The game ``(A, pi, rho)`` is strategically equivalent to the zero-sum
+Small random general-form LPs are solved by :func:`tpass.lp.solve` and
+by HiGHS, which must agree on the status and the optimum.
+
+For games, the game ``(A, pi, rho)`` is strategically equivalent to the zero-sum
 game ``Z = A + pi 1' - 1 rho'`` with the row player maximizing, so every
 equilibrium ``(p, q)`` with row payoff ``alpha`` has
 ``rho . q - alpha = -value(Z)``.  HiGHS computes ``value(Z)`` without
@@ -13,6 +16,7 @@ import pytest
 pytest.importorskip("scipy")
 from scipy.optimize import linprog  # noqa: E402
 
+from tpass import lp  # noqa: E402
 from tpass.equilibrium import solve_equilibrium, solve_joint_lp  # noqa: E402
 from tpass.game import is_equilibrium, random_tpass  # noqa: E402
 
@@ -55,3 +59,78 @@ def test_large_games_match_highs(shape, method):
     assert is_equilibrium(game, sol.p, sol.q, TOL).is_equilibrium
     claim = float(game.rho @ sol.q.weights) - sol.alpha
     assert claim == pytest.approx(-zero_sum_value(game), abs=1e-7)
+
+
+_HIGHS_STATUS = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}
+
+
+def _highs(model, objective, presolve=True):
+    """HiGHS on ``model`` with ``objective`` minimized."""
+    le, ge, eq = (model.rel == rel for rel in (lp.LE, lp.GE, lp.EQ))
+    rows = {}
+    if (le | ge).any():
+        rows["A_ub"] = np.vstack([model.M[le], -model.M[ge]])
+        rows["b_ub"] = np.concatenate([model.b[le], -model.b[ge]])
+    if eq.any():
+        rows["A_eq"], rows["b_eq"] = model.M[eq], model.b[eq]
+    bounds = [(None, None) if kind == lp.FREE else (0, None) for kind in model.bounds]
+    return linprog(objective, bounds=bounds, method="highs", options={"presolve": presolve},
+                   **rows)
+
+
+def highs_reference(model) -> tuple[str, float]:
+    """HiGHS's status and optimal value for ``model``.
+
+    HiGHS's presolve reports some unbounded LPs infeasible, so an
+    "infeasible" is confirmed with a zero-objective solve; if that finds
+    a feasible point, the status is HiGHS's without presolve.
+    """
+    sign = -1.0 if model.sense == lp.MAX else 1.0
+    res = _highs(model, sign * model.objective)
+    if res.status == 2 and _highs(model, np.zeros(model.n_vars)).status == 0:
+        res = _highs(model, sign * model.objective, presolve=False)
+    assert res.status in _HIGHS_STATUS, res.message
+    return _HIGHS_STATUS[res.status], sign * res.fun if res.status == 0 else None
+
+
+def random_lp(rng) -> lp.LpModel:
+    """``m`` 1..4 rows, ``n`` 1..5 variables, integer entries in -3..3,
+    60% zero right-hand sides, mixed relations, 20% free variables."""
+    m, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    b = np.where(rng.random(m) < 0.6, 0, rng.integers(-3, 4, size=m))
+    return lp.LpModel(
+        lp.MAX if rng.random() < 0.5 else lp.MIN,
+        rng.integers(-3, 4, size=n),
+        rng.integers(-3, 4, size=(m, n)),
+        rng.choice([lp.LE, lp.EQ, lp.GE], size=m),
+        b,
+        tuple(lp.FREE if free else lp.NONNEG for free in rng.random(n) < 0.2),
+    )
+
+
+def test_highs_presolve_calls_a_feasible_lp_infeasible():
+    # feasible at (0, 0, 4, 1), and -x4 decreases without limit
+    model = lp.LpModel(
+        lp.MAX,
+        [0.0, 0.0, 0.0, 1.0],
+        [[-2.0, 1.0, 1.0, -3.0], [2.0, -3.0, -2.0, 2.0], [2.0, 3.0, 0.0, -1.0]],
+        [lp.LE, lp.LE, lp.LE],
+        [1.0, 0.0, -1.0],
+        (lp.NONNEG,) * 3 + (lp.FREE,),
+    )
+    assert _highs(model, [0.0, 0.0, 0.0, -1.0]).status == 2
+    assert highs_reference(model) == (lp.UNBOUNDED, None)
+    assert lp.solve(model).status == lp.UNBOUNDED
+
+
+def test_small_lps_match_highs():
+    # this sample includes unbounded LPs whose ray column holds a
+    # positive roundoff entry below PIVOT_EPS
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        model = random_lp(rng)
+        status, value = highs_reference(model)
+        sol = lp.solve(model)
+        assert sol.status == status
+        if status == lp.OPTIMAL:
+            assert sol.objective_value == pytest.approx(value, abs=1e-7)
