@@ -29,7 +29,7 @@ Solver design:
   solver switches permanently to Bland's rule (pure, unstabilized),
   which guarantees termination on degenerate (cycling) instances.
   Under either rule, a favorable column with no entry above
-  :data:`PIVOT_EPS` is a ray, and the model is reported unbounded.
+  :data:`PIVOT_EPS` is taken for a ray, re-verified as below.
 * The tableau only decides which basis is optimal.  The reported ``x``
   and duals are recomputed from that basis by a fresh factorization of
   the original data (``B x_B = b`` and ``B' y = c_B``), so accumulated
@@ -37,8 +37,11 @@ Solver design:
 * Every "optimal" result is re-verified against the original model:
   primal feasibility and dual feasibility within :data:`TOL_FEAS` and a
   primal-dual objective gap within :data:`TOL_GAP`, which together certify
-  optimality.  A violation raises :class:`SolverFailure` rather than
-  returning a silently wrong status.
+  optimality.  Every "unbounded" result is re-verified too: along the
+  ray, recomputed from the basis, every row and bound must hold and the
+  objective must improve, each beyond roundoff; a column of tiny entries
+  or a roundoff reduced cost is no ray.  A violation raises
+  :class:`SolverFailure` rather than returning a silently wrong status.
 
 Dual sign convention (matching :func:`dualize`): for a maximize problem
 ``<=`` rows have nonnegative multipliers and ``>=`` rows nonpositive
@@ -72,6 +75,8 @@ TOL_GAP = 1e-8
 PIVOT_EPS = 1e-11
 # Reduced costs above -_RC_TOL count as nonnegative when pricing.
 _RC_TOL = max(10.0 * PIVOT_EPS, TOL_FEAS / 10.0)
+# Relative slack of the ray re-check: roundoff, not a genuine violation.
+_RAY_TOL = 1e-12
 
 _RELATIONS = (LE, EQ, GE)
 _BOUND_KINDS = (NONNEG, FREE)
@@ -115,6 +120,8 @@ class LpModel:
         M = _frozen(self.M, float)
         b = _frozen(self.b, float)
         rel = _frozen(self.rel, str)
+        if M.size == 0 and M.ndim == 1:
+            M = M.reshape(0, n)
         if M.ndim != 2 or M.shape[1] != n or b.shape != (M.shape[0],) or rel.shape != b.shape:
             raise InputError(
                 f"constraint arrays have shapes M {M.shape}, rel {rel.shape}, b {b.shape}; "
@@ -269,8 +276,8 @@ class _Tableau:
         pivot, and takes the first column whose pivot is not tiny
         relative to the column; if none of the first ``_SCAN_LIMIT``
         columns has one, it settles for the first of them.  A candidate
-        column with no entry above ``PIVOT_EPS`` is a ray, so the
-        objective is unbounded.
+        column with no entry above ``PIVOT_EPS`` is taken for a ray, kept
+        in ``ray_col``; :func:`_verify_ray` certifies it.
         """
         T = self.T
         reduced = T[-1, :-1]
@@ -282,6 +289,7 @@ class _Tableau:
             column = T[:-1, col]
             rows = np.flatnonzero(column > PIVOT_EPS)
             if rows.size == 0:
+                self.ray_col = col
                 return UNBOUNDED
             ratios = T[rows, -1] / column[rows]
             ties = rows[ratios == ratios.min()]
@@ -345,6 +353,25 @@ class _Tableau:
 
     # -- result assembly ---------------------------------------------------
 
+    def _basis_solve(self, rhs: np.ndarray, dual_rhs: np.ndarray | None = None) -> tuple:
+        """``B z = rhs`` and, given ``dual_rhs``, ``B' y = dual_rhs``, with
+        the basis matrix ``B`` rebuilt from the pristine data."""
+        base = self.A0[self.row_ids][:, self.basis]
+        try:
+            z = np.linalg.solve(base, rhs)
+            return z, None if dual_rhs is None else np.linalg.solve(base.T, dual_rhs)
+        except np.linalg.LinAlgError:
+            raise SolverFailure(
+                "final basis is numerically singular", iterations=self.iterations
+            ) from None
+
+    def _recombine(self, values: np.ndarray) -> np.ndarray:
+        """Model-space values from standard-form ones: ``x = x+ - x-``."""
+        x = values[self.pos_col]
+        split = self.neg_col >= 0
+        x[split] -= values[self.neg_col[split]]
+        return x
+
     def _extract(self) -> LpSolution:
         """Recompute x and duals from the final basis and certify them.
 
@@ -356,20 +383,10 @@ class _Tableau:
         values = np.zeros(self.A0.shape[1])
         duals_internal = np.zeros(model.n_rows)
         if self.basis.size:
-            base = self.A0[self.row_ids][:, self.basis]
-            try:
-                values[self.basis] = np.linalg.solve(base, self.b0[self.row_ids])
-                duals_internal[self.row_ids] = np.linalg.solve(
-                    base.T, self.phase2_costs[self.basis]
-                )
-            except np.linalg.LinAlgError:
-                raise SolverFailure(
-                    "final basis is numerically singular", iterations=self.iterations
-                ) from None
-        x = values[self.pos_col].copy()
-        split = self.neg_col >= 0
-        x[split] -= values[self.neg_col[split]]
-
+            values[self.basis], duals_internal[self.row_ids] = self._basis_solve(
+                self.b0[self.row_ids], self.phase2_costs[self.basis]
+            )
+        x = self._recombine(values)
         duals = duals_internal * self.sigma
         if not self.maximize:
             duals = -duals
@@ -396,6 +413,12 @@ class _Tableau:
         self._price_out(self.phase2_costs)
         status = self._pivot_loop(phase=2)
         if status == UNBOUNDED:
+            # the ray, recomputed from the basis like x: B d_B = -A0[:, ray_col]
+            d = np.zeros(self.A0.shape[1])
+            d[self.ray_col] = 1.0
+            if self.basis.size:
+                d[self.basis] = self._basis_solve(-self.A0[self.row_ids, self.ray_col])[0]
+            _verify_ray(self.model, self._recombine(d), self.iterations)
             value = float("inf") if self.maximize else float("-inf")
             return LpSolution(UNBOUNDED, None, value, None, self.iterations)
         return self._extract()
@@ -445,6 +468,19 @@ def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: f
             dual=dual_objective,
             iterations=iterations,
         )
+
+
+def _verify_ray(model: LpModel, ray: np.ndarray, iterations: int) -> None:
+    """Certify unboundedness: along ``ray`` every row and bound holds and
+    the objective improves, each beyond roundoff of the terms involved."""
+    lhs = model.M @ ray
+    viol = np.where(model.rel == LE, lhs, np.where(model.rel == GE, -lhs, np.abs(lhs)))
+    size = np.abs(ray).max() * _RAY_TOL
+    gain = float(model.objective @ ray) * (1.0 if model.sense == MAX else -1.0)
+    if ((viol - size * np.abs(model.M).sum(axis=1)).max(initial=0.0) > 0.0
+            or (-ray[~model._free]).max(initial=0.0) > size
+            or gain <= size * np.abs(model.objective).sum()):
+        raise SolverFailure("unbounded ray fails the re-check", iterations=iterations)
 
 
 def solve(model: LpModel) -> LpSolution:

@@ -19,7 +19,7 @@ def box_problem():
 class TestModelValidation:
     def test_bad_sense(self):
         with pytest.raises(InputError):
-            lp.LpModel("maximize", [1.0], np.zeros((0, 1)), [], [])
+            lp.LpModel("maximize", [1.0], [], [], [])
 
     def test_wrong_coefficient_length(self):
         with pytest.raises(InputError):
@@ -29,11 +29,11 @@ class TestModelValidation:
         with pytest.raises(InputError):
             lp.LpModel(lp.MAX, [1.0], [[1.0]], ["<"], [0.0])
         with pytest.raises(InputError):
-            lp.LpModel(lp.MAX, [1.0], np.zeros((0, 1)), [], [], bounds=("positive",))
+            lp.LpModel(lp.MAX, [1.0], [], [], [], bounds=("positive",))
 
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
-            lp.LpModel(lp.MAX, [np.nan], np.zeros((0, 1)), [], [])
+            lp.LpModel(lp.MAX, [np.nan], [], [], [])
         with pytest.raises(InputError):
             lp.LpModel(lp.MAX, [1.0], [[1.0]], [lp.LE], [np.inf])
 
@@ -78,7 +78,7 @@ class TestSolveBasics:
         assert sol.x is None and sol.duals is None
 
     def test_unbounded(self):
-        no_rows = lp.LpModel(lp.MAX, [1.0], np.zeros((0, 1)), [], [])
+        no_rows = lp.LpModel(lp.MAX, [1.0], [], [], [])
         assert lp.solve(no_rows).status == lp.UNBOUNDED
         one_row = lp.LpModel(lp.MAX, [1.0], [[1.0]], [lp.GE], [0.0])
         sol = lp.solve(one_row)
@@ -202,7 +202,7 @@ class TestDualize:
 
     def test_no_constraints_rejected(self):
         with pytest.raises(InputError):
-            lp.dualize(lp.LpModel(lp.MAX, [1.0], np.zeros((0, 1)), [], []))
+            lp.dualize(lp.LpModel(lp.MAX, [1.0], [], [], []))
 
 
 class TestComplementarySlackness:
@@ -314,6 +314,31 @@ class TestTableauBranches:
         sol = lp.solve(model)
         assert sol.status == lp.UNBOUNDED
         assert sol.objective_value == np.inf
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # optimum 1 at x = 1000, but the column [1e-12] has no entry
+            # above PIVOT_EPS, so the solver cannot pivot on it
+            lp.LpModel(lp.MAX, [1e-3], [[1e-12]], [lp.LE], [1e-9]),
+            # optimum 0; after three pivots on entries near 1e6 a surplus
+            # column prices at -2.3e-10, pure roundoff, over a
+            # nonpositive column
+            lp.LpModel(
+                lp.MAX,
+                [-2.0, 1.0, 2.0, -2.0],
+                [[0.0, -1e-6, -2e-6, 1e-6], [1e-6, 2e-6, -1e-6, 2e-6]],
+                [lp.GE, lp.GE],
+                [0.0, 1.0],
+                (lp.NONNEG, lp.NONNEG, lp.FREE, lp.NONNEG),
+            ),
+        ],
+        ids=["tiny-column", "roundoff-reduced-cost"],
+    )
+    def test_false_ray_is_refused(self, model):
+        # neither model is unbounded: the ray re-check must refuse
+        with pytest.raises(SolverFailure, match="ray fails the re-check"):
+            lp.solve(model)
 
     def test_drive_out_pivot(self, drive_outs):
         model = lp.LpModel(

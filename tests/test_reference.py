@@ -1,7 +1,8 @@
 """Differential tests against an independent LP solver (SciPy's HiGHS).
 
 Small random general-form LPs are solved by :func:`tpass.lp.solve` and
-by HiGHS, which must agree on the status and the optimum.
+by HiGHS, which must agree on the status and the optimum.  Scaled copies
+may make the solver refuse, but never disagree.
 
 For games, the game ``(A, pi, rho)`` is strategically equivalent to the zero-sum
 game ``Z = A + pi 1' - 1 rho'`` with the row player maximizing, so every
@@ -9,6 +10,8 @@ equilibrium ``(p, q)`` with row payoff ``alpha`` has
 ``rho . q - alpha = -value(Z)``.  HiGHS computes ``value(Z)`` without
 touching this package's solver.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from scipy.optimize import linprog  # noqa: E402
 
 from tpass import lp  # noqa: E402
 from tpass.equilibrium import solve_equilibrium, solve_joint_lp  # noqa: E402
+from tpass.errors import SolverFailure  # noqa: E402
 from tpass.game import is_equilibrium, random_tpass  # noqa: E402
 
 TOL = 1e-8
@@ -118,7 +122,6 @@ def test_highs_presolve_calls_a_feasible_lp_infeasible():
         [1.0, 0.0, -1.0],
         (lp.NONNEG,) * 3 + (lp.FREE,),
     )
-    assert _highs(model, [0.0, 0.0, 0.0, -1.0]).status == 2
     assert highs_reference(model) == (lp.UNBOUNDED, None)
     assert lp.solve(model).status == lp.UNBOUNDED
 
@@ -134,3 +137,33 @@ def test_small_lps_match_highs():
         assert sol.status == status
         if status == lp.OPTIMAL:
             assert sol.objective_value == pytest.approx(value, abs=1e-7)
+
+
+@pytest.mark.parametrize("k", [-6, -3, 3])
+@pytest.mark.parametrize("part", ["M", "model"])
+def test_scaled_lps_match_highs_or_fail(k, part):
+    """The random LPs with the constraint matrix, or every entry, times
+    ``10**k``.  Tiny or huge entries may make the solver refuse
+    (``SolverFailure``), but never return a status HiGHS disagrees with."""
+    scale = 10.0**k
+    rng = np.random.default_rng(5)
+    refused = 0
+    for _ in range(1000):
+        model = random_lp(rng)
+        if part == "M":
+            model = replace(model, M=scale * model.M)
+            value_scale = 1.0 / scale  # x scales by 1/scale
+        else:
+            model = replace(model, objective=scale * model.objective, M=scale * model.M,
+                            b=scale * model.b)
+            value_scale = scale
+        status, value = highs_reference(model)
+        try:
+            sol = lp.solve(model)
+        except SolverFailure:
+            refused += 1
+            continue
+        assert sol.status == status
+        if status == lp.OPTIMAL:
+            assert sol.objective_value == pytest.approx(value, rel=1e-7, abs=1e-7 * value_scale)
+    assert refused <= 10
