@@ -20,11 +20,9 @@ from .decompose import BimatrixGame, compose, decompose, is_separable_sum
 from .demo import DEMO_NAMES, dilemma_summary
 from .equilibrium import solve_equilibrium, solve_joint_lp
 from .errors import CertificationFailure, InputError, NotSeparable, SolverFailure, TpassError
-from .game import TpassGame, is_equilibrium, random_tpass
+from .game import TOL_EQUILIBRIUM, TpassGame, is_equilibrium, random_tpass
 from .gamefile import dumps_game, load_game
 from .oracle import SIZE_CAP, cross_check, enumerate_equilibria
-
-DEFAULT_TOL = 1e-8
 
 
 def _fmt(x: float) -> str:
@@ -49,6 +47,8 @@ def _parse_weights(text: str, flag: str) -> np.ndarray:
             out.append(float(Fraction(piece)))
         except (ValueError, ZeroDivisionError):
             raise InputError(f"{flag}[{k + 1}]: cannot parse {piece!r} as a number") from None
+        except OverflowError:
+            raise InputError(f"{flag}[{k + 1}]: {piece!r} is too large for a float") from None
     return np.array(out)
 
 
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="compute and certify one equilibrium")
     sp.add_argument("path", help="game file (tpass or bimatrix kind)")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", type=float, default=TOL_EQUILIBRIUM)
     sp.add_argument("--method", choices=("primal", "joint"), default="primal")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=_cmd_solve)
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("path")
     vp.add_argument("--p", required=True, help="row strategy, comma separated")
     vp.add_argument("--q", required=True, help="column strategy, comma separated")
-    vp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    vp.add_argument("--tol", type=float, default=TOL_EQUILIBRIUM)
     vp.set_defaults(func=_cmd_verify)
 
     dp = sub.add_parser("decompose", help="test separability and extract (A, pi, rho)")
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ep = sub.add_parser("enumerate", help="list all equilibria (small games)")
     ep.add_argument("path")
-    ep.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    ep.add_argument("--tol", type=float, default=TOL_EQUILIBRIUM)
     ep.set_defaults(func=_cmd_enumerate)
 
     mp = sub.add_parser("demo", help="show a built-in demonstration game")

@@ -53,13 +53,15 @@ and ``q`` shows the objective equals ``-(alpha - payoff_row) -
 (beta - payoff_col) <= 0`` at every feasible point; equilibria are
 exactly the feasible points reaching 0, and the optimum is always 0
 because an equilibrium always exists.  :func:`solve_joint_lp` asserts
-the zero optimum and reads the equilibrium off the optimal vertex.  The
-two blocks share no variable: the first ``m`` rows with ``sum(q) = 1``
-are the game's primal LP and the next ``n`` rows with ``sum(p) = 1`` the
-transposed game's, row for row and column for column.  From
-:data:`SPLIT_MIN_ROWS` joint rows on, :func:`solve_joint_lp` solves the
-two player LPs on their own tableaus, and the joint optimum is the sum
-of theirs; below that, one joint tableau is cheaper.
+the zero optimum and reads the equilibrium off one joint tableau, a
+solve independent of :func:`solve_equilibrium`'s.
+
+Feasible start: a constant added to one player's bonuses changes no best
+response, so every LP is built for ``(A, pi - K, rho)`` with ``K =
+max(0, max_i pi_i, max_ij (A_ij + pi_i))``, whose rows start on their
+slacks; only the simplex row needs a phase-1 artificial.  The solvers
+add ``K`` back to ``alpha`` and the optimum.  The joint LP shifts ``rho``
+alike on the transposed game, which leaves its objective as it is.
 
 Certification: a pair is an equilibrium exactly when it solves the LP
 pair, and exactly when it reaches the joint LP's zero optimum.  So the
@@ -95,12 +97,6 @@ from .game import (
     _check_tol,
     is_equilibrium,
 )
-
-# Joint-LP rows (m + n + 2) from which solve_joint_lp solves the two
-# player LPs on separate tableaus.  A pivot then updates only its own
-# program's rows and columns, which repays the second tableau's set-up
-# from about a 26 x 26 game on; the constant is the measured break-even.
-SPLIT_MIN_ROWS = 54
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,11 +140,8 @@ def build_dual_lp(game: TpassGame) -> lp.LpModel:
     """The dual program over ``(p, beta)`` (variables in that order), in
     its textbook minimize form.
 
-    The solvers do not use it: they solve the same program as
-    ``build_primal_lp(_transposed(game))``.  Where a bonus ``rho[j]`` is
-    exactly 0, this form's ``>=`` row has a zero right-hand side and
-    needs an artificial column, which costs phase-1 pivots the
-    maximize form's slack does not.
+    The solvers do not use it: they solve the transposed game's primal
+    LP from its feasible start, the same program up to a constant.
     """
     m, n = game.shape
     M = np.zeros((n + 1, m + 1))
@@ -187,6 +180,14 @@ def _transposed(game: TpassGame) -> TpassGame:
     return TpassGame(-game.A.T, game.rho, game.pi)
 
 
+def _feasible_start(game: TpassGame) -> tuple[TpassGame, float]:
+    """``(A, pi - K, rho)`` and ``K``.  Every primal right-hand side ``K -
+    pi_i`` is nonnegative and at least every ``A_ij``, so no ratio test
+    beats the simplex row's 1: its artificial can leave on the first pivot."""
+    K = max(0.0, float(game.pi.max()), float((game.A + game.pi[:, None]).max()))
+    return TpassGame(game.A, game.pi - K, game.rho), K
+
+
 def _clean_simplex(v: np.ndarray, tol: float, name: str) -> MixedStrategy:
     """Clamp solver roundoff off a simplex point; reject real violations."""
     low = float(v.min())
@@ -223,11 +224,13 @@ def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> Equilibr
 
 
 def _player_lp(game: TpassGame, route: str) -> tuple[np.ndarray, float, np.ndarray, float, float]:
-    """Solve ``build_primal_lp(game)``: ``(q, alpha)`` from its values,
-    ``(p, beta)`` from its multipliers, then its optimal value."""
+    """Solve the primal LP of ``game`` from its feasible start: ``(q,
+    alpha)`` from its values, ``(p, beta)`` from its multipliers, then
+    its optimal value, all of the unshifted game."""
     m, n = game.shape
-    sol = _solved(build_primal_lp(game), route)
-    return sol.x[:n], float(sol.x[n]), sol.duals[:m], float(sol.duals[m]), sol.objective_value
+    shifted, K = _feasible_start(game)
+    sol = _solved(build_primal_lp(shifted), route)
+    return sol.x[:n], float(sol.x[n]) + K, sol.duals[:m], float(sol.duals[m]), sol.objective_value - K
 
 
 def _solved(model: lp.LpModel, route: str) -> lp.LpSolution:
@@ -299,27 +302,22 @@ def check_joint_lp(game: TpassGame, p, q, tol: float = TOL_EQUILIBRIUM) -> bool:
 def solve_joint_lp(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> tuple[EquilibriumSolution, float]:
     """Solve the joint program and read an equilibrium off its optimum.
 
-    Below :data:`SPLIT_MIN_ROWS` joint rows the joint LP is solved on one
-    tableau.  From there on its two blocks are solved as what they are,
-    the primal LPs of the game and of its transpose: ``(q, alpha)`` and
-    ``(p, beta)`` are their values, and the joint optimum is the sum of
-    their optima.  Returns the certified solution together with that
-    optimal value, which must vanish within ``tol``: an equilibrium
-    always exists, so a nonzero optimum signals a numerical problem and
-    raises :class:`CertificationFailure`.  ``tol`` must be positive and
-    finite, as for :func:`solve_equilibrium`.
+    One tableau, from the feasible start of both players' bonuses, whose
+    shifts ``K`` and ``L`` are added back to ``alpha`` and ``beta``.
+    Returns the certified solution together with the optimal value,
+    which must vanish within ``tol``: an equilibrium always exists, so a
+    nonzero optimum signals a numerical problem and raises
+    :class:`CertificationFailure`.  ``tol`` must be positive and finite,
+    as for :func:`solve_equilibrium`.
     """
     _check_tol(tol)
     m, n = game.shape
-    if m + n + 2 < SPLIT_MIN_ROWS:
-        sol = _solved(build_joint_lp(game), "joint")
-        p, q = sol.x[:m], sol.x[m : m + n]
-        alpha, beta = float(sol.x[m + n]), float(sol.x[m + n + 1])
-        value = sol.objective_value
-    else:
-        q, alpha, _, _, row_value = _player_lp(game, "joint")
-        p, beta, _, _, col_value = _player_lp(_transposed(game), "joint")
-        value = row_value + col_value
+    rows_shifted, K = _feasible_start(game)
+    flipped, L = _feasible_start(_transposed(rows_shifted))
+    sol = _solved(build_joint_lp(_transposed(flipped)), "joint")
+    p, q = sol.x[:m], sol.x[m : m + n]
+    alpha, beta = float(sol.x[m + n]) + K, float(sol.x[m + n + 1]) + L
+    value = sol.objective_value
     if abs(value) > tol:
         raise CertificationFailure(
             f"joint LP optimum {value:.3g} is nonzero beyond tol {tol:g}"

@@ -42,7 +42,10 @@ TOL_EQUILIBRIUM = 1e-8
 
 
 def _frozen_array(values, ndim: int, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except (OverflowError, ValueError) as exc:
+        raise InputError(f"{name} is not a real array: {exc}") from None
     if arr.ndim != ndim or arr.size == 0:
         raise InputError(f"{name} must be a nonempty {ndim}-d real array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -29,17 +29,16 @@ _KINDS = ("tpass", "bimatrix")
 def _parse_number(value, where: str) -> float:
     if isinstance(value, bool):
         raise InputError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        out = float(value)
-    elif isinstance(value, str):
-        try:
-            out = float(Fraction(value.strip()))
-        except ZeroDivisionError:
-            raise InputError(f"{where}: fraction {value!r} has a zero denominator") from None
-        except ValueError:
-            raise InputError(f"{where}: cannot parse {value!r} as a number") from None
-    else:
+    if not isinstance(value, (int, float, str)):
         raise InputError(f"{where}: expected a number or fraction string, got {type(value).__name__}")
+    try:
+        out = float(Fraction(value.strip()) if isinstance(value, str) else value)
+    except ZeroDivisionError:
+        raise InputError(f"{where}: fraction {value!r} has a zero denominator") from None
+    except ValueError:
+        raise InputError(f"{where}: cannot parse {value!r} as a number") from None
+    except OverflowError:
+        raise InputError(f"{where}: value is too large for a float") from None
     if not np.isfinite(out):
         raise InputError(f"{where}: value {value!r} is not finite")
     return out
@@ -79,7 +78,7 @@ def parse_game(text: str) -> TpassGame | BimatrixGame:
     """Parse a game document; raises :class:`InputError` on any defect."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer beyond Python's digit limit
         raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("top level must be a JSON object")

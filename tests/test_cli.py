@@ -116,6 +116,13 @@ class TestSolve:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("entry", ["1" + "0" * 399, '"1' + "0" * 399 + '/3"', "1" + "0" * 5000],
+                             ids=["integer", "fraction", "beyond-digit-limit"])
+    def test_oversized_number_exits_2(self, write, capsys, entry):
+        text = '{"kind": "tpass", "A": [[%s]], "pi": [0], "rho": [0]}' % entry
+        assert main(["solve", write(text)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestBadTol:
     @pytest.fixture
@@ -172,6 +179,11 @@ class TestVerify:
         code = main(["verify", write(DEMO_TPASS), "--p", "1,zebra", "--q", "1,0"])
         assert code == 2
         assert "--p[2]" in capsys.readouterr().err
+
+    def test_oversized_vector_entry_exits_2(self, write, capsys):
+        code = main(["verify", write(DEMO_TPASS), "--p", "1e999,0", "--q", "1,0"])
+        assert code == 2
+        assert "--p[1]" in capsys.readouterr().err
 
     def test_fraction_vectors_accepted(self, write, capsys):
         code = main(["verify", write(DEMO_TPASS), "--p", "1/2,1/2", "--q", "1/2,1/2"])

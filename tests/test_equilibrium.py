@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpass import lp
 from tpass.demo import dilemma
@@ -138,14 +139,17 @@ class TestSolveEquilibrium:
         assert is_equilibrium(g, sol.p, sol.q, 1e-8).is_equilibrium
 
     def test_tall_game_reads_the_dual_lp(self):
+        # the solve runs the transposed game's primal LP from its feasible
+        # start: the textbook dual up to a constant moved into and out of
+        # beta and the optimum, so the two agree to the last bits
         g = random_tpass(12, 3, -1.0, 1.0, seed=17)
         sol = solve_equilibrium(g)
         dual = lp.solve(build_dual_lp(g))
-        assert sol.lp_value == dual.objective_value
+        assert sol.lp_value == pytest.approx(dual.objective_value, abs=1e-12)
         assert np.allclose(sol.p.weights, dual.x[:12], atol=1e-12)
-        assert sol.beta == dual.x[12]
+        assert sol.beta == pytest.approx(dual.x[12], abs=1e-12)
         assert np.allclose(sol.q.weights, dual.duals[:3], atol=1e-12)
-        assert sol.alpha == -dual.duals[3]
+        assert sol.alpha == pytest.approx(-dual.duals[3], abs=1e-12)
         assert sol.slackness_residual <= 1e-12
 
     @given(games(min_m=1, max_m=7, min_n=1, max_n=7).filter(lambda g: g.m != g.n))
@@ -158,6 +162,23 @@ class TestSolveEquilibrium:
         assert float(g.rho @ primal.q.weights) - primal.alpha == pytest.approx(
             float(g.rho @ joint.q.weights) - joint.alpha, abs=1e-8
         )
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**64 - 1),
+           st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+    @settings(max_examples=60, deadline=None)
+    def test_gauge_shift_moves_only_the_payoffs(self, m, n, seed, c, d):
+        # a constant added to one player's bonuses changes no best response;
+        # a continuous random game has one equilibrium, so both solvers
+        # must return it again, with the constants added to the payoffs
+        g = random_tpass(m, n, -1.0, 1.0, seed=seed)
+        moved = TpassGame(g.A, g.pi + c, g.rho + d)
+        for solve in (solve_equilibrium, lambda game: solve_joint_lp(game)[0]):
+            base, sol = solve(g), solve(moved)
+            assert np.abs(sol.p.weights - base.p.weights).max() <= 1e-9
+            assert np.abs(sol.q.weights - base.q.weights).max() <= 1e-9
+            scale = 1e-9 * (1.0 + abs(c) + abs(d))
+            assert sol.alpha == pytest.approx(base.alpha + c, abs=scale)
+            assert sol.beta == pytest.approx(base.beta + d, abs=scale)
 
     def test_transposed_game_swaps_the_players(self):
         # both orientations solve the same primal LP, so the swap is exact
@@ -266,22 +287,22 @@ class TestJointProgram:
             assert abs(value) <= 1e-8
             assert is_equilibrium(g, sol.p, sol.q, 1e-8).is_equilibrium
 
-    @pytest.mark.parametrize("m, n", [(25, 25), (26, 26), (30, 24)])
-    def test_player_lps_match_the_joint_tableau(self, monkeypatch, m, n):
-        # from 54 joint rows on, the two player LPs are solved instead
+    @pytest.mark.parametrize("m, n", [(25, 25), (26, 26), (30, 24), (64, 64), (200, 10)])
+    def test_one_feasible_tableau_matches_the_joint_lp(self, monkeypatch, m, n):
+        # one solve at every size, started with every inequality row on its
+        # slack, reaching the optimum of the unshifted joint LP
         g = random_tpass(m, n, -1.0, 1.0, seed=97_000 + m + n)
         whole = lp.solve(build_joint_lp(g))
-        real, pivots = lp.solve, []
+        real, models = lp.solve, []
 
-        def counted(model):
-            sol = real(model)
-            pivots.append(sol.iterations)
-            return sol
+        def recorded(model):
+            models.append(model)
+            return real(model)
 
-        monkeypatch.setattr(lp, "solve", counted)
+        monkeypatch.setattr(lp, "solve", recorded)
         sol, value = solve_joint_lp(g)
-        assert len(pivots) == (1 if m + n + 2 < 54 else 2)
-        assert sum(pivots) == whole.iterations
+        assert len(models) == 1
+        assert models[0].b[: m + n].min() >= 0.0
         x = whole.x
         assert np.abs(sol.p.weights - x[:m]).max() <= 1e-9
         assert np.abs(sol.q.weights - x[m : m + n]).max() <= 1e-9

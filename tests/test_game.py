@@ -30,6 +30,12 @@ class TestTypes:
         with pytest.raises(InputError):
             TpassGame([[np.inf]], [0.0], [0.0])
 
+    def test_game_rejects_entries_beyond_float_range(self):
+        with pytest.raises(InputError, match="^A is not a real array"):
+            TpassGame([[10**400]], [0], [0])
+        with pytest.raises(InputError, match="^pi is not a real array"):
+            TpassGame([[0.0]], [-(10**400)], [0])
+
     def test_game_arrays_are_read_only(self):
         g = dilemma()
         with pytest.raises(ValueError):

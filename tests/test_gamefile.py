@@ -42,6 +42,7 @@ def test_parse_bimatrix():
         ('{"kind": "tpass", "A": [["1/0"]], "pi": [0], "rho": [0]}', "zero denominator"),
         ('{"kind": "tpass", "A": [[true]], "pi": [0], "rho": [0]}', "boolean"),
         ('{"kind": "tpass", "A": [[Infinity]], "pi": [0], "rho": [0]}', "not finite"),
+        ('{"kind": "tpass", "A": [["-1e400"]], "pi": [0], "rho": [0]}', "A[1][1]: value is too large"),
         ('{"kind": "tpass", "A": [[0]], "pi": [0, 1], "rho": [0]}', "pi"),
         ('{"kind": "bimatrix", "B": [[0]], "C": [[0, 1]]}', "shape"),
     ],
