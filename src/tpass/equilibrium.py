@@ -123,17 +123,21 @@ class EquilibriumSolution:
 
 def build_primal_lp(game: TpassGame) -> lp.LpModel:
     """The primal program over ``(q, alpha)`` (variables in that order)."""
-    m, n = game.shape
+    return _primal_model(game.A, game.pi, game.rho)
+
+
+def _primal_model(A: np.ndarray, pi: np.ndarray, rho: np.ndarray) -> lp.LpModel:
+    """:func:`build_primal_lp` of the game ``(A, pi, rho)``, whose arrays
+    come from a validated game."""
+    m, n = A.shape
     M = np.zeros((m + 1, n + 1))
-    M[:m, :n] = game.A
+    M[:m, :n] = A
     M[:m, n] = -1.0
     M[m, :n] = 1.0
     rel = np.full(m + 1, lp.LE)
     rel[m] = lp.EQ
     bounds = (lp.NONNEG,) * n + (lp.FREE,)
-    return lp.LpModel(
-        lp.MAX, np.append(game.rho, -1.0), M, rel, np.append(-game.pi, 1.0), bounds
-    )
+    return lp.LpModel(lp.MAX, np.append(rho, -1.0), M, rel, np.append(-pi, 1.0), bounds)
 
 
 def build_dual_lp(game: TpassGame) -> lp.LpModel:
@@ -158,34 +162,36 @@ def build_dual_lp(game: TpassGame) -> lp.LpModel:
 
 def build_joint_lp(game: TpassGame) -> lp.LpModel:
     """The joint program over ``(p, q, alpha, beta)`` (in that order)."""
-    m, n = game.shape
+    return _joint_model(game.A, game.pi, game.rho)
+
+
+def _joint_model(A: np.ndarray, pi: np.ndarray, rho: np.ndarray) -> lp.LpModel:
+    """:func:`build_joint_lp` of the game ``(A, pi, rho)``, whose arrays
+    come from a validated game."""
+    m, n = A.shape
     k = m + n
     M = np.zeros((k + 2, k + 2))
-    M[:m, m:k] = game.A
+    M[:m, m:k] = A
     M[:m, k] = -1.0
-    M[m:k, :m] = -game.A.T
+    M[m:k, :m] = -A.T
     M[m:k, k + 1] = -1.0
     M[k, :m] = 1.0
     M[k + 1, m:k] = 1.0
     rel = np.full(k + 2, lp.LE)
     rel[k:] = lp.EQ
-    objective = np.concatenate([game.pi, game.rho, [-1.0, -1.0]])
-    b = np.concatenate([-game.pi, -game.rho, [1.0, 1.0]])
+    objective = np.concatenate([pi, rho, [-1.0, -1.0]])
+    b = np.concatenate([-pi, -rho, [1.0, 1.0]])
     bounds = (lp.NONNEG,) * k + (lp.FREE, lp.FREE)
     return lp.LpModel(lp.MAX, objective, M, rel, b, bounds)
 
 
-def _transposed(game: TpassGame) -> TpassGame:
-    """The game with the players' seats swapped: ``(-A', rho, pi)``."""
-    return TpassGame(-game.A.T, game.rho, game.pi)
-
-
-def _feasible_start(game: TpassGame) -> tuple[TpassGame, float]:
-    """``(A, pi - K, rho)`` and ``K``.  Every primal right-hand side ``K -
-    pi_i`` is nonnegative and at least every ``A_ij``, so no ratio test
-    beats the simplex row's 1: its artificial can leave on the first pivot."""
-    K = max(0.0, float(game.pi.max()), float((game.A + game.pi[:, None]).max()))
-    return TpassGame(game.A, game.pi - K, game.rho), K
+def _feasible_start(A: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, float]:
+    """``pi - K`` and ``K``.  Every primal right-hand side ``K - pi_i`` of
+    ``(A, pi - K, rho)`` is nonnegative and at least every ``A_ij``, so no
+    ratio test beats the simplex row's 1: its artificial can leave on the
+    first pivot."""
+    K = max(0.0, float(pi.max()), float((A + pi[:, None]).max()))
+    return pi - K, K
 
 
 def _clean_simplex(v: np.ndarray, tol: float, name: str) -> MixedStrategy:
@@ -217,19 +223,21 @@ def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> Equilibr
     """
     _check_tol(tol)
     if game.m > game.n:
-        p, beta, q, alpha, value = _player_lp(_transposed(game), "dual")
+        p, beta, q, alpha, value = _player_lp(-game.A.T, game.rho, game.pi, "dual")
         return _certified(game, "dual", p, q, alpha, beta, -value, tol)
-    q, alpha, p, beta, value = _player_lp(game, "primal")
+    q, alpha, p, beta, value = _player_lp(game.A, game.pi, game.rho, "primal")
     return _certified(game, "primal", p, q, alpha, beta, value, tol)
 
 
-def _player_lp(game: TpassGame, route: str) -> tuple[np.ndarray, float, np.ndarray, float, float]:
-    """Solve the primal LP of ``game`` from its feasible start: ``(q,
-    alpha)`` from its values, ``(p, beta)`` from its multipliers, then
-    its optimal value, all of the unshifted game."""
-    m, n = game.shape
-    shifted, K = _feasible_start(game)
-    sol = _solved(build_primal_lp(shifted), route)
+def _player_lp(A: np.ndarray, pi: np.ndarray, rho: np.ndarray,
+               route: str) -> tuple[np.ndarray, float, np.ndarray, float, float]:
+    """Solve the primal LP of the game ``(A, pi, rho)`` from its feasible
+    start: ``(q, alpha)`` from its values, ``(p, beta)`` from its
+    multipliers, then its optimal value, all of the unshifted game.  The
+    dual route passes the transposed game ``(-A', rho, pi)``."""
+    m, n = A.shape
+    shifted, K = _feasible_start(A, pi)
+    sol = _solved(_primal_model(A, shifted, rho), route)
     return sol.x[:n], float(sol.x[n]) + K, sol.duals[:m], float(sol.duals[m]), sol.objective_value - K
 
 
@@ -312,9 +320,9 @@ def solve_joint_lp(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> tuple[Equil
     """
     _check_tol(tol)
     m, n = game.shape
-    rows_shifted, K = _feasible_start(game)
-    flipped, L = _feasible_start(_transposed(rows_shifted))
-    sol = _solved(build_joint_lp(_transposed(flipped)), "joint")
+    pi, K = _feasible_start(game.A, game.pi)
+    rho, L = _feasible_start(-game.A.T, game.rho)
+    sol = _solved(_joint_model(game.A, pi, rho), "joint")
     p, q = sol.x[:m], sol.x[m : m + n]
     alpha, beta = float(sol.x[m + n]) + K, float(sol.x[m + n + 1]) + L
     value = sol.objective_value

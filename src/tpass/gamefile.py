@@ -100,6 +100,8 @@ def load_game(path) -> TpassGame | BimatrixGame:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
     return parse_game(text)
 
 

@@ -16,11 +16,19 @@ Solver design:
   slack, ``>=`` rows a surplus plus an artificial, ``=`` rows an
   artificial.  Phase 1 maximizes minus the artificial sum; a nonzero
   optimum means infeasible.
-* Artificial columns stay in the tableau at zero cost through phase 2
-  (barred from re-entering the basis) so no column reindexing is needed.
-  Basic artificials left over from phase 1 are driven out by degenerate
-  pivots; rows that cannot be pivoted are redundant and are dropped with
-  a zero dual.
+* The tableau stores only the nonbasic columns (the dictionary form of
+  the simplex method), with the right-hand side and the reduced-cost
+  row.  The starting basis is the identity, a slack on each ``<=`` row
+  and an artificial on every other row, so the starting tableau is the
+  structural and surplus columns as given.  A pivot is an exchange: the
+  leaving variable takes over the entering one's column, filled with
+  what the full tableau's elimination makes of its unit column
+  (``1/pivot`` in the pivot row, minus the entering column over the
+  pivot elsewhere).  Every other column is updated as in the full
+  tableau, so the pivots are the same.  An artificial that leaves the
+  basis stays at zero cost, barred from re-entering.  Basic artificials
+  left over from phase 1 are driven out by degenerate pivots; rows that
+  cannot be pivoted are redundant and are dropped with a zero dual.
 * One chooser serves both pricing rules.  The default is Dantzig's
   rule with a stability twist: among the most favorable columns, one
   whose ratio-test pivot is not vanishingly small relative to its column
@@ -32,8 +40,11 @@ Solver design:
   :data:`PIVOT_EPS` is taken for a ray, re-verified as below.
 * The tableau only decides which basis is optimal.  The reported ``x``
   and duals are recomputed from that basis by a fresh factorization of
-  the original data (``B x_B = b`` and ``B' y = c_B``), so accumulated
-  tableau roundoff never leaks into results.
+  the original data, so accumulated tableau roundoff never leaks into
+  results.  A basic slack or artificial is a signed unit column of cost
+  0: its row's dual is 0, and the row drops out.  Only the structural
+  basics are factorized, on the rows left over; at a game LP's optimum
+  they are a few of the many basics.
 * Every "optimal" result is re-verified against the original model:
   primal feasibility and dual feasibility within :data:`TOL_FEAS` and a
   primal-dual objective gap within :data:`TOL_GAP`, which together certify
@@ -172,7 +183,15 @@ class LpSolution:
 
 
 class _Tableau:
-    """Mutable solver state; private to a single :func:`solve` call."""
+    """Mutable solver state; private to a single :func:`solve` call.
+
+    Variables are numbered in standard form: the structural columns (free
+    variables split in two), then one slack or surplus per inequality
+    row, then one artificial per ``=`` or ``>=`` row.  ``T`` holds the
+    nonbasic columns only, in the order of ``nonbasic``, then the
+    right-hand side; its last row holds the reduced costs and the
+    objective value.  ``basis[i]`` is the variable basic in row ``i``.
+    """
 
     def __init__(self, model: LpModel):
         self.model = model
@@ -201,33 +220,44 @@ class _Tableau:
         slack_rows = np.flatnonzero(kind != 0)
         art_rows = np.flatnonzero(kind <= 0)
         art_first = n_struct + slack_rows.size
-        total = art_first + art_rows.size
-        T = np.zeros((m + 1, total + 1))
+        ids = np.arange(art_first + art_rows.size)
+        slack_ids = ids[n_struct:art_first]
+        # The row of each slack and artificial's signed unit column, and
+        # the sentinel m for a structural variable.
+        unit_row = np.concatenate([np.full(n_struct, m), slack_rows, art_rows])
+
+        # The starting basis is the identity: the slack of each <= row
+        # and the artificial of every other row.  The surpluses of >=
+        # rows start nonbasic beside the structural columns.
+        basis = np.empty(m, dtype=int)
+        basis[art_rows] = ids[art_first:]
+        le = kind[slack_rows] > 0
+        basis[slack_rows[le]] = slack_ids[le]
+        ge = ~le
+        nonbasic = np.concatenate([ids[:n_struct], slack_ids[ge]])
+        T = np.zeros((m + 1, nonbasic.size + 1))
         T[:m, pos_col] = rows
         T[:m, neg_col[free]] = -rows[:, free]
+        T[slack_rows[ge], np.arange(n_struct, nonbasic.size)] = -1.0
         T[:m, -1] = model.b * sigma
-        slack_cols = n_struct + np.arange(slack_rows.size)
-        art_cols = art_first + np.arange(art_rows.size)
-        T[slack_rows, slack_cols] = kind[slack_rows]
-        T[art_rows, art_cols] = 1.0
-
-        basis = np.empty(m, dtype=int)
-        basis[art_rows] = art_cols
-        le = kind[slack_rows] > 0
-        basis[slack_rows[le]] = slack_cols[le]
 
         self.T = T
         self.basis = basis
+        self.nonbasic = nonbasic
         self.row_ids = np.arange(m)
-        # Pristine standard-form data for the final refactorization.
-        self.A0 = T[:m, :-1].copy()
+        # Pristine structural columns and right-hand side, and the unit
+        # columns' rows and signs, for the final refactorization.
+        self.A0 = T[:m, :n_struct].copy()
         self.b0 = T[:m, -1].copy()
-        self.artificial = np.zeros(total, dtype=bool)
-        self.artificial[art_first:] = True
-        self.enterable = ~self.artificial
+        self.unit_row = unit_row
+        self.kind = kind
+        self.art_first = art_first
+        # Whether each tableau column may enter the basis: artificials
+        # that left it may not.
+        self.enterable = nonbasic < art_first
 
-        self.phase1_costs = np.where(self.artificial, -1.0, 0.0)
-        costs2 = np.zeros(total)
+        self.phase1_costs = np.where(ids >= art_first, -1.0, 0.0)
+        costs2 = np.zeros(ids.size)
         costs2[pos_col] = c
         costs2[neg_col[free]] = -c[free]
         self.phase2_costs = costs2
@@ -238,10 +268,12 @@ class _Tableau:
     def _price_out(self, costs: np.ndarray) -> None:
         T = self.T
         cb = costs[self.basis]
-        T[-1, :-1] = cb @ T[:-1, :-1] - costs
+        T[-1, :-1] = cb @ T[:-1, :-1] - costs[self.nonbasic]
         T[-1, -1] = cb @ T[:-1, -1]
 
     def _pivot(self, row: int, col: int) -> None:
+        """Exchange ``basis[row]`` and ``nonbasic[col]``: the leaving
+        variable takes over the entering one's column."""
         T = self.T
         piv = T[row, col]
         if abs(piv) < PIVOT_EPS:
@@ -251,10 +283,14 @@ class _Tableau:
         T[row] /= piv
         column = T[:, col].copy()
         column[row] = 0.0
-        T -= np.outer(column, T[row])
-        # Scrub roundoff in the pivot column.
         T[:, col] = 0.0
-        T[row, col] = 1.0
+        T[row, col] = 1.0 / piv
+        T -= np.outer(column, T[row])
+        leaving = self.basis[row]
+        self.basis[row] = self.nonbasic[col]
+        self.nonbasic[col] = leaving
+        if leaving >= self.art_first:
+            self.enterable[col] = False
         self.iterations += 1
 
     # How many favorable columns the stabilized Dantzig scan examines,
@@ -270,26 +306,28 @@ class _Tableau:
         """The pivot ``(col, row)``, or OPTIMAL or UNBOUNDED.
 
         The favorable columns are the enterable ones with a reduced cost
-        below ``-_RC_TOL``.  Bland's rule takes the first and breaks ratio
-        ties by the lowest basic index.  Dantzig's rule scans them from
-        the most negative reduced cost, breaks ratio ties by the largest
-        pivot, and takes the first column whose pivot is not tiny
+        below ``-_RC_TOL``.  Bland's rule takes the first, the one of the
+        lowest variable id, and breaks ratio ties by the lowest basic id.
+        Dantzig's rule scans them from the most negative reduced cost,
+        ties going to the lowest variable id, breaks ratio ties by the
+        largest pivot, and takes the first column whose pivot is not tiny
         relative to the column; if none of the first ``_SCAN_LIMIT``
         columns has one, it settles for the first of them.  A candidate
-        column with no entry above ``PIVOT_EPS`` is taken for a ray, kept
-        in ``ray_col``; :func:`_verify_ray` certifies it.
+        column with no entry above ``PIVOT_EPS`` is taken for a ray, whose
+        variable id is kept in ``ray_col``; :func:`_verify_ray` certifies
+        it.
         """
         T = self.T
         reduced = T[-1, :-1]
         favorable = np.flatnonzero(self.enterable & (reduced < -_RC_TOL))
-        if not bland:
-            favorable = favorable[np.argsort(reduced[favorable], kind="stable")]
+        ids = self.nonbasic[favorable]
+        favorable = favorable[np.lexsort((ids,) if bland else (ids, reduced[favorable]))]
         fallback = None
         for col in favorable[: self._SCAN_LIMIT].tolist():
             column = T[:-1, col]
             rows = np.flatnonzero(column > PIVOT_EPS)
             if rows.size == 0:
-                self.ray_col = col
+                self.ray_col = int(self.nonbasic[col])
                 return UNBOUNDED
             ratios = T[rows, -1] / column[rows]
             ties = rows[ratios == ratios.min()]
@@ -305,7 +343,8 @@ class _Tableau:
     def _pivot_loop(self, phase: int) -> str:
         T = self.T
         stall_limit = self._STALL_PER_ROW * max(1, T.shape[0] - 1)
-        hard_cap = 10_000 + 200 * (T.shape[0] + T.shape[1])
+        # from the size of the full tableau: rows and standard-form columns
+        hard_cap = 10_000 + 200 * (self.model.n_rows + self.unit_row.size + 2)
         bland = False
         best = T[-1, -1]
         stall = 0
@@ -315,7 +354,6 @@ class _Tableau:
                 return choice
             col, row = choice
             self._pivot(row, col)
-            self.basis[row] = col
 
             value = T[-1, -1]
             if value > best + 1e-12:
@@ -334,16 +372,16 @@ class _Tableau:
         T = self.T
         drop = []
         for ri in range(len(self.basis)):
-            if not self.artificial[self.basis[ri]]:
+            if self.basis[ri] < self.art_first:
                 continue
             row = T[ri, :-1]
-            candidates = np.nonzero(self.enterable & (np.abs(row) > PIVOT_EPS))[0]
+            candidates = np.flatnonzero(self.enterable & (np.abs(row) > PIVOT_EPS))
             if candidates.size:
                 # rhs is zero here, so any pivot is degenerate-feasible;
-                # take the largest for stability
-                col = int(candidates[np.argmax(np.abs(row[candidates]))])
-                self._pivot(ri, col)
-                self.basis[ri] = col
+                # take the largest, ties to the lowest variable id
+                size = np.abs(row[candidates])
+                ties = candidates[size == size.max()]
+                self._pivot(ri, int(ties[np.argmin(self.nonbasic[ties])]))
             else:
                 drop.append(ri)  # redundant row: zero outside artificials
         if drop:
@@ -353,20 +391,39 @@ class _Tableau:
 
     # -- result assembly ---------------------------------------------------
 
-    def _basis_solve(self, rhs: np.ndarray, dual_rhs: np.ndarray | None = None) -> tuple:
-        """``B z = rhs`` and, given ``dual_rhs``, ``B' y = dual_rhs``, with
-        the basis matrix ``B`` rebuilt from the pristine data."""
-        base = self.A0[self.row_ids][:, self.basis]
+    def _basis_solve(self, rhs: np.ndarray, duals: bool = False) -> tuple:
+        """Structural values of ``B z = rhs`` and, if asked, the duals
+        ``y`` of ``B' y = c_B``, with ``B`` the final basis matrix rebuilt
+        from the pristine data.
+
+        A basic slack or artificial is a signed unit column of phase-2
+        cost 0, so the dual of its row is 0 and the row drops out.  The
+        structural basics ``S`` then solve the square system on the rows
+        ``R`` left over: ``A0[R, S] z_S = rhs[R]`` and ``A0[R, S]' y_R =
+        c_S``.  Returns ``z`` over the structural columns, zero off ``S``,
+        and ``y`` over the model rows, zero off ``R``, or None.
+        """
+        basis = self.basis
+        cols = basis[basis < self.A0.shape[1]]
+        live = np.zeros(self.model.n_rows + 1, dtype=bool)
+        live[self.row_ids] = True
+        live[self.unit_row[basis]] = False
+        rows = np.flatnonzero(live)
+        base = self.A0[rows[:, None], cols]
+        z = np.zeros(self.A0.shape[1])
+        y = np.zeros(self.model.n_rows) if duals else None
         try:
-            z = np.linalg.solve(base, rhs)
-            return z, None if dual_rhs is None else np.linalg.solve(base.T, dual_rhs)
+            z[cols] = np.linalg.solve(base, rhs[rows])
+            if duals:
+                y[rows] = np.linalg.solve(base.T, self.phase2_costs[cols])
         except np.linalg.LinAlgError:
             raise SolverFailure(
                 "final basis is numerically singular", iterations=self.iterations
             ) from None
+        return z, y
 
     def _recombine(self, values: np.ndarray) -> np.ndarray:
-        """Model-space values from standard-form ones: ``x = x+ - x-``."""
+        """Model-space values from structural ones: ``x = x+ - x-``."""
         x = values[self.pos_col]
         split = self.neg_col >= 0
         x[split] -= values[self.neg_col[split]]
@@ -375,19 +432,14 @@ class _Tableau:
     def _extract(self) -> LpSolution:
         """Recompute x and duals from the final basis and certify them.
 
-        The basis matrix is rebuilt from the pristine standard-form data,
+        The basis matrix is rebuilt from the pristine structural columns,
         so the reported numbers carry one factorization's worth of error
         rather than the whole pivot history's.
         """
         model = self.model
-        values = np.zeros(self.A0.shape[1])
-        duals_internal = np.zeros(model.n_rows)
-        if self.basis.size:
-            values[self.basis], duals_internal[self.row_ids] = self._basis_solve(
-                self.b0[self.row_ids], self.phase2_costs[self.basis]
-            )
+        values, duals = self._basis_solve(self.b0, duals=True)
         x = self._recombine(values)
-        duals = duals_internal * self.sigma
+        duals *= self.sigma
         if not self.maximize:
             duals = -duals
         objective_value = float(model.objective @ x)
@@ -395,6 +447,22 @@ class _Tableau:
         x.setflags(write=False)
         duals.setflags(write=False)
         return LpSolution(OPTIMAL, x, objective_value, duals, self.iterations)
+
+    def _ray(self) -> np.ndarray:
+        """The structural part of the ray along which ``ray_col`` enters,
+        recomputed from the basis like x: ``B d_B = -a``, where ``a`` is
+        the entering column, a signed unit vector for a slack."""
+        ray, n_struct = self.ray_col, self.A0.shape[1]
+        if ray < n_struct:
+            column = self.A0[:, ray]
+        else:
+            column = np.zeros(self.model.n_rows)
+            row = self.unit_row[ray]
+            column[row] = self.kind[row]
+        d = self._basis_solve(-column)[0]
+        if ray < n_struct:
+            d[ray] = 1.0
+        return d
 
     # -- driver -------------------------------------------------------------
 
@@ -413,12 +481,7 @@ class _Tableau:
         self._price_out(self.phase2_costs)
         status = self._pivot_loop(phase=2)
         if status == UNBOUNDED:
-            # the ray, recomputed from the basis like x: B d_B = -A0[:, ray_col]
-            d = np.zeros(self.A0.shape[1])
-            d[self.ray_col] = 1.0
-            if self.basis.size:
-                d[self.basis] = self._basis_solve(-self.A0[self.row_ids, self.ray_col])[0]
-            _verify_ray(self.model, self._recombine(d), self.iterations)
+            _verify_ray(self.model, self._recombine(self._ray()), self.iterations)
             value = float("inf") if self.maximize else float("-inf")
             return LpSolution(UNBOUNDED, None, value, None, self.iterations)
         return self._extract()

@@ -4,6 +4,7 @@ plain seeded-rng helpers for the larger sweeps."""
 import numpy as np
 from hypothesis import strategies as st
 
+from tpass import lp
 from tpass.game import TpassGame, random_tpass
 
 finite_entries = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
@@ -56,3 +57,18 @@ def random_games(count, seed_base, min_dim=2, max_dim=8, lo=-1.0, hi=1.0, rng_se
         n = int(rng.integers(min_dim, max_dim + 1))
         out.append(random_tpass(m, n, lo, hi, seed=seed_base + k))
     return out
+
+
+def random_lp(rng) -> lp.LpModel:
+    """``m`` 1..4 rows, ``n`` 1..5 variables, integer entries in -3..3,
+    60% zero right-hand sides, mixed relations, 20% free variables."""
+    m, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    b = np.where(rng.random(m) < 0.6, 0, rng.integers(-3, 4, size=m))
+    return lp.LpModel(
+        lp.MAX if rng.random() < 0.5 else lp.MIN,
+        rng.integers(-3, 4, size=n),
+        rng.integers(-3, 4, size=(m, n)),
+        rng.choice([lp.LE, lp.EQ, lp.GE], size=m),
+        b,
+        tuple(lp.FREE if free else lp.NONNEG for free in rng.random(n) < 0.2),
+    )

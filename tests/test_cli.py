@@ -116,6 +116,12 @@ class TestSolve:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.json")]) == 2
 
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"kind": "tpass", "A": [[0\xff]], "pi": [0], "rho": [0]}')
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("entry", ["1" + "0" * 399, '"1' + "0" * 399 + '/3"', "1" + "0" * 5000],
                              ids=["integer", "fraction", "beyond-digit-limit"])
     def test_oversized_number_exits_2(self, write, capsys, entry):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from tpass import lp
 from tpass.demo import dilemma
 from tpass.equilibrium import (
-    _transposed,
     build_dual_lp,
     build_joint_lp,
     build_primal_lp,
@@ -186,7 +185,7 @@ class TestSolveEquilibrium:
             if g.m == g.n:
                 continue
             sol = solve_equilibrium(g)
-            swapped = solve_equilibrium(_transposed(g))
+            swapped = solve_equilibrium(TpassGame(-g.A.T, g.rho, g.pi))
             assert np.array_equal(swapped.p.weights, sol.q.weights)
             assert np.array_equal(swapped.q.weights, sol.p.weights)
             assert swapped.alpha == sol.beta

@@ -58,6 +58,15 @@ def test_missing_file_is_input_error(tmp_path):
         load_game(tmp_path / "nope.json")
 
 
+def test_file_that_is_not_utf8_is_input_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"kind": "tpass", "A": [[1]], "pi": [0], "rho": ["\u00bd"]}'.encode("latin-1"))
+    with pytest.raises(InputError) as err:
+        load_game(path)
+    assert str(path) in str(err.value)
+    assert "not UTF-8" in str(err.value)
+
+
 def test_round_trip_is_byte_stable(tmp_path):
     g = random_tpass(3, 2, -1.0, 1.0, seed=2024)
     text = dumps_game(g)

@@ -9,7 +9,7 @@ from tpass.equilibrium import build_dual_lp, build_joint_lp, build_primal_lp
 from tpass.errors import InputError, SolverFailure
 from tpass.game import random_tpass
 
-from gamegen import games, random_simplex
+from gamegen import games, random_lp, random_simplex
 
 
 def box_problem():
@@ -238,26 +238,32 @@ class TestComplementarySlackness:
 
 
 @pytest.fixture
-def tableau_rows(monkeypatch):
-    """Row counts of the tableaus each solve sets up."""
-    rows = []
+def tableaus(monkeypatch):
+    """Each solve's tableau, as set up."""
+    made = []
 
     class Spy(lp._Tableau):
         def __init__(self, model, *args):
-            rows.append(model.n_rows)
             super().__init__(model, *args)
+            made.append(self)
 
     monkeypatch.setattr(lp, "_Tableau", Spy)
-    return rows
+    return made
 
 
 class TestOneTableau:
-    def test_joint_lp_is_solved_on_one_tableau(self, tableau_rows):
-        # 26 x 26: 54 rows in two blocks that share no variable, the size
-        # from which solve_joint_lp solves the blocks apart
+    def test_joint_lp_is_solved_on_one_tableau(self, tableaus):
+        # 26 x 26: 54 rows in two blocks that share no variable, solved on
+        # one tableau.  It stores only the nonbasic columns: 52 nonnegative
+        # variables, both halves of 2 free ones and the surplus of each
+        # <= row flipped by a negative right-hand side.  The starting
+        # basis, one slack or artificial per row, is not stored.
         model = build_joint_lp(random_tpass(26, 26, -1.0, 1.0, seed=18))
         assert lp.solve(model).status == lp.OPTIMAL
-        assert tableau_rows == [54]
+        assert len(tableaus) == 1
+        tableau = tableaus[0]
+        assert tableau.nonbasic.size == 56 + int((model.b < 0).sum())
+        assert tableau.T.shape == (model.n_rows + 1, tableau.nonbasic.size + 1)
 
 
 def beale():
@@ -400,3 +406,64 @@ class TestTableauBranches:
         assert sol.status == lp.OPTIMAL
         assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
         assert np.allclose(sol.x, [0.04, 0.0, 1.0, 0.0], atol=1e-9)
+
+
+def standard_form(model):
+    """``model`` in the solver's documented standard form: each row with a
+    negative right-hand side negated, free variables split in two, then a
+    slack per inequality row (+1 for ``<=``, -1 for ``>=`` after the
+    flip) and an artificial per ``=`` or ``>=`` row.  Returns the matrix,
+    the right-hand side, the phase-2 costs (maximized), the number of
+    structural columns and the row of each slack."""
+    m = model.n_rows
+    sigma = np.where(model.b < 0, -1.0, 1.0)
+    kind = sigma * ((model.rel == lp.LE).astype(float) - (model.rel == lp.GE))
+    M = model.M * sigma[:, None]
+    c = model.objective if model.sense == lp.MAX else -model.objective
+    columns, costs = [], []
+    for j, bound in enumerate(model.bounds):
+        columns.append(M[:, j])
+        costs.append(c[j])
+        if bound == lp.FREE:
+            columns.append(-M[:, j])
+            costs.append(-c[j])
+    n_struct = len(columns)
+    unit = np.eye(m)
+    slack_rows = [i for i in range(m) if kind[i] != 0]
+    columns += [kind[i] * unit[i] for i in slack_rows]
+    columns += [unit[i] for i in range(m) if kind[i] <= 0]
+    costs += [0.0] * (len(columns) - n_struct)
+    return np.column_stack(columns), model.b * sigma, np.array(costs), n_struct, slack_rows
+
+
+class TestStructuralBasisSolve:
+    def test_matches_a_dense_solve_of_the_whole_basis(self, monkeypatch):
+        # the final basis of every optimal LP among the random LPs that
+        # test_reference.py compares with HiGHS
+        counts = {"solves": 0, "dropped row": 0, "slack outside its row": 0}
+        extract = lp._Tableau._extract
+
+        def spy(self):
+            A, b, costs, n_struct, slack_rows = standard_form(self.model)
+            basis, rows = self.basis, self.row_ids
+            whole = A[rows][:, basis]
+            want_values = np.zeros(A.shape[1])
+            want_values[basis] = np.linalg.solve(whole, b[rows])
+            want_duals = np.zeros(self.model.n_rows)
+            want_duals[rows] = np.linalg.solve(whole.T, costs[basis])
+            values, duals = self._basis_solve(b, duals=True)
+            for got, want in ((values, want_values[:n_struct]), (duals, want_duals)):
+                assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+            counts["solves"] += 1
+            counts["dropped row"] += rows.size < self.model.n_rows
+            counts["slack outside its row"] += any(
+                n_struct <= var < n_struct + len(slack_rows) and slack_rows[var - n_struct] != row
+                for var, row in zip(basis.tolist(), rows.tolist())
+            )
+            return extract(self)
+
+        monkeypatch.setattr(lp._Tableau, "_extract", spy)
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            lp.solve(random_lp(rng))
+        assert all(counts.values()), counts

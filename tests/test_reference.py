@@ -24,6 +24,8 @@ from tpass.equilibrium import solve_equilibrium, solve_joint_lp  # noqa: E402
 from tpass.errors import SolverFailure  # noqa: E402
 from tpass.game import is_equilibrium, random_tpass  # noqa: E402
 
+from gamegen import random_lp  # noqa: E402
+
 TOL = 1e-8
 
 
@@ -95,21 +97,6 @@ def highs_reference(model) -> tuple[str, float]:
         res = _highs(model, sign * model.objective, presolve=False)
     assert res.status in _HIGHS_STATUS, res.message
     return _HIGHS_STATUS[res.status], sign * res.fun if res.status == 0 else None
-
-
-def random_lp(rng) -> lp.LpModel:
-    """``m`` 1..4 rows, ``n`` 1..5 variables, integer entries in -3..3,
-    60% zero right-hand sides, mixed relations, 20% free variables."""
-    m, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
-    b = np.where(rng.random(m) < 0.6, 0, rng.integers(-3, 4, size=m))
-    return lp.LpModel(
-        lp.MAX if rng.random() < 0.5 else lp.MIN,
-        rng.integers(-3, 4, size=n),
-        rng.integers(-3, 4, size=(m, n)),
-        rng.choice([lp.LE, lp.EQ, lp.GE], size=m),
-        b,
-        tuple(lp.FREE if free else lp.NONNEG for free in rng.random(n) < 0.2),
-    )
 
 
 def test_highs_presolve_calls_a_feasible_lp_infeasible():
