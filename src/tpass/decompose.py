@@ -103,7 +103,9 @@ def decompose(bg: BimatrixGame, tol: float | None = None) -> DecompositionResult
     ``rho[j] = S[1,j] - pi[1]`` and ``A = B - R(pi)``.
 
     Raises :class:`NotSeparable` (carrying the tetrad residual) when the
-    separability test fails at ``tol``.
+    separability test fails at ``tol``, and :class:`TpassError` when the
+    rebuilt ``C`` misses by more than ``(m + n) * tol`` plus a few ulps
+    of the payoffs.
     """
     if tol is None:
         tol = default_separability_tol(bg)
@@ -117,7 +119,9 @@ def decompose(bg: BimatrixGame, tol: float | None = None) -> DecompositionResult
     A = bg.B - pi[:, None]
     game = TpassGame(A, pi, rho)
     max_residual = float(np.abs(bg.C - (-A + rho[None, :])).max())
-    bound = (bg.m + bg.n) * tol
+    # plus a few ulps of the payoffs, the roundoff of an exact split
+    payoffs = max(float(np.abs(bg.B).max()), float(np.abs(bg.C).max()))
+    bound = (bg.m + bg.n) * tol + 4 * np.finfo(float).eps * payoffs
     if max_residual > bound:
         raise TpassError(
             f"decomposition residual {max_residual:.6g} exceeds bound {bound:.6g}"

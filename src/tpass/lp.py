@@ -12,23 +12,25 @@ Solver design:
 
 * Free variables enter the tableau as a split ``x = x+ - x-``; reported
   solutions recombine the halves.
-* Rows are normalized to nonnegative right-hand sides; ``<=`` rows get a
-  slack, ``>=`` rows a surplus plus an artificial, ``=`` rows an
-  artificial.  Phase 1 maximizes minus the artificial sum; a nonzero
-  optimum means infeasible.
+* Rows are normalized to nonnegative right-hand sides.  Each row has
+  one logical variable with a ``+1`` in that row: a slack on a ``<=``
+  row, an artificial on ``=`` and ``>=`` rows; a ``>=`` row also gets a
+  ``-1`` surplus column.  Phase 1 maximizes minus the artificial sum;
+  an optimum below zero, relative to the right-hand side, means
+  infeasible.
 * The tableau stores only the nonbasic columns (the dictionary form of
   the simplex method), with the right-hand side and the reduced-cost
-  row.  The starting basis is the identity, a slack on each ``<=`` row
-  and an artificial on every other row, so the starting tableau is the
-  structural and surplus columns as given.  A pivot is an exchange: the
-  leaving variable takes over the entering one's column, filled with
-  what the full tableau's elimination makes of its unit column
-  (``1/pivot`` in the pivot row, minus the entering column over the
-  pivot elsewhere).  Every other column is updated as in the full
-  tableau, so the pivots are the same.  An artificial that leaves the
-  basis stays at zero cost, barred from re-entering.  Basic artificials
-  left over from phase 1 are driven out by degenerate pivots; rows that
-  cannot be pivoted are redundant and are dropped with a zero dual.
+  row.  The starting basis is the identity, the logicals, so the
+  starting tableau is the structural and surplus columns as given.  A
+  pivot is an exchange: the leaving variable takes over the entering
+  one's column, filled with what the full tableau's elimination makes
+  of its unit column (``1/pivot`` in the pivot row, minus the entering
+  column over the pivot elsewhere).  Every other column is updated as
+  in the full tableau, so the pivots are the same.  An artificial that
+  leaves the basis stays at zero cost, barred from re-entering.  Basic
+  artificials left over from phase 1 are driven out by degenerate
+  pivots; rows that cannot be pivoted are redundant and are dropped
+  with a zero dual.
 * One chooser serves both pricing rules.  The default is Dantzig's
   rule with a stability twist: among the most favorable columns, one
   whose ratio-test pivot is not vanishingly small relative to its column
@@ -41,10 +43,10 @@ Solver design:
 * The tableau only decides which basis is optimal.  The reported ``x``
   and duals are recomputed from that basis by a fresh factorization of
   the original data, so accumulated tableau roundoff never leaks into
-  results.  A basic slack or artificial is a signed unit column of cost
-  0: its row's dual is 0, and the row drops out.  Only the structural
-  basics are factorized, on the rows left over; at a game LP's optimum
-  they are a few of the many basics.
+  results.  A basic logical is a unit column of cost 0: its row's dual
+  is 0, and the row drops out.  Only the structural and surplus basics
+  are factorized, on the rows left over; at a game LP's optimum they
+  are a few of the many basics.
 * Every "optimal" result is re-verified against the original model:
   primal feasibility and dual feasibility within :data:`TOL_FEAS` and a
   primal-dual objective gap within :data:`TOL_GAP`, which together certify
@@ -185,12 +187,14 @@ class LpSolution:
 class _Tableau:
     """Mutable solver state; private to a single :func:`solve` call.
 
-    Variables are numbered in standard form: the structural columns (free
-    variables split in two), then one slack or surplus per inequality
-    row, then one artificial per ``=`` or ``>=`` row.  ``T`` holds the
-    nonbasic columns only, in the order of ``nonbasic``, then the
-    right-hand side; its last row holds the reduced costs and the
-    objective value.  ``basis[i]`` is the variable basic in row ``i``.
+    Variables are numbered in standard form: the columns ``0..n_cols-1``
+    are the structural variables (free ones split in two) and then one
+    ``-1`` surplus column per ``>=`` row; variable ``n_cols + i`` is row
+    ``i``'s logical, whose column is ``+e_i``: a slack on a ``<=`` row
+    and an artificial on every other row.  ``T`` holds the nonbasic
+    columns only, in the order of ``nonbasic``, then the right-hand side;
+    its last row holds the reduced costs and the objective value.
+    ``basis[i]`` is the variable basic in row ``i``.
     """
 
     def __init__(self, model: LpModel):
@@ -211,57 +215,40 @@ class _Tableau:
 
         # Row normalization: nonnegative rhs, with the applied sign kept
         # so original duals can be recovered.  kind is +1 for <=, -1 for
-        # >= and 0 for = after the flip.
+        # >= and 0 for = after the flip; a >= row gets a surplus column,
+        # and every row but a <= one an artificial logical.
         sigma = np.where(model.b < 0, -1.0, 1.0)
         kind = sigma * ((model.rel == LE).astype(float) - (model.rel == GE))
+        surplus = np.flatnonzero(kind < 0)
         rows = model.M * sigma[:, None]
         self.sigma = sigma
 
-        slack_rows = np.flatnonzero(kind != 0)
-        art_rows = np.flatnonzero(kind <= 0)
-        art_first = n_struct + slack_rows.size
-        ids = np.arange(art_first + art_rows.size)
-        slack_ids = ids[n_struct:art_first]
-        # The row of each slack and artificial's signed unit column, and
-        # the sentinel m for a structural variable.
-        unit_row = np.concatenate([np.full(n_struct, m), slack_rows, art_rows])
-
-        # The starting basis is the identity: the slack of each <= row
-        # and the artificial of every other row.  The surpluses of >=
-        # rows start nonbasic beside the structural columns.
-        basis = np.empty(m, dtype=int)
-        basis[art_rows] = ids[art_first:]
-        le = kind[slack_rows] > 0
-        basis[slack_rows[le]] = slack_ids[le]
-        ge = ~le
-        nonbasic = np.concatenate([ids[:n_struct], slack_ids[ge]])
-        T = np.zeros((m + 1, nonbasic.size + 1))
+        n_cols = n_struct + surplus.size
+        T = np.zeros((m + 1, n_cols + 1))
         T[:m, pos_col] = rows
         T[:m, neg_col[free]] = -rows[:, free]
-        T[slack_rows[ge], np.arange(n_struct, nonbasic.size)] = -1.0
+        T[surplus, np.arange(n_struct, n_cols)] = -1.0
         T[:m, -1] = model.b * sigma
 
         self.T = T
-        self.basis = basis
-        self.nonbasic = nonbasic
+        self.basis = n_cols + np.arange(m)
+        self.nonbasic = np.arange(n_cols)
         self.row_ids = np.arange(m)
-        # Pristine structural columns and right-hand side, and the unit
-        # columns' rows and signs, for the final refactorization.
-        self.A0 = T[:m, :n_struct].copy()
+        # Pristine structural and surplus columns and right-hand side,
+        # for the final refactorization.
+        self.A0 = T[:m, :n_cols].copy()
         self.b0 = T[:m, -1].copy()
-        self.unit_row = unit_row
-        self.kind = kind
-        self.art_first = art_first
+        self.n_cols = n_cols
+        self.artificial = np.concatenate([np.zeros(n_cols, dtype=bool), kind <= 0])
         # Whether each tableau column may enter the basis: artificials
         # that left it may not.
-        self.enterable = nonbasic < art_first
+        self.enterable = np.ones(n_cols, dtype=bool)
 
-        self.phase1_costs = np.where(ids >= art_first, -1.0, 0.0)
-        costs2 = np.zeros(ids.size)
+        self.phase1_costs = np.where(self.artificial, -1.0, 0.0)
+        costs2 = np.zeros(n_cols + m)
         costs2[pos_col] = c
         costs2[neg_col[free]] = -c[free]
         self.phase2_costs = costs2
-        self.has_artificials = art_rows.size > 0
 
     # -- tableau mechanics ------------------------------------------------
 
@@ -289,7 +276,7 @@ class _Tableau:
         leaving = self.basis[row]
         self.basis[row] = self.nonbasic[col]
         self.nonbasic[col] = leaving
-        if leaving >= self.art_first:
+        if self.artificial[leaving]:
             self.enterable[col] = False
         self.iterations += 1
 
@@ -344,7 +331,7 @@ class _Tableau:
         T = self.T
         stall_limit = self._STALL_PER_ROW * max(1, T.shape[0] - 1)
         # from the size of the full tableau: rows and standard-form columns
-        hard_cap = 10_000 + 200 * (self.model.n_rows + self.unit_row.size + 2)
+        hard_cap = 10_000 + 200 * (2 * self.model.n_rows + self.n_cols + 2)
         bland = False
         best = T[-1, -1]
         stall = 0
@@ -372,7 +359,7 @@ class _Tableau:
         T = self.T
         drop = []
         for ri in range(len(self.basis)):
-            if self.basis[ri] < self.art_first:
+            if not self.artificial[self.basis[ri]]:
                 continue
             row = T[ri, :-1]
             candidates = np.flatnonzero(self.enterable & (np.abs(row) > PIVOT_EPS))
@@ -392,25 +379,25 @@ class _Tableau:
     # -- result assembly ---------------------------------------------------
 
     def _basis_solve(self, rhs: np.ndarray, duals: bool = False) -> tuple:
-        """Structural values of ``B z = rhs`` and, if asked, the duals
-        ``y`` of ``B' y = c_B``, with ``B`` the final basis matrix rebuilt
-        from the pristine data.
+        """Column values of ``B z = rhs`` and, if asked, the duals ``y``
+        of ``B' y = c_B``, with ``B`` the final basis matrix rebuilt from
+        the pristine data.
 
-        A basic slack or artificial is a signed unit column of phase-2
-        cost 0, so the dual of its row is 0 and the row drops out.  The
-        structural basics ``S`` then solve the square system on the rows
+        A basic logical is the unit column of its row, of phase-2 cost 0,
+        so the dual of that row is 0 and the row drops out.  The basic
+        columns ``S`` of ``A0`` then solve the square system on the rows
         ``R`` left over: ``A0[R, S] z_S = rhs[R]`` and ``A0[R, S]' y_R =
-        c_S``.  Returns ``z`` over the structural columns, zero off ``S``,
+        c_S``.  Returns ``z`` over the columns of ``A0``, zero off ``S``,
         and ``y`` over the model rows, zero off ``R``, or None.
         """
         basis = self.basis
-        cols = basis[basis < self.A0.shape[1]]
-        live = np.zeros(self.model.n_rows + 1, dtype=bool)
+        cols = basis[basis < self.n_cols]
+        live = np.zeros(self.model.n_rows, dtype=bool)
         live[self.row_ids] = True
-        live[self.unit_row[basis]] = False
+        live[basis[basis >= self.n_cols] - self.n_cols] = False
         rows = np.flatnonzero(live)
         base = self.A0[rows[:, None], cols]
-        z = np.zeros(self.A0.shape[1])
+        z = np.zeros(self.n_cols)
         y = np.zeros(self.model.n_rows) if duals else None
         try:
             z[cols] = np.linalg.solve(base, rhs[rows])
@@ -432,7 +419,7 @@ class _Tableau:
     def _extract(self) -> LpSolution:
         """Recompute x and duals from the final basis and certify them.
 
-        The basis matrix is rebuilt from the pristine structural columns,
+        The basis matrix is rebuilt from the pristine columns,
         so the reported numbers carry one factorization's worth of error
         rather than the whole pivot history's.
         """
@@ -449,25 +436,24 @@ class _Tableau:
         return LpSolution(OPTIMAL, x, objective_value, duals, self.iterations)
 
     def _ray(self) -> np.ndarray:
-        """The structural part of the ray along which ``ray_col`` enters,
+        """The column part of the ray along which ``ray_col`` enters,
         recomputed from the basis like x: ``B d_B = -a``, where ``a`` is
-        the entering column, a signed unit vector for a slack."""
-        ray, n_struct = self.ray_col, self.A0.shape[1]
-        if ray < n_struct:
+        the entering column, ``+e_i`` for the slack of row ``i``."""
+        ray = self.ray_col
+        if ray < self.n_cols:
             column = self.A0[:, ray]
         else:
             column = np.zeros(self.model.n_rows)
-            row = self.unit_row[ray]
-            column[row] = self.kind[row]
+            column[ray - self.n_cols] = 1.0
         d = self._basis_solve(-column)[0]
-        if ray < n_struct:
+        if ray < self.n_cols:
             d[ray] = 1.0
         return d
 
     # -- driver -------------------------------------------------------------
 
     def run(self) -> LpSolution:
-        if self.has_artificials:
+        if self.artificial.any():
             self._price_out(self.phase1_costs)
             status = self._pivot_loop(phase=1)
             if status != OPTIMAL:
@@ -475,7 +461,7 @@ class _Tableau:
                 raise SolverFailure(
                     f"phase 1 terminated {status}", iterations=self.iterations
                 )
-            if self.T[-1, -1] < -TOL_FEAS:
+            if self.T[-1, -1] < -TOL_FEAS * max(1.0, float(self.b0.max())):
                 return LpSolution(INFEASIBLE, None, float("nan"), None, self.iterations)
             self._drive_out_artificials()
         self._price_out(self.phase2_costs)

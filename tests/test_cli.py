@@ -219,6 +219,12 @@ class TestDecompose:
         code = main(["decompose", write(DEMO_TPASS)])
         assert code == 2
 
+    def test_zero_tol_on_an_exactly_separable_game_exits_0(self, write, capsys):
+        bimatrix = dumps_game(compose(game.random_tpass(3, 4, -1.0, 1.0, seed=3)))
+        code = main(["decompose", write(bimatrix), "--tol", "0"])
+        assert code == 0
+        assert "separable: yes" in capsys.readouterr().out
+
     def test_json_format(self, write, capsys):
         code = main(["decompose", write(DERIVED_BIMATRIX), "--format", "json"])
         assert code == 0
@@ -252,6 +258,13 @@ class TestEnumerate:
         big = {"kind": "tpass", "A": [[0.0] * 6] * 6, "pi": [0.0] * 6, "rho": [0.0] * 6}
         code = main(["enumerate", write(json.dumps(big))])
         assert code == 2
+
+    def test_over_cap_names_the_cli_limit(self, write, capsys):
+        big = {"kind": "tpass", "A": [[0.0] * 6] * 6, "pi": [0.0] * 6, "rho": [0.0] * 6}
+        assert main(["enumerate", write(json.dumps(big))]) == 2
+        err = capsys.readouterr().err
+        assert "5x5" in err
+        assert "size_cap" not in err
 
 
 class TestDemo:

@@ -75,6 +75,13 @@ class TestSeparability:
         assert is_separable_sum(compose(dilemma()), tol=0.0) == (True, 0.0)
         assert decompose(compose(dilemma()), tol=0.0).max_residual == 0.0
 
+    def test_zero_tol_decomposes_an_exactly_separable_game(self):
+        # the tetrads vanish exactly, but rebuilding C costs an ulp
+        bg = compose(random_tpass(3, 4, -1.0, 1.0, seed=3))
+        assert is_separable_sum(bg, tol=0.0) == (True, 0.0)
+        result = decompose(bg, tol=0.0)
+        assert 0.0 < result.max_residual <= 4 * np.finfo(float).eps * np.abs(bg.C).max()
+
     def test_default_tol_scales_with_payoffs(self):
         big = BimatrixGame([[1e6, 0.0], [0.0, 0.0]], [[1e6, 0.0], [0.0, 0.0]])
         assert default_separability_tol(big) == pytest.approx(2e-3, rel=1e-6)

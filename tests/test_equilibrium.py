@@ -337,6 +337,27 @@ def _worst_row_violation(model, x):
     return float(signed.max())
 
 
+class TestFeasibleStart:
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_game_tableaus_start_on_their_logicals(self, tableaus, k):
+        # the shifted bonuses leave only <= rows with a nonnegative
+        # right-hand side and the simplex rows: no surplus column, and
+        # one artificial per = row
+        rng = np.random.default_rng(k + 3)
+        for m, n in ((3, 5), (4, 4), (7, 2)):
+            g = random_tpass(m, n, -1.0, 1.0, seed=int(rng.integers(1 << 32)))
+            g = TpassGame(g.A * 10.0**k, g.pi * 10.0**k, g.rho * 10.0**k)
+            for solve, equalities in ((solve_equilibrium, 1), (solve_joint_lp, 2)):
+                tableaus.clear()
+                solve(g)
+                assert len(tableaus) == 1
+                tableau = tableaus[0]
+                model = tableau.model
+                assert tableau.n_cols == model.n_vars + int(model._free.sum())
+                assert int((model.rel == lp.EQ).sum()) == equalities
+                assert int(tableau.artificial.sum()) == equalities
+
+
 class TestCertificateIdentities:
     def test_gaps_are_the_built_models_row_violations(self):
         rng = np.random.default_rng(41)

@@ -237,20 +237,6 @@ class TestComplementarySlackness:
             lp.check_complementary_slackness(model, bad)
 
 
-@pytest.fixture
-def tableaus(monkeypatch):
-    """Each solve's tableau, as set up."""
-    made = []
-
-    class Spy(lp._Tableau):
-        def __init__(self, model, *args):
-            super().__init__(model, *args)
-            made.append(self)
-
-    monkeypatch.setattr(lp, "_Tableau", Spy)
-    return made
-
-
 class TestOneTableau:
     def test_joint_lp_is_solved_on_one_tableau(self, tableaus):
         # 26 x 26: 54 rows in two blocks that share no variable, solved on
@@ -411,10 +397,10 @@ class TestTableauBranches:
 def standard_form(model):
     """``model`` in the solver's documented standard form: each row with a
     negative right-hand side negated, free variables split in two, then a
-    slack per inequality row (+1 for ``<=``, -1 for ``>=`` after the
-    flip) and an artificial per ``=`` or ``>=`` row.  Returns the matrix,
-    the right-hand side, the phase-2 costs (maximized), the number of
-    structural columns and the row of each slack."""
+    -1 surplus column per row that is ``>=`` after the flip, then one
+    logical ``+e_i`` per row ``i`` (a slack or an artificial).  Returns
+    the matrix, the right-hand side, the phase-2 costs (maximized) and
+    the number of columns before the logicals."""
     m = model.n_rows
     sigma = np.where(model.b < 0, -1.0, 1.0)
     kind = sigma * ((model.rel == lp.LE).astype(float) - (model.rel == lp.GE))
@@ -427,24 +413,23 @@ def standard_form(model):
         if bound == lp.FREE:
             columns.append(-M[:, j])
             costs.append(-c[j])
-    n_struct = len(columns)
     unit = np.eye(m)
-    slack_rows = [i for i in range(m) if kind[i] != 0]
-    columns += [kind[i] * unit[i] for i in slack_rows]
-    columns += [unit[i] for i in range(m) if kind[i] <= 0]
-    costs += [0.0] * (len(columns) - n_struct)
-    return np.column_stack(columns), model.b * sigma, np.array(costs), n_struct, slack_rows
+    columns += [-unit[i] for i in range(m) if kind[i] < 0]
+    n_cols = len(columns)
+    columns += list(unit)
+    costs += [0.0] * (len(columns) - len(costs))
+    return np.column_stack(columns), model.b * sigma, np.array(costs), n_cols
 
 
 class TestStructuralBasisSolve:
     def test_matches_a_dense_solve_of_the_whole_basis(self, monkeypatch):
         # the final basis of every optimal LP among the random LPs that
         # test_reference.py compares with HiGHS
-        counts = {"solves": 0, "dropped row": 0, "slack outside its row": 0}
+        counts = {"solves": 0, "dropped row": 0, "logical outside its row": 0}
         extract = lp._Tableau._extract
 
         def spy(self):
-            A, b, costs, n_struct, slack_rows = standard_form(self.model)
+            A, b, costs, n_cols = standard_form(self.model)
             basis, rows = self.basis, self.row_ids
             whole = A[rows][:, basis]
             want_values = np.zeros(A.shape[1])
@@ -452,12 +437,12 @@ class TestStructuralBasisSolve:
             want_duals = np.zeros(self.model.n_rows)
             want_duals[rows] = np.linalg.solve(whole.T, costs[basis])
             values, duals = self._basis_solve(b, duals=True)
-            for got, want in ((values, want_values[:n_struct]), (duals, want_duals)):
+            for got, want in ((values, want_values[:n_cols]), (duals, want_duals)):
                 assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
             counts["solves"] += 1
             counts["dropped row"] += rows.size < self.model.n_rows
-            counts["slack outside its row"] += any(
-                n_struct <= var < n_struct + len(slack_rows) and slack_rows[var - n_struct] != row
+            counts["logical outside its row"] += any(
+                var >= n_cols and var - n_cols != row
                 for var, row in zip(basis.tolist(), rows.tolist())
             )
             return extract(self)

@@ -154,3 +154,21 @@ def test_scaled_lps_match_highs_or_fail(k, part):
         if status == lp.OPTIMAL:
             assert sol.objective_value == pytest.approx(value, rel=1e-7, abs=1e-7 * value_scale)
     assert refused <= 10
+
+
+def test_large_scale_infeasible_answers_match_highs():
+    """With every entry of the random LPs times 10^6, the phase-1 optimum
+    of a feasible LP can end a roundoff of those entries below zero; an
+    ``INFEASIBLE`` answer must still be HiGHS's."""
+    rng = np.random.default_rng(5)
+    wrong = []
+    for index in range(1000):
+        model = random_lp(rng)
+        model = replace(model, objective=1e6 * model.objective, M=1e6 * model.M, b=1e6 * model.b)
+        try:
+            status = lp.solve(model).status
+        except SolverFailure:
+            continue
+        if status == lp.INFEASIBLE and highs_reference(model)[0] != lp.INFEASIBLE:
+            wrong.append(index)
+    assert wrong == []
