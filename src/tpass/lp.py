@@ -16,8 +16,8 @@ Solver design:
   one logical variable with a ``+1`` in that row: a slack on a ``<=``
   row, an artificial on ``=`` and ``>=`` rows; a ``>=`` row also gets a
   ``-1`` surplus column.  Phase 1 maximizes minus the artificial sum;
-  an optimum below zero, relative to the right-hand side, means
-  infeasible.
+  an artificial left above zero, relative to its row's right-hand
+  side, means infeasible.
 * The tableau stores only the nonbasic columns (the dictionary form of
   the simplex method), with the right-hand side and the reduced-cost
   row.  The starting basis is the identity, the logicals, so the
@@ -364,8 +364,9 @@ class _Tableau:
             row = T[ri, :-1]
             candidates = np.flatnonzero(self.enterable & (np.abs(row) > PIVOT_EPS))
             if candidates.size:
-                # rhs is zero here, so any pivot is degenerate-feasible;
-                # take the largest, ties to the lowest variable id
+                # rhs is zero within phase 1's tolerance, so any pivot is
+                # degenerate-feasible; take the largest, ties to the lowest
+                # variable id
                 size = np.abs(row[candidates])
                 ties = candidates[size == size.max()]
                 self._pivot(ri, int(ties[np.argmin(self.nonbasic[ties])]))
@@ -461,7 +462,11 @@ class _Tableau:
                 raise SolverFailure(
                     f"phase 1 terminated {status}", iterations=self.iterations
                 )
-            if self.T[-1, -1] < -TOL_FEAS * max(1.0, float(self.b0.max())):
+            # Infeasible if an artificial is left above TOL_FEAS relative
+            # to its row's right-hand side, the measure _verify applies.
+            art = self.artificial[self.basis]
+            scale = np.maximum(1.0, self.b0[self.basis[art] - self.n_cols])
+            if (self.T[:-1, -1][art] > TOL_FEAS * scale).any():
                 return LpSolution(INFEASIBLE, None, float("nan"), None, self.iterations)
             self._drive_out_artificials()
         self._price_out(self.phase2_costs)

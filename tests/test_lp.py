@@ -77,6 +77,17 @@ class TestSolveBasics:
         assert sol.status == lp.INFEASIBLE
         assert sol.x is None and sol.duals is None
 
+    @pytest.mark.parametrize("sense", [lp.MAX, lp.MIN])
+    def test_infeasible_with_mixed_scale_rhs(self, sense):
+        # x1 - x2 = 0 and x1 - x2 = 5e-4 leave a phase-1 optimum of -5e-4,
+        # far above TOL_FEAS on rows of right-hand side 0 and 5e-4 but
+        # not relative to the third row's 1e6.  Maximizing x3 has a ray.
+        model = lp.LpModel(
+            sense, [0.0, 0.0, 1.0], [[1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, -1.0]],
+            [lp.EQ, lp.EQ, lp.LE], [0.0, 5e-4, 1e6],
+        )
+        assert lp.solve(model).status == lp.INFEASIBLE
+
     def test_unbounded(self):
         no_rows = lp.LpModel(lp.MAX, [1.0], [], [], [])
         assert lp.solve(no_rows).status == lp.UNBOUNDED

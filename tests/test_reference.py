@@ -156,19 +156,27 @@ def test_scaled_lps_match_highs_or_fail(k, part):
     assert refused <= 10
 
 
-def test_large_scale_infeasible_answers_match_highs():
+def test_large_scale_statuses_match_highs():
     """With every entry of the random LPs times 10^6, the phase-1 optimum
-    of a feasible LP can end a roundoff of those entries below zero; an
-    ``INFEASIBLE`` answer must still be HiGHS's."""
+    of a feasible LP can end a roundoff of those entries below zero.
+    Every status not refused must still be HiGHS's.  31 of these LPs
+    still raise "phase 1 terminated unbounded" (ROADMAP item 3(b))."""
     rng = np.random.default_rng(5)
     wrong = []
+    refused = 0
     for index in range(1000):
         model = random_lp(rng)
         model = replace(model, objective=1e6 * model.objective, M=1e6 * model.M, b=1e6 * model.b)
         try:
-            status = lp.solve(model).status
+            sol = lp.solve(model)
         except SolverFailure:
+            refused += 1
             continue
-        if status == lp.INFEASIBLE and highs_reference(model)[0] != lp.INFEASIBLE:
+        status, value = highs_reference(model)
+        if sol.status != status or (
+            status == lp.OPTIMAL
+            and sol.objective_value != pytest.approx(value, rel=1e-7, abs=1e-7 * 1e6)
+        ):
             wrong.append(index)
     assert wrong == []
+    assert refused <= 31
