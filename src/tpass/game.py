@@ -26,6 +26,7 @@ arrays read-only, so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,9 +129,7 @@ class MixedStrategy:
         return self.weights.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.weights.astype(dtype)
-        return self.weights
+        return np.array(self.weights, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,18 +258,18 @@ def is_equilibrium(game: TpassGame, p, q, tol: float = TOL_EQUILIBRIUM) -> Equil
     return EquilibriumReport(ok, row_violation, col_violation, simplex_violation, f_row, f_col)
 
 
-# SplitMix64 constants.  The generator is fixed so that fixtures can be
-# reproduced bit-for-bit from the seed in any language: state advances by
-# the 64-bit recurrence below and each output is mapped to [0, 1) via its
-# top 53 bits.
-_SM_GAMMA = 0x9E3779B97F4A7C15
-_SM_MIX1 = 0xBF58476D1CE4E5B9
-_SM_MIX2 = 0x94D049BB133111EB
-_MASK64 = (1 << 64) - 1
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014).  The generator is fixed
+# so that fixtures can be reproduced bit-for-bit from the seed in any
+# language.  Its state after k steps has the closed form
+# z_k = seed + k * gamma (mod 2^64), k = 1, 2, ..., so the whole stream is
+# one uint64 array expression; array arithmetic wraps without a warning.
+_SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SM_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_SM_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _splitmix64(seed: int):
-    """Yield uniform floats in [0, 1) from the SplitMix64 recurrence:
+def _splitmix64(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` uniforms in [0, 1) of the SplitMix64 recurrence:
 
     state += 0x9E3779B97F4A7C15                      (mod 2^64)
     z = state
@@ -279,40 +278,34 @@ def _splitmix64(seed: int):
     z ^= z >> 31
     output (z >> 11) * 2^-53
     """
-    state = seed & _MASK64
-    while True:
-        state = (state + _SM_GAMMA) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * _SM_MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _SM_MIX2) & _MASK64
-        z ^= z >> 31
-        yield (z >> 11) * 2.0**-53
+    z = np.uint64(seed % 2**64) + _SM_GAMMA * np.arange(1, count + 1, dtype=np.uint64)
+    z = (z ^ (z >> 30)) * _SM_MIX1
+    z = (z ^ (z >> 27)) * _SM_MIX2
+    z ^= z >> 31
+    return (z >> 11) * 2.0**-53
 
 
 def random_tpass(m: int, n: int, lo: float, hi: float, seed: int) -> TpassGame:
     """Deterministic random game with entries uniform on ``[lo, hi)``.
 
-    Draw order is row-major over ``A``, then ``pi``, then ``rho``, from
-    the documented SplitMix64 stream, so the same seed reproduces the
-    same game byte for byte (including across language ports).  Negative
-    seeds are reduced modulo 2^64.
+    The game takes the first ``m*n + m + n`` values of the documented
+    SplitMix64 stream, row-major over ``A``, then ``pi``, then ``rho``,
+    so the same seed reproduces the same game byte for byte (including
+    across language ports).  Negative seeds are reduced modulo 2^64.
     """
     try:
-        m = int(m)
-        n = int(n)
-        seed = int(seed)
-    except (TypeError, ValueError) as exc:
+        m, n, seed = (operator.index(v) for v in (m, n, seed))
+    except TypeError as exc:
         raise InputError(f"m, n and seed must be integers: {exc}") from None
     if m < 1 or n < 1:
         raise InputError(f"dimensions must be at least 1, got m={m}, n={n}")
     lo = float(lo)
     hi = float(hi)
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-        raise InputError(f"need finite bounds with lo <= hi, got lo={lo}, hi={hi}")
-    stream = _splitmix64(seed)
-    span = hi - lo
-    draw = lambda count: np.array([lo + span * next(stream) for _ in range(count)])
-    A = draw(m * n).reshape(m, n)
-    pi = draw(m)
-    rho = draw(n)
-    return TpassGame(A, pi, rho)
+    # hi - lo is finite exactly when both bounds are and the width does
+    # not overflow (lo=-1e308, hi=1e308 would draw infinite entries).
+    if not np.isfinite(hi - lo) or lo > hi:
+        raise InputError(
+            f"need finite bounds with lo <= hi and a finite width hi - lo, got lo={lo}, hi={hi}"
+        )
+    u = lo + (hi - lo) * _splitmix64(seed, m * n + m + n)
+    return TpassGame(u[: m * n].reshape(m, n), u[m * n : m * n + m], u[m * n + m :])

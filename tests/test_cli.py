@@ -310,6 +310,10 @@ class TestRandom:
     def test_bad_bounds_exit_2(self, capsys):
         assert main(["random", "-m", "2", "-n", "2", "--lo", "1", "--hi", "-1"]) == 2
 
+    def test_overflowing_range_exits_2_naming_the_bounds(self, capsys):
+        assert main(["random", "-m", "2", "-n", "2", "--lo=-1e308", "--hi=1e308"]) == 2
+        assert "lo=-1e+308, hi=1e+308" in capsys.readouterr().err
+
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "g.json"
         assert main(["random", "-m", "2", "-n", "2", "-o", str(target)]) == 3

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,13 @@ class TestTypes:
         assert s.weights.tolist() == [0.0, 1.0, 0.0]
         with pytest.raises(InputError):
             MixedStrategy.pure(0, 3)
+
+    def test_array_of_strategy_is_a_writable_copy(self):
+        s = MixedStrategy([0.25, 0.75])
+        copied = np.array(s)
+        copied[0] = 1.0
+        assert s.weights.tolist() == [0.25, 0.75]
+        assert np.shares_memory(np.asarray(s), s.weights)
 
 
 class TestPurePayoffs:
@@ -230,3 +239,56 @@ class TestRandomTpass:
             random_tpass(2, 2, 1.0, -1.0, seed=1)
         with pytest.raises(InputError):
             random_tpass(2, 2, -np.inf, 1.0, seed=1)
+
+    def test_rejects_non_integer_sizes_and_seeds(self):
+        for args in ((2.7, 3, -1.0, 1.0, 0), (2, "3", -1.0, 1.0, 0), (2, 3, -1.0, 1.0, 1.9)):
+            with pytest.raises(InputError, match="must be integers"):
+                random_tpass(*args)
+
+    def test_rejects_a_range_whose_width_overflows(self):
+        with pytest.raises(InputError, match=r"lo=-1e\+308, hi=1e\+308"):
+            random_tpass(2, 2, -1e308, 1e308, seed=0)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64_reference(seed, count):
+    """The README's SplitMix64 recurrence, one scalar step per draw."""
+    state = seed & _MASK64
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z ^= z >> 31
+        out.append((z >> 11) * 2.0**-53)
+    return out
+
+
+class TestSplitMix64Stream:
+    def test_seed_zero_gives_published_outputs(self):
+        g = random_tpass(1, 1, 0.0, 1.0, seed=0)
+        published = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+        expected = [(x >> 11) * 2.0**-53 for x in published]
+        assert [g.A[0, 0], g.pi[0], g.rho[0]] == expected
+
+    def test_matches_scalar_recurrence(self):
+        rng = random.Random(2014)
+        seeds = [
+            lambda: rng.randrange(-(2**63), 0),
+            lambda: rng.randrange(2**63, 2**64),
+            lambda: rng.randrange(0, 2**63),
+            lambda: rng.randrange(-1000, 1000),
+        ]
+        for k in range(600):
+            m, n = rng.randint(1, 11), rng.randint(1, 11)
+            seed = seeds[k % len(seeds)]()
+            lo = rng.uniform(-1e6, 1e6)
+            hi = lo + 10.0 ** rng.uniform(-6, 6)
+            u = np.array([lo + (hi - lo) * x for x in _splitmix64_reference(seed, m * n + m + n)])
+            g = random_tpass(m, n, lo, hi, seed)
+            assert np.array_equal(g.A, u[: m * n].reshape(m, n))
+            assert np.array_equal(g.pi, u[m * n : m * n + m])
+            assert np.array_equal(g.rho, u[m * n + m :])
