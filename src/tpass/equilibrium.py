@@ -52,9 +52,16 @@ this is a genuine linear program.  Premultiplying the blocks by ``p``
 and ``q`` shows the objective equals ``-(alpha - payoff_row) -
 (beta - payoff_col) <= 0`` at every feasible point; equilibria are
 exactly the feasible points reaching 0, and the optimum is always 0
-because an equilibrium always exists.  :func:`solve_joint_lp` asserts
-the zero optimum and reads the equilibrium off one joint tableau, a
-solve independent of :func:`solve_equilibrium`'s.
+because an equilibrium always exists.  The two blocks share no
+variable: the joint LP is the game's primal LP over ``(q, alpha)`` and
+the transposed game's over ``(p, beta)`` side by side, and its optimum
+is the sum of theirs, zero by the strong duality of the pair.
+:func:`solve_joint_lp` solves those two player LPs, interleaved on one
+joint tableau below :data:`JOINT_SPLIT_ROWS` joint rows and one after
+the other from there on, with the same pivots either way.  For ``m <=
+n`` its row player's LP is exactly the LP :func:`solve_equilibrium`
+solves, so the joint route is not an independent solve; its checks are
+the zero joint optimum and, in the tests, scipy's HiGHS.
 
 Feasible start: a constant added to one player's bonuses changes no best
 response, so every LP is built for ``(A, pi - K, rho)`` with ``K =
@@ -97,6 +104,11 @@ from .game import (
     _check_tol,
     is_equilibrium,
 )
+
+# Joint row count (m + n + 2) from which solve_joint_lp solves the two
+# player LPs instead of one joint tableau: below it, one tableau's single
+# set-up and extract cost less than the zero blocks its pivots sweep.
+JOINT_SPLIT_ROWS = 96
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,22 +322,35 @@ def check_joint_lp(game: TpassGame, p, q, tol: float = TOL_EQUILIBRIUM) -> bool:
 def solve_joint_lp(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> tuple[EquilibriumSolution, float]:
     """Solve the joint program and read an equilibrium off its optimum.
 
-    One tableau, from the feasible start of both players' bonuses, whose
-    shifts ``K`` and ``L`` are added back to ``alpha`` and ``beta``.
-    Returns the certified solution together with the optimal value,
-    which must vanish within ``tol``: an equilibrium always exists, so a
-    nonzero optimum signals a numerical problem and raises
-    :class:`CertificationFailure`.  ``tol`` must be positive and finite,
-    as for :func:`solve_equilibrium`.
+    The joint LP is the game's primal LP over ``(q, alpha)`` and the
+    transposed game's over ``(p, beta)`` side by side.  A pivot in one
+    block leaves the other's rows, columns and reduced costs as they
+    were, so one joint tableau only interleaves the two pivot paths.
+    Below :data:`JOINT_SPLIT_ROWS` joint rows the solve is that one
+    tableau; from there on it is the two player LPs, which take the same
+    pivots without sweeping the tableau's zero blocks.  Both blocks start
+    feasible, with shifts ``K`` and ``L`` added back to ``alpha`` and
+    ``beta``.
+
+    Returns the certified solution together with the optimal value, the
+    sum of the two player LPs' optima, which must vanish within ``tol``
+    by their strong duality: a nonzero optimum signals a numerical
+    problem and raises :class:`CertificationFailure`.  ``tol`` must be
+    positive and finite, as for :func:`solve_equilibrium`.
     """
     _check_tol(tol)
     m, n = game.shape
-    pi, K = _feasible_start(game.A, game.pi)
-    rho, L = _feasible_start(-game.A.T, game.rho)
-    sol = _solved(_joint_model(game.A, pi, rho), "joint")
-    p, q = sol.x[:m], sol.x[m : m + n]
-    alpha, beta = float(sol.x[m + n]) + K, float(sol.x[m + n + 1]) + L
-    value = sol.objective_value
+    if m + n + 2 >= JOINT_SPLIT_ROWS:
+        q, alpha, _, _, row_value = _player_lp(game.A, game.pi, game.rho, "joint")
+        p, beta, _, _, col_value = _player_lp(-game.A.T, game.rho, game.pi, "joint")
+        value = row_value + col_value
+    else:
+        pi, K = _feasible_start(game.A, game.pi)
+        rho, L = _feasible_start(-game.A.T, game.rho)
+        sol = _solved(_joint_model(game.A, pi, rho), "joint")
+        p, q = sol.x[:m], sol.x[m : m + n]
+        alpha, beta = float(sol.x[m + n]) + K, float(sol.x[m + n + 1]) + L
+        value = sol.objective_value
     if abs(value) > tol:
         raise CertificationFailure(
             f"joint LP optimum {value:.3g} is nonzero beyond tol {tol:g}"

@@ -299,8 +299,10 @@ def random_tpass(m: int, n: int, lo: float, hi: float, seed: int) -> TpassGame:
         raise InputError(f"m, n and seed must be integers: {exc}") from None
     if m < 1 or n < 1:
         raise InputError(f"dimensions must be at least 1, got m={m}, n={n}")
-    lo = float(lo)
-    hi = float(hi)
+    try:
+        lo, hi = float(lo), float(hi)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"lo and hi must be real numbers: {exc}") from None
     # hi - lo is finite exactly when both bounds are and the width does
     # not overflow (lo=-1e308, hi=1e308 would draw infinite entries).
     if not np.isfinite(hi - lo) or lo > hi:

@@ -358,9 +358,8 @@ class _Tableau:
     def _drive_out_artificials(self) -> None:
         T = self.T
         drop = []
-        for ri in range(len(self.basis)):
-            if not self.artificial[self.basis[ri]]:
-                continue
+        # a pivot replaces only its own row's basic variable
+        for ri in np.flatnonzero(self.artificial[self.basis]).tolist():
             row = T[ri, :-1]
             candidates = np.flatnonzero(self.enterable & (np.abs(row) > PIVOT_EPS))
             if candidates.size:
@@ -401,9 +400,13 @@ class _Tableau:
         z = np.zeros(self.n_cols)
         y = np.zeros(self.model.n_rows) if duals else None
         try:
-            z[cols] = np.linalg.solve(base, rhs[rows])
             if duals:
-                y[rows] = np.linalg.solve(base.T, self.phase2_costs[cols])
+                z[cols], y[rows] = np.linalg.solve(
+                    np.stack([base, base.T]),
+                    np.stack([rhs[rows], self.phase2_costs[cols]])[:, :, None],
+                )[:, :, 0]
+            else:
+                z[cols] = np.linalg.solve(base, rhs[rows])
         except np.linalg.LinAlgError:
             raise SolverFailure(
                 "final basis is numerically singular", iterations=self.iterations

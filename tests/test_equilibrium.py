@@ -6,6 +6,10 @@ from hypothesis import strategies as st
 from tpass import lp
 from tpass.demo import dilemma
 from tpass.equilibrium import (
+    JOINT_SPLIT_ROWS,
+    _feasible_start,
+    _joint_model,
+    _primal_model,
     build_dual_lp,
     build_joint_lp,
     build_primal_lp,
@@ -288,8 +292,9 @@ class TestJointProgram:
 
     @pytest.mark.parametrize("m, n", [(25, 25), (26, 26), (30, 24), (64, 64), (200, 10)])
     def test_one_feasible_tableau_matches_the_joint_lp(self, monkeypatch, m, n):
-        # one solve at every size, started with every inequality row on its
-        # slack, reaching the optimum of the unshifted joint LP
+        # one joint tableau below JOINT_SPLIT_ROWS and the two player LPs
+        # from there on, every model started with each inequality row on
+        # its slack, reaching the optimum of the unshifted joint LP
         g = random_tpass(m, n, -1.0, 1.0, seed=97_000 + m + n)
         whole = lp.solve(build_joint_lp(g))
         real, models = lp.solve, []
@@ -300,14 +305,30 @@ class TestJointProgram:
 
         monkeypatch.setattr(lp, "solve", recorded)
         sol, value = solve_joint_lp(g)
-        assert len(models) == 1
-        assert models[0].b[: m + n].min() >= 0.0
+        assert len(models) == (2 if m + n + 2 >= JOINT_SPLIT_ROWS else 1)
+        for model in models:
+            assert model.b[model.rel == lp.LE].min() >= 0.0
         x = whole.x
         assert np.abs(sol.p.weights - x[:m]).max() <= 1e-9
         assert np.abs(sol.q.weights - x[m : m + n]).max() <= 1e-9
         assert sol.alpha == pytest.approx(x[m + n], abs=1e-9)
         assert sol.beta == pytest.approx(x[m + n + 1], abs=1e-9)
         assert value == pytest.approx(whole.objective_value, abs=1e-9)
+
+    @pytest.mark.parametrize("m, n", [(8, 8), (30, 24), (48, 48), (64, 64), (200, 10)])
+    def test_two_player_lps_take_the_joint_tableaus_path(self, m, n):
+        # the joint LP's two blocks share no variable, so its one tableau
+        # takes the pivots of the game's and the transposed game's primal
+        # LPs and reaches their vertices, on both sides of JOINT_SPLIT_ROWS
+        g = random_tpass(m, n, -1.0, 1.0, seed=98_000 + m + n)
+        pi, _ = _feasible_start(g.A, g.pi)
+        rho, _ = _feasible_start(-g.A.T, g.rho)
+        joint = lp.solve(_joint_model(g.A, pi, rho))
+        row = lp.solve(_primal_model(g.A, pi, g.rho))
+        col = lp.solve(_primal_model(-g.A.T, rho, g.pi))
+        assert joint.iterations == row.iterations + col.iterations
+        assert np.abs(joint.x[m : m + n + 1] - row.x).max() <= 1e-9
+        assert np.abs(np.append(joint.x[:m], joint.x[-1]) - col.x).max() <= 1e-9
 
     def test_check_joint_dilemma_cases(self):
         g = dilemma()

@@ -245,6 +245,11 @@ class TestRandomTpass:
             with pytest.raises(InputError, match="must be integers"):
                 random_tpass(*args)
 
+    def test_rejects_non_numeric_bounds(self):
+        for lo, hi in (("a", 1.0), (None, 1.0), (-1.0, [1.0])):
+            with pytest.raises(InputError, match="must be real numbers"):
+                random_tpass(2, 2, lo, hi, seed=0)
+
     def test_rejects_a_range_whose_width_overflows(self):
         with pytest.raises(InputError, match=r"lo=-1e\+308, hi=1e\+308"):
             random_tpass(2, 2, -1e308, 1e308, seed=0)
