@@ -39,8 +39,8 @@ class BimatrixGame:
     C: np.ndarray
 
     def __post_init__(self):
-        B = _frozen_array(self.B, 2, "B")
-        C = _frozen_array(self.C, 2, "C")
+        B, _ = _frozen_array(self.B, 2, "B")
+        C, _ = _frozen_array(self.C, 2, "C")
         if B.shape != C.shape:
             raise InputError(f"B has shape {B.shape} but C has shape {C.shape}")
         object.__setattr__(self, "B", B)

@@ -1,6 +1,6 @@
 """Equilibrium computation and certification via linear programming.
 
-Three programs drive everything.  For a game ``(A, pi, rho)`` with ``m``
+Four programs drive everything.  For a game ``(A, pi, rho)`` with ``m``
 rows and ``n`` columns:
 
 **Primal LP** over ``(q, alpha)`` with ``q >= 0`` and ``alpha`` free::
@@ -31,14 +31,24 @@ pi)``, in which the players swap seats: negating its objective and its
 rows gives ``maximize pi . p - beta`` subject to ``-A' p - beta 1 <=
 -rho`` and ``sum(p) = 1``, the primal program with ``(q, alpha)``
 renamed ``(p, beta)``, whose optimum is minus the dual's.  So one
-builder, :func:`build_primal_lp`, serves both orientations, and every
-solve reads the same way: ``(q, alpha)`` off the values and ``(p,
-beta)`` off the multipliers of the game it was built from.
-:func:`solve_equilibrium` solves the orientation with fewer rows: the
-game's own primal LP (route ``primal``, ``m + 1`` rows) when ``m <= n``,
-otherwise the transposed game's (route ``dual``, ``n + 1`` rows), whose
-two halves it swaps back.  Simplex pivots grow with the row count, so a
-200 x 10 game costs about what a 10 x 200 one does.
+builder, :func:`build_primal_lp`, serves both orientations.
+
+**Matrix-game LP**, which :func:`solve_equilibrium` solves.  The game is
+strategically equivalent to the zero-sum matrix ``Z = A + pi 1' - 1
+rho'``, the row player maximizing (Moulin & Vial 1978), and the LP pair
+above is that matrix game's: ``rho . q - alpha = -max_i (Z q)_i``.  Mapped
+affinely onto ``[1, 2]`` as ``Zh = 1 + (Z - min Z) / ptp(Z)``, it has the
+textbook LP of a positive matrix game (Dantzig 1951)::
+
+    maximize    1' y
+    subject to  Zh y <= 1                   (m rows)
+                y >= 0
+
+whose every row starts on its slack, so it needs no phase 1.  ``q = y /
+1'y``, the row multipliers normalized the same way are ``p``, and
+``alpha``, ``beta`` and the primal optimum are read off the pair.  A
+scale or a gauge shift of the game changes ``Zh`` only by roundoff, so
+the solve does not depend on either.
 
 **Joint LP** over ``(p, q, alpha, beta)``, all of the above at once::
 
@@ -58,17 +68,16 @@ the transposed game's over ``(p, beta)`` side by side, and its optimum
 is the sum of theirs, zero by the strong duality of the pair.
 :func:`solve_joint_lp` solves those two player LPs, interleaved on one
 joint tableau below :data:`JOINT_SPLIT_ROWS` joint rows and one after
-the other from there on, with the same pivots either way.  For ``m <=
-n`` its row player's LP is exactly the LP :func:`solve_equilibrium`
-solves, so the joint route is not an independent solve; its checks are
-the zero joint optimum and, in the tests, scipy's HiGHS.
+the other from there on, with the same pivots either way.  Its checks
+are the zero joint optimum and, in the tests, scipy's HiGHS.
 
-Feasible start: a constant added to one player's bonuses changes no best
-response, so every LP is built for ``(A, pi - K, rho)`` with ``K =
-max(0, max_i pi_i, max_ij (A_ij + pi_i))``, whose rows start on their
-slacks; only the simplex row needs a phase-1 artificial.  The solvers
-add ``K`` back to ``alpha`` and the optimum.  The joint LP shifts ``rho``
-alike on the transposed game, which leaves its objective as it is.
+Feasible start, on the joint route: a constant added to one player's
+bonuses changes no best response, so the joint LP and its two player LPs
+are built for ``(A, pi - K, rho)`` with ``K = max(0, max_i pi_i, max_ij
+(A_ij + pi_i))``, whose rows start on their slacks; only the simplex
+rows need a phase-1 artificial.  The solver adds ``K`` back to ``alpha``
+and the optimum, and shifts ``rho`` alike on the transposed game, which
+leaves the joint objective as it is.
 
 Certification: a pair is an equilibrium exactly when it solves the LP
 pair, and exactly when it reaches the joint LP's zero optimum.  So the
@@ -78,7 +87,7 @@ computed once: :func:`verify_lp_pair` returns its report and
 :func:`check_joint_lp` its verdict, and their docstrings state the
 identities.  Both solvers end in one tail: the simplex points read off
 the LP are cleaned of roundoff and certified at ``tol``, a failure
-raises :class:`CertificationFailure` naming the route (primal, dual or
+raises :class:`CertificationFailure` naming the route (primal or
 joint), and the slackness residual compares the LP's ``alpha`` and
 ``beta`` with the payoffs the certificate computed.
 
@@ -103,6 +112,7 @@ from .game import (
     TpassGame,
     _check_tol,
     is_equilibrium,
+    zero_sum_matrix,
 )
 
 # Joint row count (m + n + 2) from which solve_joint_lp solves the two
@@ -116,12 +126,13 @@ class EquilibriumSolution:
     """A certified equilibrium with its LP provenance.
 
     ``alpha`` and ``beta`` are the players' equilibrium payoffs,
-    ``lp_value`` the optimal value of the primal/dual LP pair for
-    :func:`solve_equilibrium` and of the joint LP for
-    :func:`solve_joint_lp`, and ``slackness_residual`` the worst
-    violation of the optimality identities ``alpha = p.Aq + p.pi`` and
-    ``beta = -p.Aq + rho.q``.  ``report`` is the :func:`is_equilibrium`
-    certificate of exactly ``p`` and ``q``; the solvers always set it.
+    ``lp_value`` the optimum of the primal LP, ``rho.q - alpha = -value(Z)``,
+    for :func:`solve_equilibrium` (read off the matrix-game LP's pair) and
+    of the joint LP for :func:`solve_joint_lp`, and ``slackness_residual``
+    the worst violation of the optimality identities ``alpha = p.Aq +
+    p.pi`` and ``beta = -p.Aq + rho.q``.  ``report`` is the
+    :func:`is_equilibrium` certificate of exactly ``p`` and ``q``; the
+    solvers always set it.
     """
 
     p: MixedStrategy
@@ -156,8 +167,9 @@ def build_dual_lp(game: TpassGame) -> lp.LpModel:
     """The dual program over ``(p, beta)`` (variables in that order), in
     its textbook minimize form.
 
-    The solvers do not use it: they solve the transposed game's primal
-    LP from its feasible start, the same program up to a constant.
+    The solvers do not use it: :func:`solve_joint_lp` solves the
+    transposed game's primal LP from its feasible start, the same program
+    up to a constant, and :func:`solve_equilibrium` the matrix-game LP.
     """
     m, n = game.shape
     M = np.zeros((n + 1, m + 1))
@@ -220,37 +232,54 @@ def _clean_simplex(v: np.ndarray, tol: float, name: str) -> MixedStrategy:
     return MixedStrategy(v / total)
 
 
-def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> EquilibriumSolution:
-    """Compute one equilibrium from the primal LP of the game or of its
-    transpose, and certify it.
+def _matrix_game_model(game: TpassGame) -> lp.LpModel:
+    """The matrix-game LP: maximize ``1'y`` subject to ``Zh y <= 1`` and
+    ``y >= 0``, with ``Zh`` the game's :func:`zero_sum_matrix` mapped onto
+    ``[1, 2]``.
 
-    The orientation with fewer rows is solved: the game's primal LP
-    (``m + 1`` rows, route ``primal``) unless ``m > n``, then the
-    transposed game's (``n + 1`` rows, route ``dual``), whose ``(q,
-    alpha)`` and ``(p, beta)`` are the game's ``(p, beta)`` and ``(q,
-    alpha)``, and whose optimum is minus the dual LP's.  The pair must
-    pass :func:`is_equilibrium` at ``tol`` or
-    :class:`CertificationFailure` is raised; a ``tol`` that is not
-    positive and finite raises :class:`InputError` before any work.
+    ``Z`` is first scaled by a power of two to ``max|Z| < 1``, which is
+    exact and keeps ``Z - min Z`` finite for every game; a ``Z`` of equal
+    entries has its zero range read as 1.
+    """
+    Z = zero_sum_matrix(game)
+    Z = np.ldexp(Z, -np.frexp(np.abs(Z).max())[1])
+    low = Z.min()
+    width = Z.max() - low or 1.0
+    m, n = game.shape
+    return lp.LpModel(lp.MAX, np.ones(n), 1.0 + (Z - low) / width, np.full(m, lp.LE), np.ones(m))
+
+
+def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> EquilibriumSolution:
+    """Compute one equilibrium from the matrix-game LP and certify it.
+
+    The LP's values normalized to sum 1 are ``q`` and its multipliers
+    normalized alike are ``p``; ``alpha = max_i (A q + pi)_i`` and ``beta
+    = max_j (rho - A' p)_j`` are the players' best-response values, and
+    ``rho.q - alpha`` is the primal LP's optimum.  One LP serves every
+    shape, and every scale and gauge shift of a game gives it the same
+    ``Zh`` up to roundoff.  The pair must pass :func:`is_equilibrium` at
+    ``tol`` or :class:`CertificationFailure` is raised, naming route
+    ``primal``; a ``tol`` that is not positive and finite raises
+    :class:`InputError` before any work.
     """
     _check_tol(tol)
-    if game.m > game.n:
-        p, beta, q, alpha, value = _player_lp(-game.A.T, game.rho, game.pi, "dual")
-        return _certified(game, "dual", p, q, alpha, beta, -value, tol)
-    q, alpha, p, beta, value = _player_lp(game.A, game.pi, game.rho, "primal")
-    return _certified(game, "primal", p, q, alpha, beta, value, tol)
+    sol = _solved(_matrix_game_model(game), "primal")
+    q = sol.x / sol.x.sum()
+    p = sol.duals / sol.duals.sum()
+    alpha = float((game.A @ q + game.pi).max())
+    beta = float((game.rho - game.A.T @ p).max())
+    return _certified(game, "primal", p, q, alpha, beta, float(game.rho @ q) - alpha, tol)
 
 
-def _player_lp(A: np.ndarray, pi: np.ndarray, rho: np.ndarray,
-               route: str) -> tuple[np.ndarray, float, np.ndarray, float, float]:
+def _player_lp(A: np.ndarray, pi: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Solve the primal LP of the game ``(A, pi, rho)`` from its feasible
-    start: ``(q, alpha)`` from its values, ``(p, beta)`` from its
-    multipliers, then its optimal value, all of the unshifted game.  The
-    dual route passes the transposed game ``(-A', rho, pi)``."""
-    m, n = A.shape
+    start: ``q`` and ``alpha`` from its values, then its optimal value,
+    all of the unshifted game.  The joint LP's column block passes the
+    transposed game ``(-A', rho, pi)``."""
+    n = A.shape[1]
     shifted, K = _feasible_start(A, pi)
-    sol = _solved(_primal_model(A, shifted, rho), route)
-    return sol.x[:n], float(sol.x[n]) + K, sol.duals[:m], float(sol.duals[m]), sol.objective_value - K
+    sol = _solved(_primal_model(A, shifted, rho), "joint")
+    return sol.x[:n], float(sol.x[n]) + K, sol.objective_value - K
 
 
 def _solved(model: lp.LpModel, route: str) -> lp.LpSolution:
@@ -341,8 +370,8 @@ def solve_joint_lp(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> tuple[Equil
     _check_tol(tol)
     m, n = game.shape
     if m + n + 2 >= JOINT_SPLIT_ROWS:
-        q, alpha, _, _, row_value = _player_lp(game.A, game.pi, game.rho, "joint")
-        p, beta, _, _, col_value = _player_lp(-game.A.T, game.rho, game.pi, "joint")
+        q, alpha, row_value = _player_lp(game.A, game.pi, game.rho)
+        p, beta, col_value = _player_lp(-game.A.T, game.rho, game.pi)
         value = row_value + col_value
     else:
         pi, K = _feasible_start(game.A, game.pi)

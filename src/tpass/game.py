@@ -42,17 +42,19 @@ TOL_SIMPLEX = 1e-9
 TOL_EQUILIBRIUM = 1e-8
 
 
-def _frozen_array(values, ndim: int, name: str) -> np.ndarray:
+def _frozen_array(values, ndim: int, name: str) -> tuple[np.ndarray, float]:
+    """A read-only float copy of ``values`` and its largest magnitude."""
     try:
         arr = np.array(values, dtype=float)
     except (OverflowError, ValueError) as exc:
         raise InputError(f"{name} is not a real array: {exc}") from None
     if arr.ndim != ndim or arr.size == 0:
         raise InputError(f"{name} must be a nonempty {ndim}-d real array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    size = float(np.abs(arr).max())
+    if not size < np.inf:  # nan fails the comparison too
         raise InputError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
-    return arr
+    return arr, size
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +62,10 @@ class TpassGame:
     """Additively separable sum game ``(A, pi, rho)``.
 
     ``A`` is the m x n kernel matrix, ``pi`` the row player's bonus per
-    row, ``rho`` the column player's bonus per column.
+    row, ``rho`` the column player's bonus per column.  Every entry must
+    be finite, and so must every entry of the payoff matrices
+    ``A + pi 1'`` and ``-A + 1 rho'`` and of :func:`zero_sum_matrix`;
+    otherwise :class:`InputError` is raised.
     """
 
     A: np.ndarray
@@ -68,9 +73,9 @@ class TpassGame:
     rho: np.ndarray
 
     def __post_init__(self):
-        A = _frozen_array(self.A, 2, "A")
-        pi = _frozen_array(self.pi, 1, "pi")
-        rho = _frozen_array(self.rho, 1, "rho")
+        A, a_max = _frozen_array(self.A, 2, "A")
+        pi, pi_max = _frozen_array(self.pi, 1, "pi")
+        rho, rho_max = _frozen_array(self.rho, 1, "rho")
         if pi.shape[0] != A.shape[0]:
             raise InputError(f"pi has length {pi.shape[0]} but A has {A.shape[0]} rows")
         if rho.shape[0] != A.shape[1]:
@@ -78,6 +83,16 @@ class TpassGame:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "rho", rho)
+        # Every payoff matrix the package forms must be finite too.  Their
+        # entries are at most this sum in magnitude, since rounding is
+        # monotone, so only a game near the float limit is checked entry
+        # by entry.
+        if not a_max + pi_max + rho_max < np.inf:
+            with np.errstate(over="ignore", invalid="ignore"):
+                matrices = (*build_payoff_matrices(self), zero_sum_matrix(self))
+                if not all(np.isfinite(M).all() for M in matrices):
+                    raise InputError("payoffs overflow: A + pi 1', -A + 1 rho' and "
+                                     "A + pi 1' - 1 rho' must be finite")
 
     @property
     def m(self) -> int:
@@ -104,7 +119,7 @@ class MixedStrategy:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _frozen_array(self.weights, 1, "strategy weights")
+        w, _ = _frozen_array(self.weights, 1, "strategy weights")
         dev = simplex_deviation(w)
         if dev > TOL_SIMPLEX:
             raise InputError(
@@ -219,6 +234,15 @@ def build_payoff_matrices(game: TpassGame) -> tuple[np.ndarray, np.ndarray]:
     B = game.A + game.pi[:, None]
     C = -game.A + game.rho[None, :]
     return B, C
+
+
+def zero_sum_matrix(game: TpassGame) -> np.ndarray:
+    """The zero-sum matrix ``Z = A + pi 1' - 1 rho'`` strategically
+    equivalent to the game (Moulin & Vial 1978), the row player
+    maximizing: ``Z`` differs from the row player's payoffs by a term in
+    the column alone and from minus the column player's by a term in the
+    row alone, so it has the game's best responses and equilibria."""
+    return game.A + game.pi[:, None] - game.rho[None, :]
 
 
 def _check_tol(tol: float) -> None:

@@ -299,7 +299,9 @@ class _Tableau:
         ties going to the lowest variable id, breaks ratio ties by the
         largest pivot, and takes the first column whose pivot is not tiny
         relative to the column; if none of the first ``_SCAN_LIMIT``
-        columns has one, it settles for the first of them.  A candidate
+        columns has one, it settles for the first of them.  A ratio test
+        that meets a nan (an overflowed tableau) raises
+        :class:`SolverFailure`.  A candidate
         column with no entry above ``PIVOT_EPS`` is taken for a ray, whose
         variable id is kept in ``ray_col``; :func:`_verify_ray` certifies
         it.
@@ -318,6 +320,10 @@ class _Tableau:
                 return UNBOUNDED
             ratios = T[rows, -1] / column[rows]
             ties = rows[ratios == ratios.min()]
+            if ties.size == 0:  # a nan ratio: the tableau overflowed
+                raise SolverFailure(
+                    "ratio test met a non-finite entry", iterations=self.iterations
+                )
             if bland:
                 return col, int(ties[np.argmin(self.basis[ties])])
             row = int(ties[np.argmax(np.abs(column[ties]))])

@@ -28,7 +28,7 @@ import numpy as np
 from .decompose import BimatrixGame, compose
 from .equilibrium import EquilibriumSolution
 from .errors import InputError
-from .game import MixedStrategy, TOL_EQUILIBRIUM, TpassGame, _check_tol
+from .game import MixedStrategy, TOL_EQUILIBRIUM, TpassGame, _check_tol, zero_sum_matrix
 
 SIZE_CAP = 5
 DEDUP_EPS = 1e-7
@@ -148,7 +148,7 @@ def cross_check(
     m, n = game.shape
     if m > size_cap or n > size_cap:
         raise InputError(f"game is {m}x{n} but the oracle cap is {size_cap}")
-    Z = game.A + game.pi[:, None] - game.rho[None, :]
+    Z = zero_sum_matrix(game)
     values = [
         float(pe.weights @ Z @ qe.weights)
         for pe, qe in enumerate_equilibria(compose(game), tol, size_cap=size_cap)

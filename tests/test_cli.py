@@ -130,6 +130,35 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("args", [["solve"], ["verify", "--p", "1", "--q", "1,0"]],
+                             ids=["solve", "verify"])
+    def test_overflowing_payoffs_exit_2(self, write, capsys, args):
+        path = write('{"kind": "tpass", "A": [[1e308, 0]], "pi": [1e308], "rho": [0, 0]}')
+        assert main([args[0], path, *args[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: payoffs overflow")
+
+    @pytest.mark.parametrize("method, message", [
+        ("primal", "primal LP solution failed the best-response check"),
+        ("joint", "ratio test met a non-finite entry"),
+    ], ids=["primal", "joint"])
+    def test_payoffs_at_the_float_limit_exit_3(self, write, method, message):
+        # a valid game whose joint tableau overflows and whose primal pair
+        # misses the absolute tol by roundoff of 1e308; in a child process,
+        # since pytest turns the overflow warnings into errors
+        path = write('{"kind": "tpass", "A": [[1e308, -1e308], [-1e308, 1e308]], '
+                     '"pi": [0, 0], "rho": [0, 0]}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "tpass", "solve", path, "--method", method],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+
+
 class TestBadTol:
     @pytest.fixture
     def files(self, tmp_path):

@@ -141,18 +141,23 @@ class TestSolveEquilibrium:
         sol = solve_equilibrium(g, 1e-8)
         assert is_equilibrium(g, sol.p, sol.q, 1e-8).is_equilibrium
 
-    def test_tall_game_reads_the_dual_lp(self):
-        # the solve runs the transposed game's primal LP from its feasible
-        # start: the textbook dual up to a constant moved into and out of
-        # beta and the optimum, so the two agree to the last bits
-        g = random_tpass(12, 3, -1.0, 1.0, seed=17)
+    @pytest.mark.parametrize("m, n", [(12, 3), (3, 12)])
+    def test_tall_and_wide_games_match_the_textbook_lp_pair(self, m, n):
+        # the matrix-game LP's pair is the textbook primal and dual LPs'
+        # optimum: a random game has one equilibrium, and both LPs' values
+        # and multipliers pin it, so the two agree to roundoff
+        g = random_tpass(m, n, -1.0, 1.0, seed=17)
         sol = solve_equilibrium(g)
         dual = lp.solve(build_dual_lp(g))
+        primal = lp.solve(build_primal_lp(g))
         assert sol.lp_value == pytest.approx(dual.objective_value, abs=1e-12)
-        assert np.allclose(sol.p.weights, dual.x[:12], atol=1e-12)
-        assert sol.beta == pytest.approx(dual.x[12], abs=1e-12)
-        assert np.allclose(sol.q.weights, dual.duals[:3], atol=1e-12)
-        assert sol.alpha == pytest.approx(-dual.duals[3], abs=1e-12)
+        assert sol.lp_value == pytest.approx(primal.objective_value, abs=1e-12)
+        assert np.allclose(sol.p.weights, dual.x[:m], atol=1e-12)
+        assert sol.beta == pytest.approx(dual.x[m], abs=1e-12)
+        assert np.allclose(sol.q.weights, dual.duals[:n], atol=1e-12)
+        assert sol.alpha == pytest.approx(-dual.duals[n], abs=1e-12)
+        assert np.allclose(sol.q.weights, primal.x[:n], atol=1e-12)
+        assert sol.alpha == pytest.approx(primal.x[n], abs=1e-12)
         assert sol.slackness_residual <= 1e-12
 
     @given(games(min_m=1, max_m=7, min_n=1, max_n=7).filter(lambda g: g.m != g.n))
@@ -184,17 +189,33 @@ class TestSolveEquilibrium:
             assert sol.beta == pytest.approx(base.beta + d, abs=scale)
 
     def test_transposed_game_swaps_the_players(self):
-        # both orientations solve the same primal LP, so the swap is exact
+        # the transposed game's matrix-game LP is another LP with the same
+        # equilibrium, so the swap holds to roundoff
         for g in random_games(40, seed_base=95_000, min_dim=1, max_dim=9, rng_seed=11):
             if g.m == g.n:
                 continue
             sol = solve_equilibrium(g)
             swapped = solve_equilibrium(TpassGame(-g.A.T, g.rho, g.pi))
-            assert np.array_equal(swapped.p.weights, sol.q.weights)
-            assert np.array_equal(swapped.q.weights, sol.p.weights)
-            assert swapped.alpha == sol.beta
-            assert swapped.beta == sol.alpha
-            assert swapped.lp_value == -sol.lp_value
+            assert np.abs(swapped.p.weights - sol.q.weights).max() <= 1e-12
+            assert np.abs(swapped.q.weights - sol.p.weights).max() <= 1e-12
+            assert swapped.alpha == pytest.approx(sol.beta, abs=1e-12)
+            assert swapped.beta == pytest.approx(sol.alpha, abs=1e-12)
+            assert swapped.lp_value == pytest.approx(-sol.lp_value, abs=1e-12)
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**64 - 1),
+           st.integers(-9, 9), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_scale_and_gauge_shift_leave_the_solve_unchanged(self, m, n, seed, k, c, d):
+        # equilibria do not move under a gauge shift and a scale, and the
+        # matrix-game LP sees the same Zh up to roundoff; at 10^-9 an LP of
+        # absolute tolerances would certify a pair far off the equilibrium
+        g = random_tpass(m, n, -1.0, 1.0, seed=seed)
+        s = 10.0**k
+        moved = TpassGame(g.A * s, (g.pi + c) * s, (g.rho + d) * s)
+        base = solve_equilibrium(g)
+        sol = solve_equilibrium(moved, 1e-8 * max(1.0, s))
+        assert np.abs(sol.p.weights - base.p.weights).max() <= 1e-12
+        assert np.abs(sol.q.weights - base.q.weights).max() <= 1e-12
 
     def test_report_certifies_the_returned_pair(self):
         for g in random_games(20, seed_base=96_000, min_dim=1, max_dim=6, rng_seed=12):
@@ -361,14 +382,15 @@ def _worst_row_violation(model, x):
 class TestFeasibleStart:
     @pytest.mark.parametrize("k", range(-3, 4))
     def test_game_tableaus_start_on_their_logicals(self, tableaus, k):
-        # the shifted bonuses leave only <= rows with a nonnegative
-        # right-hand side and the simplex rows: no surplus column, and
-        # one artificial per = row
+        # the joint LP's shifted bonuses leave only <= rows with a
+        # nonnegative right-hand side and the simplex rows: no surplus
+        # column, and one artificial per = row; the matrix-game LP has
+        # only <= rows of right-hand side 1, so no artificial at all
         rng = np.random.default_rng(k + 3)
         for m, n in ((3, 5), (4, 4), (7, 2)):
             g = random_tpass(m, n, -1.0, 1.0, seed=int(rng.integers(1 << 32)))
             g = TpassGame(g.A * 10.0**k, g.pi * 10.0**k, g.rho * 10.0**k)
-            for solve, equalities in ((solve_equilibrium, 1), (solve_joint_lp, 2)):
+            for solve, equalities in ((solve_equilibrium, 0), (solve_joint_lp, 2)):
                 tableaus.clear()
                 solve(g)
                 assert len(tableaus) == 1
@@ -415,8 +437,8 @@ class TestCertificateIdentities:
         [
             ("primal", dilemma()),
             ("joint", dilemma()),
-            # three rows: solve_equilibrium takes the dual LP
-            ("dual", TpassGame([[0, 1], [-1, 0], [-2, -1]], [0.5, 0.75, 0.0], [0.5, 0.75])),
+            # three rows: one LP serves every shape
+            ("primal", TpassGame([[0, 1], [-1, 0], [-2, -1]], [0.5, 0.75, 0.0], [0.5, 0.75])),
         ],
     )
     def test_certification_failure_names_the_route(self, monkeypatch, route, game):

@@ -38,6 +38,18 @@ class TestTypes:
         with pytest.raises(InputError, match="^pi is not a real array"):
             TpassGame([[0.0]], [-(10**400)], [0])
 
+    @pytest.mark.parametrize(
+        "A, pi, rho",
+        [([[1e308, 0.0]], [1e308], [0.0, 0.0]), ([[-1e308]], [0.0], [1e308]),
+         ([[0.0]], [1e308], [-1e308])],
+        ids=["row-payoffs", "column-payoffs", "zero-sum-matrix"],
+    )
+    def test_game_rejects_payoffs_that_overflow(self, A, pi, rho):
+        # finite entries whose sums are not: A + pi 1', -A + 1 rho', and
+        # in the last case only Z = A + pi 1' - 1 rho'
+        with pytest.raises(InputError, match="^payoffs overflow"):
+            TpassGame(A, pi, rho)
+
     def test_game_arrays_are_read_only(self):
         g = dilemma()
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from tpass import lp
-from tpass.equilibrium import build_dual_lp, build_joint_lp, build_primal_lp
+from tpass.equilibrium import _joint_model, build_dual_lp, build_joint_lp, build_primal_lp
 from tpass.errors import InputError, SolverFailure
 from tpass.game import random_tpass
 
@@ -146,6 +146,14 @@ class TestSolveBasics:
             assert sol.objective_value == pytest.approx(
                 lam * base.objective_value, abs=1e-9
             )
+
+    def test_overflowing_tableau_is_a_solver_failure(self):
+        # the feasible-start joint LP of a game at the float limit: its
+        # pivots overflow, and the ratio test meets a nan
+        A = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        model = _joint_model(A, np.full(2, -1e308), np.full(2, -1e308))
+        with np.errstate(all="ignore"), pytest.raises(SolverFailure, match="non-finite"):
+            lp.solve(model)
 
 
 class TestDuals:
