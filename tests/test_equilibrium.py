@@ -433,24 +433,29 @@ class TestCertificateIdentities:
             assert check_joint_lp(dilemma(), p, q, tol) is verdict
 
     @pytest.mark.parametrize(
-        "route, game",
+        "route, game, field",
         [
-            ("primal", dilemma()),
-            ("joint", dilemma()),
-            # three rows: one LP serves every shape
-            ("primal", TpassGame([[0, 1], [-1, 0], [-2, -1]], [0.5, 0.75, 0.0], [0.5, 0.75])),
+            ("primal", dilemma(), "x"),
+            ("joint", dilemma(), "x"),
+            # three rows: one LP serves every shape, and the first player's
+            # strategy is read off its duals, so swapping those fails too
+            ("primal", TpassGame([[0, 1], [-1, 0], [-2, -1]], [0.5, 0.75, 0.0], [0.5, 0.75]), "x"),
+            ("primal", TpassGame([[0, 1], [-1, 0], [-2, -1]], [0.5, 0.75, 0.0], [0.5, 0.75]), "duals"),
         ],
+        # the id's first word names the LP vector swapped: primal or joint
+        # values, or the matrix-game LP's duals
+        ids=["primal-game0", "joint-game1", "primal-game2", "dual-game2"],
     )
-    def test_certification_failure_names_the_route(self, monkeypatch, route, game):
-        # swapping the first two LP values moves the first player off the
+    def test_certification_failure_names_the_route(self, monkeypatch, route, game, field):
+        # swapping the first two LP values (or duals) moves a player off the
         # unique (dominant-strategy) equilibrium
         real = lp.solve
 
         def swapped(model):
             sol = real(model)
-            x = sol.x.copy()
-            x[[0, 1]] = x[[1, 0]]
-            return lp.LpSolution(sol.status, x, sol.objective_value, sol.duals, sol.iterations)
+            vectors = {"x": sol.x.copy(), "duals": sol.duals.copy()}
+            vectors[field][[0, 1]] = vectors[field][[1, 0]]
+            return lp.LpSolution(sol.status, vectors["x"], sol.objective_value, vectors["duals"], sol.iterations)
 
         monkeypatch.setattr(lp, "solve", swapped)
         solve = solve_joint_lp if route == "joint" else solve_equilibrium
