@@ -30,10 +30,9 @@ The dual LP is also the primal LP of the transposed game ``(-A', rho,
 pi)``, in which the players swap seats: negating its objective and its
 rows gives ``maximize pi . p - beta`` subject to ``-A' p - beta 1 <=
 -rho`` and ``sum(p) = 1``, the primal program with ``(q, alpha)``
-renamed ``(p, beta)``, whose optimum is minus the dual's.  So one
-builder, :func:`build_primal_lp`, serves both orientations.
+renamed ``(p, beta)``, whose optimum is minus the dual's.
 
-**Matrix-game LP**, which :func:`solve_equilibrium` solves.  The game is
+**Matrix-game LP**, which both solvers solve.  The game is
 strategically equivalent to the zero-sum matrix ``Z = A + pi 1' - 1
 rho'``, the row player maximizing (Moulin & Vial 1978), and the LP pair
 above is that matrix game's: ``rho . q - alpha = -max_i (Z q)_i``.  Mapped
@@ -65,19 +64,17 @@ exactly the feasible points reaching 0, and the optimum is always 0
 because an equilibrium always exists.  The two blocks share no
 variable: the joint LP is the game's primal LP over ``(q, alpha)`` and
 the transposed game's over ``(p, beta)`` side by side, and its optimum
-is the sum of theirs, zero by the strong duality of the pair.
-:func:`solve_joint_lp` solves those two player LPs, interleaved on one
-joint tableau below :data:`JOINT_SPLIT_ROWS` joint rows and one after
-the other from there on, with the same pivots either way.  Its checks
-are the zero joint optimum and, in the tests, scipy's HiGHS.
-
-Feasible start, on the joint route: a constant added to one player's
-bonuses changes no best response, so the joint LP and its two player LPs
-are built for ``(A, pi - K, rho)`` with ``K = max(0, max_i pi_i, max_ij
-(A_ij + pi_i))``, whose rows start on their slacks; only the simplex
-rows need a phase-1 artificial.  The solver adds ``K`` back to ``alpha``
-and the optimum, and shifts ``rho`` alike on the transposed game, which
-leaves the joint objective as it is.
+is the sum of theirs, zero by the strong duality of the pair.  Those two
+are the matrix games of ``Z`` and of ``-Z'``, so :func:`solve_joint_lp`
+solves the matrix-game LPs of both, each mapped onto ``[1, 2]`` on its
+own: on one block-diagonal tableau below :data:`JOINT_SPLIT_ROWS` joint
+rows and as two LPs from there on, with the same pivots either way.
+``q`` and ``p`` are the two blocks' ``y`` normalized to sum 1, ``alpha``
+and ``beta`` their best-response values as above, and the joint optimum
+``(rho.q - alpha) + (pi.p - beta)``.  No game LP has an ``=`` row or a
+free variable, so none runs phase 1, and both routes are independent of
+the game's scale and gauge.  The joint route's checks are the zero joint
+optimum and, in the tests, scipy's HiGHS.
 
 Certification: a pair is an equilibrium exactly when it solves the LP
 pair, and exactly when it reaches the joint LP's zero optimum.  So the
@@ -115,9 +112,10 @@ from .game import (
     zero_sum_matrix,
 )
 
-# Joint row count (m + n + 2) from which solve_joint_lp solves the two
-# player LPs instead of one joint tableau: below it, one tableau's single
-# set-up and extract cost less than the zero blocks its pivots sweep.
+# Joint LP row count (m + n + 2) from which solve_joint_lp solves its two
+# matrix-game LPs one after the other instead of on one block-diagonal
+# tableau: below it, one tableau's single set-up and extract cost less
+# than the zero blocks its pivots sweep.
 JOINT_SPLIT_ROWS = 96
 
 
@@ -127,8 +125,9 @@ class EquilibriumSolution:
 
     ``alpha`` and ``beta`` are the players' equilibrium payoffs,
     ``lp_value`` the optimum of the primal LP, ``rho.q - alpha = -value(Z)``,
-    for :func:`solve_equilibrium` (read off the matrix-game LP's pair) and
-    of the joint LP for :func:`solve_joint_lp`, and ``slackness_residual``
+    for :func:`solve_equilibrium` and of the joint LP, ``(rho.q - alpha) +
+    (pi.p - beta)``, for :func:`solve_joint_lp` (each read off the pair
+    its matrix-game LPs give), and ``slackness_residual``
     the worst violation of the optimality identities ``alpha = p.Aq +
     p.pi`` and ``beta = -p.Aq + rho.q``.  ``report`` is the
     :func:`is_equilibrium` certificate of exactly ``p`` and ``q``; the
@@ -146,30 +145,24 @@ class EquilibriumSolution:
 
 def build_primal_lp(game: TpassGame) -> lp.LpModel:
     """The primal program over ``(q, alpha)`` (variables in that order)."""
-    return _primal_model(game.A, game.pi, game.rho)
-
-
-def _primal_model(A: np.ndarray, pi: np.ndarray, rho: np.ndarray) -> lp.LpModel:
-    """:func:`build_primal_lp` of the game ``(A, pi, rho)``, whose arrays
-    come from a validated game."""
-    m, n = A.shape
+    m, n = game.shape
     M = np.zeros((m + 1, n + 1))
-    M[:m, :n] = A
+    M[:m, :n] = game.A
     M[:m, n] = -1.0
     M[m, :n] = 1.0
     rel = np.full(m + 1, lp.LE)
     rel[m] = lp.EQ
     bounds = (lp.NONNEG,) * n + (lp.FREE,)
-    return lp.LpModel(lp.MAX, np.append(rho, -1.0), M, rel, np.append(-pi, 1.0), bounds)
+    return lp.LpModel(
+        lp.MAX, np.append(game.rho, -1.0), M, rel, np.append(-game.pi, 1.0), bounds
+    )
 
 
 def build_dual_lp(game: TpassGame) -> lp.LpModel:
     """The dual program over ``(p, beta)`` (variables in that order), in
     its textbook minimize form.
 
-    The solvers do not use it: :func:`solve_joint_lp` solves the
-    transposed game's primal LP from its feasible start, the same program
-    up to a constant, and :func:`solve_equilibrium` the matrix-game LP.
+    The solvers do not use it: both solve matrix-game LPs.
     """
     m, n = game.shape
     M = np.zeros((n + 1, m + 1))
@@ -209,15 +202,6 @@ def _joint_model(A: np.ndarray, pi: np.ndarray, rho: np.ndarray) -> lp.LpModel:
     return lp.LpModel(lp.MAX, objective, M, rel, b, bounds)
 
 
-def _feasible_start(A: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, float]:
-    """``pi - K`` and ``K``.  Every primal right-hand side ``K - pi_i`` of
-    ``(A, pi - K, rho)`` is nonnegative and at least every ``A_ij``, so no
-    ratio test beats the simplex row's 1: its artificial can leave on the
-    first pivot."""
-    K = max(0.0, float(pi.max()), float((A + pi[:, None]).max()))
-    return pi - K, K
-
-
 def _clean_simplex(v: np.ndarray, tol: float, name: str) -> MixedStrategy:
     """Clamp solver roundoff off a simplex point; reject real violations."""
     low = float(v.min())
@@ -232,21 +216,40 @@ def _clean_simplex(v: np.ndarray, tol: float, name: str) -> MixedStrategy:
     return MixedStrategy(v / total)
 
 
-def _matrix_game_model(game: TpassGame) -> lp.LpModel:
-    """The matrix-game LP: maximize ``1'y`` subject to ``Zh y <= 1`` and
-    ``y >= 0``, with ``Zh`` the game's :func:`zero_sum_matrix` mapped onto
+def _onto_one_two(Z: np.ndarray) -> np.ndarray:
+    """``Zh = 1 + (Z - min Z) / ptp(Z)``: ``Z`` mapped affinely onto
     ``[1, 2]``.
 
     ``Z`` is first scaled by a power of two to ``max|Z| < 1``, which is
     exact and keeps ``Z - min Z`` finite for every game; a ``Z`` of equal
     entries has its zero range read as 1.
     """
-    Z = zero_sum_matrix(game)
     Z = np.ldexp(Z, -np.frexp(np.abs(Z).max())[1])
     low = Z.min()
     width = Z.max() - low or 1.0
-    m, n = game.shape
-    return lp.LpModel(lp.MAX, np.ones(n), 1.0 + (Z - low) / width, np.full(m, lp.LE), np.ones(m))
+    return 1.0 + (Z - low) / width
+
+
+def _matrix_game_model(*blocks: np.ndarray) -> lp.LpModel:
+    """The matrix-game LP of each block ``Zh``, side by side: maximize
+    ``1'y`` subject to ``Zh y <= 1`` and ``y >= 0``, with the blocks on
+    the diagonal of one constraint matrix and ``y`` in block order."""
+    m, n = np.sum([Zh.shape for Zh in blocks], axis=0)
+    M = np.zeros((m, n))
+    i = j = 0
+    for Zh in blocks:
+        M[i : i + Zh.shape[0], j : j + Zh.shape[1]] = Zh
+        i, j = i + Zh.shape[0], j + Zh.shape[1]
+    return lp.LpModel(lp.MAX, np.ones(n), M, np.full(m, lp.LE), np.ones(m))
+
+
+def _read_pair(game: TpassGame, y_p: np.ndarray,
+               y_q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``p`` and ``q`` as ``y_p`` and ``y_q`` normalized to sum 1, and the
+    players' best-response values ``alpha = max_i (A q + pi)_i`` and
+    ``beta = max_j (rho - A' p)_j`` against them."""
+    p, q = y_p / y_p.sum(), y_q / y_q.sum()
+    return p, q, float((game.A @ q + game.pi).max()), float((game.rho - game.A.T @ p).max())
 
 
 def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> EquilibriumSolution:
@@ -263,23 +266,9 @@ def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> Equilibr
     :class:`InputError` before any work.
     """
     _check_tol(tol)
-    sol = _solved(_matrix_game_model(game), "primal")
-    q = sol.x / sol.x.sum()
-    p = sol.duals / sol.duals.sum()
-    alpha = float((game.A @ q + game.pi).max())
-    beta = float((game.rho - game.A.T @ p).max())
+    sol = _solved(_matrix_game_model(_onto_one_two(zero_sum_matrix(game))), "primal")
+    p, q, alpha, beta = _read_pair(game, sol.duals, sol.x)
     return _certified(game, "primal", p, q, alpha, beta, float(game.rho @ q) - alpha, tol)
-
-
-def _player_lp(A: np.ndarray, pi: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Solve the primal LP of the game ``(A, pi, rho)`` from its feasible
-    start: ``q`` and ``alpha`` from its values, then its optimal value,
-    all of the unshifted game.  The joint LP's column block passes the
-    transposed game ``(-A', rho, pi)``."""
-    n = A.shape[1]
-    shifted, K = _feasible_start(A, pi)
-    sol = _solved(_primal_model(A, shifted, rho), "joint")
-    return sol.x[:n], float(sol.x[n]) + K, sol.objective_value - K
 
 
 def _solved(model: lp.LpModel, route: str) -> lp.LpSolution:
@@ -352,37 +341,35 @@ def solve_joint_lp(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> tuple[Equil
     """Solve the joint program and read an equilibrium off its optimum.
 
     The joint LP is the game's primal LP over ``(q, alpha)`` and the
-    transposed game's over ``(p, beta)`` side by side.  A pivot in one
-    block leaves the other's rows, columns and reduced costs as they
-    were, so one joint tableau only interleaves the two pivot paths.
-    Below :data:`JOINT_SPLIT_ROWS` joint rows the solve is that one
-    tableau; from there on it is the two player LPs, which take the same
-    pivots without sweeping the tableau's zero blocks.  Both blocks start
-    feasible, with shifts ``K`` and ``L`` added back to ``alpha`` and
-    ``beta``.
+    transposed game's over ``(p, beta)`` side by side, which are the
+    matrix-game LPs of ``Z`` and of ``-Z'``.  A pivot in one block leaves
+    the other's rows, columns and reduced costs as they were, so one
+    block-diagonal tableau only interleaves the two pivot paths.  Below
+    :data:`JOINT_SPLIT_ROWS` joint rows the solve is that one tableau;
+    from there on it is the two LPs, which take the same pivots without
+    sweeping the tableau's zero blocks.  ``q`` and ``p`` are the blocks'
+    values normalized to sum 1.
 
-    Returns the certified solution together with the optimal value, the
-    sum of the two player LPs' optima, which must vanish within ``tol``
-    by their strong duality: a nonzero optimum signals a numerical
-    problem and raises :class:`CertificationFailure`.  ``tol`` must be
-    positive and finite, as for :func:`solve_equilibrium`.
+    Returns the certified solution together with the joint optimum
+    ``(rho.q - alpha) + (pi.p - beta)``, which must vanish within ``tol``
+    by the strong duality of the pair: the pair is certified first, and
+    a nonzero optimum then signals a numerical problem and raises
+    :class:`CertificationFailure`.  ``tol`` must be positive and finite,
+    as for :func:`solve_equilibrium`.
     """
     _check_tol(tol)
     m, n = game.shape
+    Z = zero_sum_matrix(game)
+    blocks = (_onto_one_two(Z), _onto_one_two(-Z.T))
     if m + n + 2 >= JOINT_SPLIT_ROWS:
-        q, alpha, row_value = _player_lp(game.A, game.pi, game.rho)
-        p, beta, col_value = _player_lp(-game.A.T, game.rho, game.pi)
-        value = row_value + col_value
+        y = np.concatenate([_solved(_matrix_game_model(Zh), "joint").x for Zh in blocks])
     else:
-        pi, K = _feasible_start(game.A, game.pi)
-        rho, L = _feasible_start(-game.A.T, game.rho)
-        sol = _solved(_joint_model(game.A, pi, rho), "joint")
-        p, q = sol.x[:m], sol.x[m : m + n]
-        alpha, beta = float(sol.x[m + n]) + K, float(sol.x[m + n + 1]) + L
-        value = sol.objective_value
+        y = _solved(_matrix_game_model(*blocks), "joint").x
+    p, q, alpha, beta = _read_pair(game, y[n:], y[:n])
+    value = (float(game.rho @ q) - alpha) + (float(game.pi @ p) - beta)
+    solution = _certified(game, "joint", p, q, alpha, beta, value, tol)
     if abs(value) > tol:
         raise CertificationFailure(
             f"joint LP optimum {value:.3g} is nonzero beyond tol {tol:g}"
         )
-    solution = _certified(game, "joint", p, q, alpha, beta, value, tol)
     return solution, value

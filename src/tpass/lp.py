@@ -489,16 +489,17 @@ class _Tableau:
 
 def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: float,
             iterations: int) -> None:
-    """Certify optimality: primal feasible, dual feasible, zero gap."""
+    """Certify optimality: primal feasible, dual feasible, zero gap.  A nan
+    anywhere fails the check it reaches."""
     M, b = model.M, model.b
     le, ge = model.rel == LE, model.rel == GE
     gap = M @ x - b
     row_viol = np.where(le, np.maximum(gap, 0.0), np.where(ge, np.maximum(-gap, 0.0), np.abs(gap)))
-    worst = max(
-        float((row_viol / np.maximum(1.0, np.abs(b))).max(initial=0.0)),
-        float((-x[~model._free]).max(initial=0.0)),
-    )
-    if worst > TOL_FEAS:
+    worst = float(np.maximum(
+        (row_viol / np.maximum(1.0, np.abs(b))).max(initial=0.0),
+        (-x[~model._free]).max(initial=0.0),
+    ))
+    if not worst <= TOL_FEAS:
         raise SolverFailure(
             "optimal basis fails the primal feasibility re-check",
             violation=worst,
@@ -513,8 +514,8 @@ def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: f
     var_viol = np.maximum(reduced, 0.0) if maximize else np.maximum(-reduced, 0.0)
     var_viol = np.where(model._free, np.abs(reduced), var_viol)
     scale = np.maximum(1.0, np.abs(model.objective))
-    worst_dual = max(worst_dual, float((var_viol / scale).max()))
-    if worst_dual > TOL_FEAS:
+    worst_dual = float(np.maximum(worst_dual, (var_viol / scale).max()))
+    if not worst_dual <= TOL_FEAS:
         raise SolverFailure(
             "optimal basis fails the dual feasibility re-check",
             violation=worst_dual,
@@ -523,7 +524,7 @@ def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: f
 
     dual_objective = float(duals @ b)
     gap = abs(objective_value - dual_objective)
-    if gap > TOL_GAP * max(1.0, abs(objective_value)):
+    if not gap <= TOL_GAP * max(1.0, abs(objective_value)):
         raise SolverFailure(
             "primal and dual objectives disagree",
             gap=gap,

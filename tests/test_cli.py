@@ -141,12 +141,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("method, message", [
         ("primal", "primal LP solution failed the best-response check"),
-        ("joint", "ratio test met a non-finite entry"),
+        ("joint", "joint LP solution failed the best-response check"),
     ], ids=["primal", "joint"])
     def test_payoffs_at_the_float_limit_exit_3(self, write, method, message):
-        # a valid game whose joint tableau overflows and whose primal pair
-        # misses the absolute tol by roundoff of 1e308; in a child process,
-        # since pytest turns the overflow warnings into errors
+        # a valid game whose pair, from either route's normalized LP, misses
+        # the absolute tol by roundoff of 1e308; in a child process, since
+        # pytest turns overflow warnings into errors
         path = write('{"kind": "tpass", "A": [[1e308, -1e308], [-1e308, 1e308]], '
                      '"pi": [0, 0], "rho": [0, 0]}')
         proc = subprocess.run(

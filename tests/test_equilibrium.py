@@ -7,9 +7,8 @@ from tpass import lp
 from tpass.demo import dilemma
 from tpass.equilibrium import (
     JOINT_SPLIT_ROWS,
-    _feasible_start,
-    _joint_model,
-    _primal_model,
+    _matrix_game_model,
+    _onto_one_two,
     build_dual_lp,
     build_joint_lp,
     build_primal_lp,
@@ -19,7 +18,14 @@ from tpass.equilibrium import (
     verify_lp_pair,
 )
 from tpass.errors import CertificationFailure, InputError
-from tpass.game import TpassGame, is_equilibrium, payoff_col, payoff_row, random_tpass
+from tpass.game import (
+    TpassGame,
+    is_equilibrium,
+    payoff_col,
+    payoff_row,
+    random_tpass,
+    zero_sum_matrix,
+)
 
 from gamegen import games, random_games, random_simplex
 
@@ -206,16 +212,17 @@ class TestSolveEquilibrium:
            st.integers(-9, 9), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_scale_and_gauge_shift_leave_the_solve_unchanged(self, m, n, seed, k, c, d):
-        # equilibria do not move under a gauge shift and a scale, and the
-        # matrix-game LP sees the same Zh up to roundoff; at 10^-9 an LP of
-        # absolute tolerances would certify a pair far off the equilibrium
+        # equilibria do not move under a gauge shift and a scale, and both
+        # routes' matrix-game LPs see the same Zh up to roundoff; at 10^-9 an
+        # LP of absolute tolerances would certify a pair far off the equilibrium
         g = random_tpass(m, n, -1.0, 1.0, seed=seed)
         s = 10.0**k
         moved = TpassGame(g.A * s, (g.pi + c) * s, (g.rho + d) * s)
-        base = solve_equilibrium(g)
-        sol = solve_equilibrium(moved, 1e-8 * max(1.0, s))
-        assert np.abs(sol.p.weights - base.p.weights).max() <= 1e-12
-        assert np.abs(sol.q.weights - base.q.weights).max() <= 1e-12
+        tol = 1e-8 * max(1.0, s)
+        for base, sol in ((solve_equilibrium(g), solve_equilibrium(moved, tol)),
+                          (solve_joint_lp(g)[0], solve_joint_lp(moved, tol)[0])):
+            assert np.abs(sol.p.weights - base.p.weights).max() <= 1e-12
+            assert np.abs(sol.q.weights - base.q.weights).max() <= 1e-12
 
     def test_report_certifies_the_returned_pair(self):
         for g in random_games(20, seed_base=96_000, min_dim=1, max_dim=6, rng_seed=12):
@@ -313,9 +320,9 @@ class TestJointProgram:
 
     @pytest.mark.parametrize("m, n", [(25, 25), (26, 26), (30, 24), (64, 64), (200, 10)])
     def test_one_feasible_tableau_matches_the_joint_lp(self, monkeypatch, m, n):
-        # one joint tableau below JOINT_SPLIT_ROWS and the two player LPs
-        # from there on, every model started with each inequality row on
-        # its slack, reaching the optimum of the unshifted joint LP
+        # one block-diagonal tableau below JOINT_SPLIT_ROWS and the two
+        # matrix-game LPs from there on, every model started with each
+        # inequality row on its slack, reaching the joint LP's optimum
         g = random_tpass(m, n, -1.0, 1.0, seed=97_000 + m + n)
         whole = lp.solve(build_joint_lp(g))
         real, models = lp.solve, []
@@ -338,18 +345,18 @@ class TestJointProgram:
 
     @pytest.mark.parametrize("m, n", [(8, 8), (30, 24), (48, 48), (64, 64), (200, 10)])
     def test_two_player_lps_take_the_joint_tableaus_path(self, m, n):
-        # the joint LP's two blocks share no variable, so its one tableau
-        # takes the pivots of the game's and the transposed game's primal
-        # LPs and reaches their vertices, on both sides of JOINT_SPLIT_ROWS
+        # the block-diagonal LP's two blocks share no variable, so its one
+        # tableau takes the pivots of the matrix-game LPs of Z and -Z' and
+        # reaches their vertices, on both sides of JOINT_SPLIT_ROWS
         g = random_tpass(m, n, -1.0, 1.0, seed=98_000 + m + n)
-        pi, _ = _feasible_start(g.A, g.pi)
-        rho, _ = _feasible_start(-g.A.T, g.rho)
-        joint = lp.solve(_joint_model(g.A, pi, rho))
-        row = lp.solve(_primal_model(g.A, pi, g.rho))
-        col = lp.solve(_primal_model(-g.A.T, rho, g.pi))
+        Z = zero_sum_matrix(g)
+        row_block, col_block = _onto_one_two(Z), _onto_one_two(-Z.T)
+        joint = lp.solve(_matrix_game_model(row_block, col_block))
+        row = lp.solve(_matrix_game_model(row_block))
+        col = lp.solve(_matrix_game_model(col_block))
         assert joint.iterations == row.iterations + col.iterations
-        assert np.abs(joint.x[m : m + n + 1] - row.x).max() <= 1e-9
-        assert np.abs(np.append(joint.x[:m], joint.x[-1]) - col.x).max() <= 1e-9
+        assert np.abs(joint.x[:n] - row.x).max() <= 1e-9
+        assert np.abs(joint.x[n:] - col.x).max() <= 1e-9
 
     def test_check_joint_dilemma_cases(self):
         g = dilemma()
@@ -382,23 +389,23 @@ def _worst_row_violation(model, x):
 class TestFeasibleStart:
     @pytest.mark.parametrize("k", range(-3, 4))
     def test_game_tableaus_start_on_their_logicals(self, tableaus, k):
-        # the joint LP's shifted bonuses leave only <= rows with a
-        # nonnegative right-hand side and the simplex rows: no surplus
-        # column, and one artificial per = row; the matrix-game LP has
-        # only <= rows of right-hand side 1, so no artificial at all
+        # every game LP is a matrix-game LP, of <= rows of right-hand
+        # side 1 only: no surplus column, no = row and no artificial, on
+        # one tableau below JOINT_SPLIT_ROWS and on two from there on
         rng = np.random.default_rng(k + 3)
-        for m, n in ((3, 5), (4, 4), (7, 2)):
+        for m, n in ((3, 5), (4, 4), (7, 2), (60, 40)):
             g = random_tpass(m, n, -1.0, 1.0, seed=int(rng.integers(1 << 32)))
             g = TpassGame(g.A * 10.0**k, g.pi * 10.0**k, g.rho * 10.0**k)
-            for solve, equalities in ((solve_equilibrium, 0), (solve_joint_lp, 2)):
+            split = m + n + 2 >= JOINT_SPLIT_ROWS
+            for solve, count in ((solve_equilibrium, 1), (solve_joint_lp, 2 if split else 1)):
                 tableaus.clear()
                 solve(g)
-                assert len(tableaus) == 1
-                tableau = tableaus[0]
-                model = tableau.model
-                assert tableau.n_cols == model.n_vars + int(model._free.sum())
-                assert int((model.rel == lp.EQ).sum()) == equalities
-                assert int(tableau.artificial.sum()) == equalities
+                assert len(tableaus) == count
+                for tableau in tableaus:
+                    model = tableau.model
+                    assert tableau.n_cols == model.n_vars
+                    assert int((model.rel == lp.EQ).sum()) == 0
+                    assert int(tableau.artificial.sum()) == 0
 
 
 class TestCertificateIdentities:

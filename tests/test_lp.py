@@ -148,12 +148,18 @@ class TestSolveBasics:
             )
 
     def test_overflowing_tableau_is_a_solver_failure(self):
-        # the feasible-start joint LP of a game at the float limit: its
-        # pivots overflow, and the ratio test meets a nan
+        # a joint LP with entries at the float limit: its pivots overflow,
+        # and the ratio test meets a nan
         A = np.array([[1e308, -1e308], [-1e308, 1e308]])
         model = _joint_model(A, np.full(2, -1e308), np.full(2, -1e308))
         with np.errstate(all="ignore"), pytest.raises(SolverFailure, match="non-finite"):
             lp.solve(model)
+
+    def test_a_nan_solution_fails_the_re_check(self):
+        model = lp.LpModel("max", [1, 1], [[1, 0], [0, 1]], ["<=", "<="], [1, 1])
+        nan = np.full(2, np.nan)
+        with pytest.raises(SolverFailure):
+            lp._verify(model, x=nan, duals=nan, objective_value=float("nan"), iterations=0)
 
 
 class TestDuals:
