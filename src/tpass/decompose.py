@@ -69,9 +69,19 @@ class DecompositionResult:
     max_residual: float
 
 
+def _payoff_sum(bg: BimatrixGame) -> np.ndarray:
+    """``S = B + C``, which must be finite: an overflowing sum raises
+    :class:`InputError` instead of a verdict read off ``inf`` entries."""
+    with np.errstate(over="ignore"):
+        S = bg.B + bg.C
+    if not np.isfinite(S).all():
+        raise InputError("payoffs overflow: B + C must be finite")
+    return S
+
+
 def default_separability_tol(bg: BimatrixGame) -> float:
     """Acceptance tolerance scaled by the payoff-sum magnitude."""
-    S = bg.B + bg.C
+    S = _payoff_sum(bg)
     return TOL_SEPARABLE * max(1.0, float(np.abs(S).max()))
 
 
@@ -92,7 +102,7 @@ def is_separable_sum(bg: BimatrixGame, tol: float | None = None) -> tuple[bool, 
         tol = default_separability_tol(bg)
     elif not 0 <= tol < np.inf:
         raise InputError("tol must be finite and nonnegative")
-    residual = _tetrad_residual(bg.B + bg.C)
+    residual = _tetrad_residual(_payoff_sum(bg))
     return residual <= tol, residual
 
 
@@ -112,7 +122,7 @@ def decompose(bg: BimatrixGame, tol: float | None = None) -> DecompositionResult
     ok, residual = is_separable_sum(bg, tol)
     if not ok:
         raise NotSeparable(residual, tol)
-    S = bg.B + bg.C
+    S = _payoff_sum(bg)
     rho_1 = S[0, 0] / 2.0
     pi = S[:, 0] - rho_1
     rho = S[0, :] - pi[0]

@@ -61,20 +61,16 @@ this is a genuine linear program.  Premultiplying the blocks by ``p``
 and ``q`` shows the objective equals ``-(alpha - payoff_row) -
 (beta - payoff_col) <= 0`` at every feasible point; equilibria are
 exactly the feasible points reaching 0, and the optimum is always 0
-because an equilibrium always exists.  The two blocks share no
-variable: the joint LP is the game's primal LP over ``(q, alpha)`` and
-the transposed game's over ``(p, beta)`` side by side, and its optimum
-is the sum of theirs, zero by the strong duality of the pair.  Those two
-are the matrix games of ``Z`` and of ``-Z'``, so :func:`solve_joint_lp`
-solves the matrix-game LPs of both, each mapped onto ``[1, 2]`` on its
-own: on one block-diagonal tableau below :data:`JOINT_SPLIT_ROWS` joint
-rows and as two LPs from there on, with the same pivots either way.
-``q`` and ``p`` are the two blocks' ``y`` normalized to sum 1, ``alpha``
-and ``beta`` their best-response values as above, and the joint optimum
-``(rho.q - alpha) + (pi.p - beta)``.  No game LP has an ``=`` row or a
-free variable, so none runs phase 1, and both routes are independent of
-the game's scale and gauge.  The joint route's checks are the zero joint
-optimum and, in the tests, scipy's HiGHS.
+because an equilibrium always exists.  Its two blocks share no
+variable: they are the primal LP and the dual LP with its objective
+negated, side by side, so its optima are exactly the primal-dual optimal
+pairs of the LP pair, where the two objectives meet at zero.  The
+matrix-game LP's values and multipliers give such a pair, so
+:func:`solve_joint_lp` solves no second LP: it reads ``(p, q, alpha,
+beta)`` off the matrix-game LP that :func:`solve_equilibrium` solves,
+and the joint optimum ``(rho.q - alpha) + (pi.p - beta)`` off that
+pair.  The joint route's checks are the zero joint optimum and, in the
+tests, scipy's HiGHS.
 
 Certification: a pair is an equilibrium exactly when it solves the LP
 pair, and exactly when it reaches the joint LP's zero optimum.  So the
@@ -112,22 +108,16 @@ from .game import (
     zero_sum_matrix,
 )
 
-# Joint LP row count (m + n + 2) from which solve_joint_lp solves its two
-# matrix-game LPs one after the other instead of on one block-diagonal
-# tableau: below it, one tableau's single set-up and extract cost less
-# than the zero blocks its pivots sweep.
-JOINT_SPLIT_ROWS = 96
-
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumSolution:
     """A certified equilibrium with its LP provenance.
 
-    ``alpha`` and ``beta`` are the players' equilibrium payoffs,
-    ``lp_value`` the optimum of the primal LP, ``rho.q - alpha = -value(Z)``,
-    for :func:`solve_equilibrium` and of the joint LP, ``(rho.q - alpha) +
-    (pi.p - beta)``, for :func:`solve_joint_lp` (each read off the pair
-    its matrix-game LPs give), and ``slackness_residual``
+    ``alpha`` and ``beta`` are the players' equilibrium payoffs, read
+    with ``p`` and ``q`` off the matrix-game LP.  ``lp_value`` is the
+    primal LP's optimum ``rho.q - alpha = -value(Z)`` for
+    :func:`solve_equilibrium` and the joint LP's ``(rho.q - alpha) +
+    (pi.p - beta)`` for :func:`solve_joint_lp`.  ``slackness_residual`` is
     the worst violation of the optimality identities ``alpha = p.Aq +
     p.pi`` and ``beta = -p.Aq + rho.q``.  ``report`` is the
     :func:`is_equilibrium` certificate of exactly ``p`` and ``q``; the
@@ -230,25 +220,22 @@ def _onto_one_two(Z: np.ndarray) -> np.ndarray:
     return 1.0 + (Z - low) / width
 
 
-def _matrix_game_model(*blocks: np.ndarray) -> lp.LpModel:
-    """The matrix-game LP of each block ``Zh``, side by side: maximize
-    ``1'y`` subject to ``Zh y <= 1`` and ``y >= 0``, with the blocks on
-    the diagonal of one constraint matrix and ``y`` in block order."""
-    m, n = np.sum([Zh.shape for Zh in blocks], axis=0)
-    M = np.zeros((m, n))
-    i = j = 0
-    for Zh in blocks:
-        M[i : i + Zh.shape[0], j : j + Zh.shape[1]] = Zh
-        i, j = i + Zh.shape[0], j + Zh.shape[1]
-    return lp.LpModel(lp.MAX, np.ones(n), M, np.full(m, lp.LE), np.ones(m))
+def _matrix_game_pair(game: TpassGame, route: str) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``(p, q, alpha, beta)`` off the game's matrix-game LP: maximize
+    ``1'y`` subject to ``Zh y <= 1`` and ``y >= 0``.
 
-
-def _read_pair(game: TpassGame, y_p: np.ndarray,
-               y_q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """``p`` and ``q`` as ``y_p`` and ``y_q`` normalized to sum 1, and the
-    players' best-response values ``alpha = max_i (A q + pi)_i`` and
-    ``beta = max_j (rho - A' p)_j`` against them."""
-    p, q = y_p / y_p.sum(), y_q / y_q.sum()
+    ``q`` is the LP's values and ``p`` its row multipliers, each
+    normalized to sum 1; ``alpha = max_i (A q + pi)_i`` and ``beta =
+    max_j (rho - A' p)_j`` are the players' best-response values against
+    them.  An LP that does not end optimal raises :class:`SolverFailure`
+    naming ``route``.
+    """
+    Zh = _onto_one_two(zero_sum_matrix(game))
+    m, n = Zh.shape
+    sol = lp.solve(lp.LpModel(lp.MAX, np.ones(n), Zh, np.full(m, lp.LE), np.ones(m)))
+    if sol.status != lp.OPTIMAL:
+        raise SolverFailure(f"{route} LP terminated {sol.status}; the program is always solvable")
+    p, q = sol.duals / sol.duals.sum(), sol.x / sol.x.sum()
     return p, q, float((game.A @ q + game.pi).max()), float((game.rho - game.A.T @ p).max())
 
 
@@ -266,16 +253,8 @@ def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> Equilibr
     :class:`InputError` before any work.
     """
     _check_tol(tol)
-    sol = _solved(_matrix_game_model(_onto_one_two(zero_sum_matrix(game))), "primal")
-    p, q, alpha, beta = _read_pair(game, sol.duals, sol.x)
+    p, q, alpha, beta = _matrix_game_pair(game, "primal")
     return _certified(game, "primal", p, q, alpha, beta, float(game.rho @ q) - alpha, tol)
-
-
-def _solved(model: lp.LpModel, route: str) -> lp.LpSolution:
-    sol = lp.solve(model)
-    if sol.status != lp.OPTIMAL:
-        raise SolverFailure(f"{route} LP terminated {sol.status}; the program is always solvable")
-    return sol
 
 
 def _certified(game: TpassGame, route: str, p: np.ndarray, q: np.ndarray, alpha: float,
@@ -338,34 +317,24 @@ def check_joint_lp(game: TpassGame, p, q, tol: float = TOL_EQUILIBRIUM) -> bool:
 
 
 def solve_joint_lp(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> tuple[EquilibriumSolution, float]:
-    """Solve the joint program and read an equilibrium off its optimum.
+    """Read an optimum of the joint program, and an equilibrium, off the
+    matrix-game LP.
 
-    The joint LP is the game's primal LP over ``(q, alpha)`` and the
-    transposed game's over ``(p, beta)`` side by side, which are the
-    matrix-game LPs of ``Z`` and of ``-Z'``.  A pivot in one block leaves
-    the other's rows, columns and reduced costs as they were, so one
-    block-diagonal tableau only interleaves the two pivot paths.  Below
-    :data:`JOINT_SPLIT_ROWS` joint rows the solve is that one tableau;
-    from there on it is the two LPs, which take the same pivots without
-    sweeping the tableau's zero blocks.  ``q`` and ``p`` are the blocks'
-    values normalized to sum 1.
+    The joint LP is the primal LP over ``(q, alpha)`` and the negated
+    dual LP over ``(p, beta)`` side by side, so its optima are the LP
+    pair's primal-dual optimal pairs.  The matrix-game LP that
+    :func:`solve_equilibrium` solves gives one: ``q`` from its values and
+    ``p`` from its multipliers, with no second LP.
 
     Returns the certified solution together with the joint optimum
     ``(rho.q - alpha) + (pi.p - beta)``, which must vanish within ``tol``
     by the strong duality of the pair: the pair is certified first, and
     a nonzero optimum then signals a numerical problem and raises
-    :class:`CertificationFailure`.  ``tol`` must be positive and finite,
-    as for :func:`solve_equilibrium`.
+    :class:`CertificationFailure`.  Failures name route ``joint``.
+    ``tol`` must be positive and finite, as for :func:`solve_equilibrium`.
     """
     _check_tol(tol)
-    m, n = game.shape
-    Z = zero_sum_matrix(game)
-    blocks = (_onto_one_two(Z), _onto_one_two(-Z.T))
-    if m + n + 2 >= JOINT_SPLIT_ROWS:
-        y = np.concatenate([_solved(_matrix_game_model(Zh), "joint").x for Zh in blocks])
-    else:
-        y = _solved(_matrix_game_model(*blocks), "joint").x
-    p, q, alpha, beta = _read_pair(game, y[n:], y[:n])
+    p, q, alpha, beta = _matrix_game_pair(game, "joint")
     value = (float(game.rho @ q) - alpha) + (float(game.pi @ p) - beta)
     solution = _certified(game, "joint", p, q, alpha, beta, value, tol)
     if abs(value) > tol:

@@ -139,6 +139,22 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("error: payoffs overflow")
 
+    # a constant-sum game whose entries are finite but whose B + C is not
+    OVERFLOWING_SUM = ('{"kind": "bimatrix", "B": [[1e308, 1e308], [1e308, 1e308]], '
+                       '"C": [[1e308, 1e308], [1e308, 1e308]]}')
+
+    @pytest.mark.parametrize("command", ["decompose", "solve"])
+    def test_overflowing_payoff_sum_exits_2(self, write, capsys, command):
+        assert main([command, write(self.OVERFLOWING_SUM)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: payoffs overflow")
+        assert "Traceback" not in captured.err
+
+    def test_enumerate_never_forms_the_payoff_sum(self, write, capsys):
+        assert main(["enumerate", write(self.OVERFLOWING_SUM)]) == 0
+        assert "equilibrium(s) found" in capsys.readouterr().out
+
     @pytest.mark.parametrize("method, message", [
         ("primal", "primal LP solution failed the best-response check"),
         ("joint", "joint LP solution failed the best-response check"),

@@ -6,9 +6,6 @@ from hypothesis import strategies as st
 from tpass import lp
 from tpass.demo import dilemma
 from tpass.equilibrium import (
-    JOINT_SPLIT_ROWS,
-    _matrix_game_model,
-    _onto_one_two,
     build_dual_lp,
     build_joint_lp,
     build_primal_lp,
@@ -24,7 +21,6 @@ from tpass.game import (
     payoff_col,
     payoff_row,
     random_tpass,
-    zero_sum_matrix,
 )
 
 from gamegen import games, random_games, random_simplex
@@ -320,9 +316,8 @@ class TestJointProgram:
 
     @pytest.mark.parametrize("m, n", [(25, 25), (26, 26), (30, 24), (64, 64), (200, 10)])
     def test_one_feasible_tableau_matches_the_joint_lp(self, monkeypatch, m, n):
-        # one block-diagonal tableau below JOINT_SPLIT_ROWS and the two
-        # matrix-game LPs from there on, every model started with each
-        # inequality row on its slack, reaching the joint LP's optimum
+        # one matrix-game LP for every shape, started with each inequality
+        # row on its slack, reaching the joint LP's optimum
         g = random_tpass(m, n, -1.0, 1.0, seed=97_000 + m + n)
         whole = lp.solve(build_joint_lp(g))
         real, models = lp.solve, []
@@ -333,7 +328,7 @@ class TestJointProgram:
 
         monkeypatch.setattr(lp, "solve", recorded)
         sol, value = solve_joint_lp(g)
-        assert len(models) == (2 if m + n + 2 >= JOINT_SPLIT_ROWS else 1)
+        assert len(models) == 1
         for model in models:
             assert model.b[model.rel == lp.LE].min() >= 0.0
         x = whole.x
@@ -343,20 +338,22 @@ class TestJointProgram:
         assert sol.beta == pytest.approx(x[m + n + 1], abs=1e-9)
         assert value == pytest.approx(whole.objective_value, abs=1e-9)
 
-    @pytest.mark.parametrize("m, n", [(8, 8), (30, 24), (48, 48), (64, 64), (200, 10)])
-    def test_two_player_lps_take_the_joint_tableaus_path(self, m, n):
-        # the block-diagonal LP's two blocks share no variable, so its one
-        # tableau takes the pivots of the matrix-game LPs of Z and -Z' and
-        # reaches their vertices, on both sides of JOINT_SPLIT_ROWS
-        g = random_tpass(m, n, -1.0, 1.0, seed=98_000 + m + n)
-        Z = zero_sum_matrix(g)
-        row_block, col_block = _onto_one_two(Z), _onto_one_two(-Z.T)
-        joint = lp.solve(_matrix_game_model(row_block, col_block))
-        row = lp.solve(_matrix_game_model(row_block))
-        col = lp.solve(_matrix_game_model(col_block))
-        assert joint.iterations == row.iterations + col.iterations
-        assert np.abs(joint.x[:n] - row.x).max() <= 1e-9
-        assert np.abs(joint.x[n:] - col.x).max() <= 1e-9
+    @pytest.mark.parametrize("m, n", [(4, 4), (60, 40), (200, 10)])
+    def test_joint_optimum_is_the_matrix_game_lp_and_its_duals(self, tableaus, m, n):
+        # the joint LP's optima are the LP pair's primal-dual pairs, so the
+        # joint route reads its pair off the primal route's one LP
+        g = random_tpass(m, n, -1.0, 1.0, seed=99_000 + m + n)
+        primal = solve_equilibrium(g)
+        tableaus.clear()
+        sol, value = solve_joint_lp(g)
+        assert len(tableaus) == 1
+        assert np.array_equal(sol.p.weights, primal.p.weights)
+        assert np.array_equal(sol.q.weights, primal.q.weights)
+        assert (sol.alpha, sol.beta) == (primal.alpha, primal.beta)
+        # p is cleaned of roundoff after the value is read off the LP
+        assert value == pytest.approx(
+            primal.lp_value + (float(g.pi @ primal.p.weights) - primal.beta), abs=1e-14
+        )
 
     def test_check_joint_dilemma_cases(self):
         g = dilemma()
@@ -391,16 +388,15 @@ class TestFeasibleStart:
     def test_game_tableaus_start_on_their_logicals(self, tableaus, k):
         # every game LP is a matrix-game LP, of <= rows of right-hand
         # side 1 only: no surplus column, no = row and no artificial, on
-        # one tableau below JOINT_SPLIT_ROWS and on two from there on
+        # one tableau on both routes, for every shape
         rng = np.random.default_rng(k + 3)
         for m, n in ((3, 5), (4, 4), (7, 2), (60, 40)):
             g = random_tpass(m, n, -1.0, 1.0, seed=int(rng.integers(1 << 32)))
             g = TpassGame(g.A * 10.0**k, g.pi * 10.0**k, g.rho * 10.0**k)
-            split = m + n + 2 >= JOINT_SPLIT_ROWS
-            for solve, count in ((solve_equilibrium, 1), (solve_joint_lp, 2 if split else 1)):
+            for solve in (solve_equilibrium, solve_joint_lp):
                 tableaus.clear()
                 solve(g)
-                assert len(tableaus) == count
+                assert len(tableaus) == 1
                 for tableau in tableaus:
                     model = tableau.model
                     assert tableau.n_cols == model.n_vars
