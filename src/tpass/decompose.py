@@ -86,10 +86,15 @@ def default_separability_tol(bg: BimatrixGame) -> float:
 
 
 def _tetrad_residual(S: np.ndarray) -> float:
+    # S is first scaled by a power of two to max|S| < 1, which is exact
+    # and keeps the differences finite; the residual is scaled back.
     # Row 1 and column 1 of D are exactly zero by construction, so 1 x n
     # and m x 1 games always come out exactly separable.
+    exponent = np.frexp(np.abs(S).max())[1]
+    S = np.ldexp(S, -exponent)
     D = (S - S[:, :1]) - (S[:1, :] - S[0, 0])
-    return float(np.abs(D).max())
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.abs(D).max(), exponent))
 
 
 def is_separable_sum(bg: BimatrixGame, tol: float | None = None) -> tuple[bool, float]:

@@ -151,6 +151,17 @@ class TestSolve:
         assert captured.err.startswith("error: payoffs overflow")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command, line", [
+        ("decompose", "separable: yes (tetrad residual 0)"),
+        ("solve", "equilibrium check: pass"),
+    ], ids=["decompose", "solve"])
+    def test_separable_payoff_sum_at_the_float_limit_exits_0(self, write, capsys, command, line):
+        # a 1 x 2 game is separable; its tetrad differences must not
+        # overflow (pytest turns a RuntimeWarning into an error)
+        path = write('{"kind": "bimatrix", "B": [[1e308, -1e308]], "C": [[0, 0]]}')
+        assert main([command, path]) == 0
+        assert line in capsys.readouterr().out
+
     def test_enumerate_never_forms_the_payoff_sum(self, write, capsys):
         assert main(["enumerate", write(self.OVERFLOWING_SUM)]) == 0
         assert "equilibrium(s) found" in capsys.readouterr().out

@@ -61,6 +61,19 @@ class TestSeparability:
         assert is_separable_sum(row) == (True, 0.0)
         assert is_separable_sum(col) == (True, 0.0)
 
+    def test_payoffs_at_the_float_limit_keep_their_residual(self):
+        # S - S[:, :1] of [[1e308, -1e308]] is -inf unless S is scaled first
+        bg = BimatrixGame([[1e308, -1e308]], [[0.0, 0.0]])
+        assert is_separable_sum(bg) == (True, 0.0)
+        assert decompose(bg).max_residual == 0.0
+        # a power-of-two scale near the limit scales the residual exactly
+        near = dilemma_near_miss()
+        big = BimatrixGame(np.ldexp(near.B, 1020), np.ldexp(near.C, 1020))
+        assert is_separable_sum(big)[1] == np.ldexp(1.5, 1020)
+        # a residual beyond the float range reads inf, not nan
+        huge = BimatrixGame([[1e308, -1e308], [0.0, 1e308]], np.zeros((2, 2)))
+        assert is_separable_sum(huge) == (False, np.inf)
+
     def test_negative_tol_rejected(self):
         with pytest.raises(InputError):
             is_separable_sum(compose(dilemma()), tol=-1.0)

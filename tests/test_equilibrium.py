@@ -229,6 +229,16 @@ class TestSolveEquilibrium:
                               "payoff_row", "payoff_col"):
                     assert getattr(sol.report, field) == getattr(report, field)
 
+    def test_large_games_take_few_pivots(self, tableaus):
+        # steepest-edge pricing solves these 36 matrix-game LPs in 267
+        # pivots, where Dantzig's rule took 425; lower the bound as the
+        # count falls, never raise it
+        for shape in ((64, 64), (200, 10), (10, 200)):
+            for seed in range(12):
+                solve_equilibrium(random_tpass(*shape, -1.0, 1.0, seed=seed))
+        assert len(tableaus) == 36
+        assert sum(t.iterations for t in tableaus) <= 267
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_solvers_reject_a_bad_tol(self, tol):
         for solve in (solve_equilibrium, solve_joint_lp):

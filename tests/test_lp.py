@@ -114,8 +114,8 @@ class TestSolveBasics:
 
     def test_beale_degenerate_terminates(self):
         # classic cycling instance for textbook Dantzig pricing; this
-        # solver's Dantzig rule solves it in 2 pivots and never switches
-        # to Bland (TestTableauBranches::test_bland_switch forces it)
+        # solver's steepest-edge rule solves it in 2 pivots and never
+        # switches to Bland (TestTableauBranches::test_bland_switch forces it)
         model = lp.LpModel(
             lp.MIN,
             [-0.75, 150.0, -0.02, 6.0],
@@ -333,29 +333,44 @@ class TestTableauBranches:
         assert sol.objective_value == np.inf
 
     @pytest.mark.parametrize(
-        "model",
+        "model, false_ray, optimum",
         [
             # optimum 1 at x = 1000, but the column [1e-12] has no entry
-            # above PIVOT_EPS, so the solver cannot pivot on it
-            lp.LpModel(lp.MAX, [1e-3], [[1e-12]], [lp.LE], [1e-9]),
-            # optimum 0; after three pivots on entries near 1e6 a surplus
-            # column prices at -2.3e-10, pure roundoff, over a
-            # nonpositive column
-            lp.LpModel(
-                lp.MAX,
-                [-2.0, 1.0, 2.0, -2.0],
-                [[0.0, -1e-6, -2e-6, 1e-6], [1e-6, 2e-6, -1e-6, 2e-6]],
-                [lp.GE, lp.GE],
-                [0.0, 1.0],
-                (lp.NONNEG, lp.NONNEG, lp.FREE, lp.NONNEG),
+            # above PIVOT_EPS, so the solver cannot pivot on it and offers
+            # the column as a ray
+            (lp.LpModel(lp.MAX, [1e-3], [[1e-12]], [lp.LE], [1e-9]), [1.0], None),
+            # optimum 0 at x = [0, 4e5, -2e5, 0], which steepest edge
+            # reaches in 2 pivots; Dantzig's rule pivoted on entries near
+            # 1e6 until a surplus column priced at -2.3e-10, pure
+            # roundoff, over a nonpositive column, and offered this ray
+            (
+                lp.LpModel(
+                    lp.MAX,
+                    [-2.0, 1.0, 2.0, -2.0],
+                    [[0.0, -1e-6, -2e-6, 1e-6], [1e-6, 2e-6, -1e-6, 2e-6]],
+                    [lp.GE, lp.GE],
+                    [0.0, 1.0],
+                    (lp.NONNEG, lp.NONNEG, lp.FREE, lp.NONNEG),
+                ),
+                [0.0, 4e5, -2e5, 0.0],
+                [0.0, 4e5, -2e5, 0.0],
             ),
         ],
         ids=["tiny-column", "roundoff-reduced-cost"],
     )
-    def test_false_ray_is_refused(self, model):
-        # neither model is unbounded: the ray re-check must refuse
+    def test_false_ray_is_refused(self, model, false_ray, optimum):
+        # neither model is unbounded: the ray re-check refuses the ray
         with pytest.raises(SolverFailure, match="ray fails the re-check"):
-            lp.solve(model)
+            lp._verify_ray(model, np.array(false_ray), 0)
+        if optimum is None:
+            with pytest.raises(SolverFailure, match="ray fails the re-check"):
+                lp.solve(model)
+            return
+        sol = lp.solve(model)
+        assert sol.status == lp.OPTIMAL
+        assert sol.iterations == 2
+        assert sol.objective_value == 0.0
+        assert np.allclose(sol.x, optimum, rtol=1e-15, atol=0.0)
 
     def test_drive_out_pivot(self, drive_outs):
         model = lp.LpModel(
@@ -389,8 +404,8 @@ class TestTableauBranches:
         assert sol.duals.tolist() == duals
 
     def test_tiny_pivot_gives_way_to_a_stable_one(self, monkeypatch):
-        # x1 prices best, but its ratio-test pivot is 1e-9; Dantzig takes
-        # x2 first, Bland the tiny pivot.
+        # x1 prices best under steepest edge, but its ratio-test pivot is
+        # 1e-9; the stability scan takes x2 first, Bland the tiny pivot.
         model = lp.LpModel(lp.MAX, [10.0, 1.0], [[1e-9, 1.0], [1.0, 0.0]], [lp.LE, lp.LE],
                            [1e-9, 5.0])
         tableau = lp._Tableau(model)

@@ -159,8 +159,9 @@ def test_scaled_lps_match_highs_or_fail(k, part):
 def test_large_scale_statuses_match_highs():
     """With every entry of the random LPs times 10^6, the phase-1 optimum
     of a feasible LP can end a roundoff of those entries below zero.
-    Every status not refused must still be HiGHS's.  31 of these LPs
-    still raise "phase 1 terminated unbounded" (ROADMAP item 3(b))."""
+    Every status not refused must still be HiGHS's.  25 of these LPs are
+    still refused, 23 of them with "phase 1 terminated unbounded" (ROADMAP
+    item 3(b))."""
     rng = np.random.default_rng(5)
     wrong = []
     refused = 0
@@ -179,4 +180,4 @@ def test_large_scale_statuses_match_highs():
         ):
             wrong.append(index)
     assert wrong == []
-    assert refused <= 31
+    assert refused <= 25
