@@ -45,9 +45,9 @@ textbook LP of a positive matrix game (Dantzig 1951)::
 
 whose every row starts on its slack, so it needs no phase 1.  ``q = y /
 1'y``, the row multipliers normalized the same way are ``p``, and
-``alpha``, ``beta`` and the primal optimum are read off the pair.  A
-scale or a gauge shift of the game changes ``Zh`` only by roundoff, so
-the solve does not depend on either.
+``alpha``, ``beta`` and the primal optimum are read off the pair's
+certificate (below).  A scale or a gauge shift of the game changes
+``Zh`` only by roundoff, so the solve does not depend on either.
 
 **Joint LP** over ``(p, q, alpha, beta)``, all of the above at once::
 
@@ -67,10 +67,12 @@ negated, side by side, so its optima are exactly the primal-dual optimal
 pairs of the LP pair, where the two objectives meet at zero.  The
 matrix-game LP's values and multipliers give such a pair, so
 :func:`solve_joint_lp` solves no second LP: it reads ``(p, q, alpha,
-beta)`` off the matrix-game LP that :func:`solve_equilibrium` solves,
-and the joint optimum ``(rho.q - alpha) + (pi.p - beta)`` off that
-pair.  The joint route's checks are the zero joint optimum and, in the
-tests, scipy's HiGHS.
+beta)`` off the matrix-game LP that :func:`solve_equilibrium` solves.
+With ``alpha`` and ``beta`` the best-response values, the joint optimum
+``(rho.q - alpha) + (pi.p - beta)`` is ``-(row_violation +
+col_violation)`` of the pair's certificate, so the joint route's checks
+are that certificate, its zero optimum at ``tol`` and, in the tests,
+scipy's HiGHS.
 
 Certification: a pair is an equilibrium exactly when it solves the LP
 pair, and exactly when it reaches the joint LP's zero optimum.  So the
@@ -78,11 +80,14 @@ LP-pair and joint-LP certificates are the best-response gaps of
 :func:`tpass.game.is_equilibrium` under other names, and they are
 computed once: :func:`verify_lp_pair` returns its report and
 :func:`check_joint_lp` its verdict, and their docstrings state the
-identities.  Both solvers end in one tail: the simplex points read off
-the LP are cleaned of roundoff and certified at ``tol``, a failure
-raises :class:`CertificationFailure` naming the route (primal or
-joint), and the slackness residual compares the LP's ``alpha`` and
-``beta`` with the payoffs the certificate computed.
+identities.  Both solvers run one body, which solves the matrix-game
+LP, cleans the simplex points read off it of roundoff and certifies
+them at ``tol``; a failure raises :class:`CertificationFailure` naming
+the route (primal or joint).  Every other number is read off that one
+report: ``alpha = payoff_row + row_violation``, ``beta = payoff_col +
+col_violation``, the primal optimum ``rho.q - alpha``, the joint
+optimum ``-(row_violation + col_violation)`` and the slackness residual,
+the larger of the two gaps.
 
 Multiplicity: these LPs can have many optima (one per equilibrium, plus
 faces between them).  The solvers return the single vertex selected by
@@ -92,7 +97,7 @@ module's job at small sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,13 +118,17 @@ from .game import (
 class EquilibriumSolution:
     """A certified equilibrium with its LP provenance.
 
-    ``alpha`` and ``beta`` are the players' equilibrium payoffs, read
-    with ``p`` and ``q`` off the matrix-game LP.  ``lp_value`` is the
-    primal LP's optimum ``rho.q - alpha = -value(Z)`` for
+    ``alpha = max_i (A q + pi)_i`` and ``beta = max_j (rho - A' p)_j``
+    are the players' best-response values, read off the certificate as
+    ``payoff_row + row_violation`` and ``payoff_col + col_violation``;
+    at an equilibrium they are its payoffs.  ``lp_value`` is the primal
+    LP's optimum ``rho.q - alpha = -value(Z)`` for
     :func:`solve_equilibrium` and the joint LP's ``(rho.q - alpha) +
-    (pi.p - beta)`` for :func:`solve_joint_lp`.  ``slackness_residual`` is
-    the worst violation of the optimality identities ``alpha = p.Aq +
-    p.pi`` and ``beta = -p.Aq + rho.q``.  ``report`` is the
+    (pi.p - beta) = -(row_violation + col_violation)`` for
+    :func:`solve_joint_lp`.  ``slackness_residual`` is the worst
+    violation of the optimality identities ``alpha = p.Aq + p.pi`` and
+    ``beta = -p.Aq + rho.q``: the certificate's two gaps under another
+    name, ``max(|row_violation|, |col_violation|)``.  ``report`` is the
     :func:`is_equilibrium` certificate of exactly ``p`` and ``q``; the
     solvers always set it.
     """
@@ -220,23 +229,36 @@ def _onto_one_two(Z: np.ndarray) -> np.ndarray:
     return 1.0 + (Z - low) / width
 
 
-def _matrix_game_pair(game: TpassGame, route: str) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """``(p, q, alpha, beta)`` off the game's matrix-game LP: maximize
-    ``1'y`` subject to ``Zh y <= 1`` and ``y >= 0``.
-
-    ``q`` is the LP's values and ``p`` its row multipliers, each
-    normalized to sum 1; ``alpha = max_i (A q + pi)_i`` and ``beta =
-    max_j (rho - A' p)_j`` are the players' best-response values against
-    them.  An LP that does not end optimal raises :class:`SolverFailure`
-    naming ``route``.
+def _certified(game: TpassGame, route: str, tol: float) -> EquilibriumSolution:
+    """The certified solution off the game's matrix-game LP, maximize
+    ``1'y`` subject to ``Zh y <= 1`` and ``y >= 0``: ``(p, q)`` from its
+    normalized multipliers and values, and every other number from their
+    :func:`is_equilibrium` report.  Failures name ``route``.
     """
+    _check_tol(tol)
     Zh = _onto_one_two(zero_sum_matrix(game))
     m, n = Zh.shape
     sol = lp.solve(lp.LpModel(lp.MAX, np.ones(n), Zh, np.full(m, lp.LE), np.ones(m)))
     if sol.status != lp.OPTIMAL:
         raise SolverFailure(f"{route} LP terminated {sol.status}; the program is always solvable")
-    p, q = sol.duals / sol.duals.sum(), sol.x / sol.x.sum()
-    return p, q, float((game.A @ q + game.pi).max()), float((game.rho - game.A.T @ p).max())
+    p = _clean_simplex(sol.duals / sol.duals.sum(), tol, "p")
+    q = _clean_simplex(sol.x / sol.x.sum(), tol, "q")
+    report = is_equilibrium(game, p, q, tol)
+    if not report.is_equilibrium:
+        raise CertificationFailure(
+            f"{route} LP solution failed the best-response check "
+            f"(max violation {report.max_violation:.3g} at tol {tol:g})"
+        )
+    alpha = report.payoff_row + report.row_violation
+    return EquilibriumSolution(
+        p,
+        q,
+        alpha,
+        report.payoff_col + report.col_violation,
+        lp_value=float(game.rho @ q.weights) - alpha,
+        slackness_residual=max(abs(report.row_violation), abs(report.col_violation)),
+        report=report,
+    )
 
 
 def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> EquilibriumSolution:
@@ -252,36 +274,7 @@ def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> Equilibr
     ``primal``; a ``tol`` that is not positive and finite raises
     :class:`InputError` before any work.
     """
-    _check_tol(tol)
-    p, q, alpha, beta = _matrix_game_pair(game, "primal")
-    return _certified(game, "primal", p, q, alpha, beta, float(game.rho @ q) - alpha, tol)
-
-
-def _certified(game: TpassGame, route: str, p: np.ndarray, q: np.ndarray, alpha: float,
-               beta: float, lp_value: float, tol: float) -> EquilibriumSolution:
-    """The certified solution read off the ``route`` LP.
-
-    Cleans the simplex points into the strategies it returns, certifies
-    them with :func:`is_equilibrium` and measures the slackness residual
-    from the payoffs the certificate computed.
-    """
-    p = _clean_simplex(p, tol, "p")
-    q = _clean_simplex(q, tol, "q")
-    report = is_equilibrium(game, p, q, tol)
-    if not report.is_equilibrium:
-        raise CertificationFailure(
-            f"{route} LP solution failed the best-response check "
-            f"(max violation {report.max_violation:.3g} at tol {tol:g})"
-        )
-    return EquilibriumSolution(
-        p,
-        q,
-        alpha,
-        beta,
-        lp_value=lp_value,
-        slackness_residual=max(abs(report.payoff_row - alpha), abs(report.payoff_col - beta)),
-        report=report,
-    )
+    return _certified(game, "primal", tol)
 
 
 def verify_lp_pair(game: TpassGame, p, q, tol: float = TOL_EQUILIBRIUM) -> EquilibriumReport:
@@ -327,18 +320,18 @@ def solve_joint_lp(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> tuple[Equil
     ``p`` from its multipliers, with no second LP.
 
     Returns the certified solution together with the joint optimum
-    ``(rho.q - alpha) + (pi.p - beta)``, which must vanish within ``tol``
+    ``(rho.q - alpha) + (pi.p - beta)``, read off the certificate as
+    ``-(row_violation + col_violation)``.  It must vanish within ``tol``
     by the strong duality of the pair: the pair is certified first, and
     a nonzero optimum then signals a numerical problem and raises
     :class:`CertificationFailure`.  Failures name route ``joint``.
     ``tol`` must be positive and finite, as for :func:`solve_equilibrium`.
     """
-    _check_tol(tol)
-    p, q, alpha, beta = _matrix_game_pair(game, "joint")
-    value = (float(game.rho @ q) - alpha) + (float(game.pi @ p) - beta)
-    solution = _certified(game, "joint", p, q, alpha, beta, value, tol)
+    sol = _certified(game, "joint", tol)
+    # 0.0 - keeps an exact zero optimum +0.0, where a plain minus gives -0.0
+    value = 0.0 - (sol.report.row_violation + sol.report.col_violation)
     if abs(value) > tol:
         raise CertificationFailure(
             f"joint LP optimum {value:.3g} is nonzero beyond tol {tol:g}"
         )
-    return solution, value
+    return replace(sol, lp_value=value), value

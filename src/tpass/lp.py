@@ -397,17 +397,17 @@ class _Tableau:
 
     # -- result assembly ---------------------------------------------------
 
-    def _basis_solve(self, rhs: np.ndarray, duals: bool = False) -> tuple:
-        """Column values of ``B z = rhs`` and, if asked, the duals ``y``
-        of ``B' y = c_B``, with ``B`` the final basis matrix rebuilt from
-        the pristine data.
+    def _basis_solve(self, rhs: np.ndarray) -> tuple:
+        """Column values of ``B z = rhs`` and the duals ``y`` of ``B' y =
+        c_B``, with ``B`` the final basis matrix rebuilt from the pristine
+        data.
 
         A basic logical is the unit column of its row, of phase-2 cost 0,
         so the dual of that row is 0 and the row drops out.  The basic
         columns ``S`` of ``A0`` then solve the square system on the rows
         ``R`` left over: ``A0[R, S] z_S = rhs[R]`` and ``A0[R, S]' y_R =
         c_S``.  Returns ``z`` over the columns of ``A0``, zero off ``S``,
-        and ``y`` over the model rows, zero off ``R``, or None.
+        and ``y`` over the model rows, zero off ``R``.
         """
         basis = self.basis
         cols = basis[basis < self.n_cols]
@@ -417,15 +417,12 @@ class _Tableau:
         rows = np.flatnonzero(live)
         base = self.A0[rows[:, None], cols]
         z = np.zeros(self.n_cols)
-        y = np.zeros(self.model.n_rows) if duals else None
+        y = np.zeros(self.model.n_rows)
         try:
-            if duals:
-                z[cols], y[rows] = np.linalg.solve(
-                    np.stack([base, base.T]),
-                    np.stack([rhs[rows], self.phase2_costs[cols]])[:, :, None],
-                )[:, :, 0]
-            else:
-                z[cols] = np.linalg.solve(base, rhs[rows])
+            z[cols], y[rows] = np.linalg.solve(
+                np.stack([base, base.T]),
+                np.stack([rhs[rows], self.phase2_costs[cols]])[:, :, None],
+            )[:, :, 0]
         except np.linalg.LinAlgError:
             raise SolverFailure(
                 "final basis is numerically singular", iterations=self.iterations
@@ -447,7 +444,7 @@ class _Tableau:
         rather than the whole pivot history's.
         """
         model = self.model
-        values, duals = self._basis_solve(self.b0, duals=True)
+        values, duals = self._basis_solve(self.b0)
         x = self._recombine(values)
         duals *= self.sigma
         if not self.maximize:

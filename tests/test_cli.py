@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -60,6 +61,14 @@ class TestSolve:
         assert payload["p"] == [1.0, 0.0]
         assert payload["q"] == [1.0, 0.0]
         assert abs(payload["objective"]) <= 1e-12
+
+    def test_joint_zero_optimum_is_positive_zero(self, write, capsys):
+        path = write(DEMO_TPASS)
+        assert main(["solve", path, "--method", "joint"]) == 0
+        assert "objective = 0\n" in capsys.readouterr().out
+        assert main(["solve", path, "--method", "joint", "--format", "json"]) == 0
+        objective = json.loads(capsys.readouterr().out)["objective"]
+        assert objective == 0.0 and math.copysign(1.0, objective) == 1.0
 
     def test_fraction_and_decimal_files_print_identically(self, write, capsys):
         code_a = main(["solve", write(DEMO_TPASS, "a.json")])

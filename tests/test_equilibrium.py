@@ -360,10 +360,35 @@ class TestJointProgram:
         assert np.array_equal(sol.p.weights, primal.p.weights)
         assert np.array_equal(sol.q.weights, primal.q.weights)
         assert (sol.alpha, sol.beta) == (primal.alpha, primal.beta)
-        # p is cleaned of roundoff after the value is read off the LP
-        assert value == pytest.approx(
-            primal.lp_value + (float(g.pi @ primal.p.weights) - primal.beta), abs=1e-14
-        )
+        # the joint optimum (rho.q - alpha) + (pi.p - beta) off the certificate
+        assert value == 0.0 - (sol.report.row_violation + sol.report.col_violation)
+        assert sol.lp_value == value
+
+    def test_every_number_is_read_off_the_certificate(self):
+        for g in random_games(60, seed_base=41_000, rng_seed=6):
+            primal, (joint, value) = solve_equilibrium(g), solve_joint_lp(g)
+            for sol in (primal, joint):
+                r = sol.report
+                assert sol.alpha == r.payoff_row + r.row_violation
+                assert sol.beta == r.payoff_col + r.col_violation
+                assert sol.slackness_residual == max(abs(r.row_violation), abs(r.col_violation))
+            assert primal.lp_value == float(g.rho @ primal.q.weights) - primal.alpha
+            r = joint.report
+            assert value == joint.lp_value == 0.0 - (r.row_violation + r.col_violation)
+
+    @pytest.mark.parametrize("m, n, seed", [
+        (2, 5, 16647232389016630943),
+        (5, 8, 6709127753205321489),
+        (3, 6, 12378220232987519830),
+    ])
+    def test_zero_optimum_at_payoffs_near_1e9(self, m, n, seed):
+        # separately summed, (rho.q - alpha) + (pi.p - beta) left roundoff
+        # of these 10^9 payoffs beyond tol, though both gaps read exactly 0
+        g = random_tpass(m, n, -1.0, 1.0, seed)
+        g = TpassGame(g.A * 1e9, g.pi * 1e9, g.rho * 1e9)
+        sol, value = solve_joint_lp(g, 1e-8)
+        assert sol.report.is_equilibrium
+        assert value == 0.0
 
     def test_check_joint_dilemma_cases(self):
         g = dilemma()
