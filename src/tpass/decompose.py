@@ -79,22 +79,36 @@ def _payoff_sum(bg: BimatrixGame) -> np.ndarray:
     return S
 
 
+def _default_tol(size: float) -> float:
+    return TOL_SEPARABLE * max(1.0, size)
+
+
 def default_separability_tol(bg: BimatrixGame) -> float:
     """Acceptance tolerance scaled by the payoff-sum magnitude."""
-    S = _payoff_sum(bg)
-    return TOL_SEPARABLE * max(1.0, float(np.abs(S).max()))
+    return _default_tol(float(np.abs(_payoff_sum(bg)).max()))
 
 
-def _tetrad_residual(S: np.ndarray) -> float:
-    # S is first scaled by a power of two to max|S| < 1, which is exact
-    # and keeps the differences finite; the residual is scaled back.
+def _tetrad_residual(S: np.ndarray, size: float) -> float:
+    # S is first scaled by a power of two to max|S| = size < 1, which is
+    # exact and keeps the differences finite; the residual is scaled back.
     # Row 1 and column 1 of D are exactly zero by construction, so 1 x n
     # and m x 1 games always come out exactly separable.
-    exponent = np.frexp(np.abs(S).max())[1]
+    exponent = np.frexp(size)[1]
     S = np.ldexp(S, -exponent)
     D = (S - S[:, :1]) - (S[:1, :] - S[0, 0])
     with np.errstate(over="ignore"):
         return float(np.ldexp(np.abs(D).max(), exponent))
+
+
+def _separability(bg: BimatrixGame, tol: float | None) -> tuple[np.ndarray, float, float]:
+    """``(S, tol, residual)``: the payoff sum ``S``, formed once, the
+    tolerance (:func:`default_separability_tol` for ``None``) and the
+    tetrad residual."""
+    if tol is not None and not 0 <= tol < np.inf:
+        raise InputError("tol must be finite and nonnegative")
+    S = _payoff_sum(bg)
+    size = float(np.abs(S).max())
+    return S, _default_tol(size) if tol is None else tol, _tetrad_residual(S, size)
 
 
 def is_separable_sum(bg: BimatrixGame, tol: float | None = None) -> tuple[bool, float]:
@@ -103,11 +117,7 @@ def is_separable_sum(bg: BimatrixGame, tol: float | None = None) -> tuple[bool, 
     ``tol=None`` uses :func:`default_separability_tol`; any other
     ``tol`` must be finite and nonnegative.
     """
-    if tol is None:
-        tol = default_separability_tol(bg)
-    elif not 0 <= tol < np.inf:
-        raise InputError("tol must be finite and nonnegative")
-    residual = _tetrad_residual(_payoff_sum(bg))
+    _, tol, residual = _separability(bg, tol)
     return residual <= tol, residual
 
 
@@ -122,12 +132,9 @@ def decompose(bg: BimatrixGame, tol: float | None = None) -> DecompositionResult
     rebuilt ``C`` misses by more than ``(m + n) * tol`` plus a few ulps
     of the payoffs.
     """
-    if tol is None:
-        tol = default_separability_tol(bg)
-    ok, residual = is_separable_sum(bg, tol)
-    if not ok:
+    S, tol, residual = _separability(bg, tol)
+    if not residual <= tol:
         raise NotSeparable(residual, tol)
-    S = _payoff_sum(bg)
     rho_1 = S[0, 0] / 2.0
     pi = S[:, 0] - rho_1
     rho = S[0, :] - pi[0]

@@ -208,7 +208,7 @@ def _clean_simplex(v: np.ndarray, tol: float, name: str) -> MixedStrategy:
         raise CertificationFailure(
             f"{name} from the LP has a negative coordinate {low:.3g} beyond tol {tol:g}"
         )
-    v = np.clip(v, 0.0, None)
+    v = np.maximum(v, 0.0)
     total = v.sum()
     if abs(total - 1.0) > 10.0 * max(tol, 1e-9):
         raise CertificationFailure(f"{name} from the LP sums to {total}, expected 1")

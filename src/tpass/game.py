@@ -126,7 +126,7 @@ class MixedStrategy:
                 f"weights are off the probability simplex by {dev:.3g} "
                 f"(tolerance {TOL_SIMPLEX:g})"
             )
-        w = np.clip(w, 0.0, None)
+        w = np.maximum(w, 0.0)
         w = w / w.sum()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -179,11 +179,17 @@ def simplex_deviation(w: np.ndarray) -> float:
 
 
 def _weights_for(x, size: int, name: str) -> np.ndarray:
-    """Coerce a strategy-like input to a length-``size`` float vector."""
-    w = np.asarray(x.weights if isinstance(x, MixedStrategy) else x, dtype=float)
+    """Coerce a strategy-like input to a length-``size`` float vector.
+
+    A :class:`MixedStrategy`'s weights are taken as they are, after a
+    length check: the type already holds a read-only, finite simplex
+    point.
+    """
+    strategy = isinstance(x, MixedStrategy)
+    w = x.weights if strategy else np.asarray(x, dtype=float)
     if w.ndim != 1 or w.shape[0] != size:
         raise InputError(f"{name} must be a length-{size} vector, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not strategy and not np.all(np.isfinite(w)):
         raise InputError(f"{name} contains non-finite entries")
     return w
 

@@ -10,14 +10,23 @@ machinery.
 
 Solver design:
 
-* Free variables enter the tableau as a split ``x = x+ - x-``; reported
-  solutions recombine the halves.
-* Rows are normalized to nonnegative right-hand sides.  Each row has
-  one logical variable with a ``+1`` in that row: a slack on a ``<=``
-  row, an artificial on ``=`` and ``>=`` rows; a ``>=`` row also gets a
-  ``-1`` surplus column.  Phase 1 maximizes minus the artificial sum;
-  an artificial left above zero, relative to its row's right-hand
-  side, means infeasible.
+* A model encodes its relations once, as a row sign: ``+1`` for
+  ``<=``, ``-1`` for ``>=`` and ``0`` for ``=``.  The set-up, the
+  optimality re-check and the ray re-check read the sign; none compares
+  the relation strings again.
+* The set-up builds only what the model has.  Free variables, if any,
+  enter the tableau as a split ``x = x+ - x-``, and reported solutions
+  recombine the halves; with none, ``x`` is the first ``n`` tableau
+  values.  Rows with a negative right-hand side, if any, are negated so
+  every right-hand side is nonnegative.  Each row has one logical
+  variable with a ``+1`` in that row: a slack on a ``<=`` row, an
+  artificial on ``=`` and ``>=`` rows; a ``>=`` row also gets a ``-1``
+  surplus column.  Only when an artificial exists does phase 1 run, on
+  costs formed then: it maximizes minus the artificial sum, and an
+  artificial left above zero, relative to its row's right-hand side,
+  means infeasible.  The game LPs have ``<=`` rows of right-hand side 1
+  and nonnegative variables only, so their set-up is the payoff block,
+  the right-hand side and the cost row.
 * The tableau stores only the nonbasic columns (the dictionary form of
   the simplex method), with the right-hand side and the reduced-cost
   row.  The starting basis is the identity, the logicals, so the
@@ -115,7 +124,9 @@ class LpModel:
     or ``">="`` per row and ``b`` one right-hand side per row.
     ``bounds`` gives each variable's class, ``"nonneg"`` or ``"free"``;
     ``None`` means all nonnegative.  Every array is validated and stored
-    as a read-only copy.
+    as a read-only copy, and the relations are also kept as the private
+    row sign ``_row_sign`` (``+1``, ``-1`` or ``0``), next to the mask
+    ``_free`` of the free variables.
     """
 
     sense: str
@@ -125,6 +136,7 @@ class LpModel:
     b: np.ndarray
     bounds: tuple[str, ...] | None = None
     _free: np.ndarray = field(init=False, repr=False)
+    _row_sign: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.sense not in (MAX, MIN):
@@ -132,7 +144,7 @@ class LpModel:
         objective = _frozen(self.objective, float)
         if objective.ndim != 1 or objective.size == 0:
             raise InputError(f"objective must be a 1-d vector, got shape {objective.shape}")
-        if not np.all(np.isfinite(objective)):
+        if not np.isfinite(objective).all():
             raise InputError("objective contains non-finite entries")
         n = objective.shape[0]
         M = _frozen(self.M, float)
@@ -145,21 +157,28 @@ class LpModel:
                 f"constraint arrays have shapes M {M.shape}, rel {rel.shape}, b {b.shape}; "
                 f"expected (k, {n}), (k,), (k,)"
             )
-        if not (np.all(np.isfinite(M)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(M).all() and np.isfinite(b).all()):
             raise InputError("constraint arrays contain non-finite entries")
-        valid = (rel == LE) | (rel == EQ) | (rel == GE)
+        le, ge = rel == LE, rel == GE
+        valid = le | ge | (rel == EQ)
         if not valid.all():
             bad = rel[np.argmin(valid)]
             raise InputError(f"relation must be one of {_RELATIONS}, got {str(bad)!r}")
-        bounds = tuple(self.bounds) if self.bounds is not None else (NONNEG,) * n
-        if len(bounds) != n:
-            raise InputError(f"bounds has length {len(bounds)}, expected {n}")
-        for kind in bounds:
-            if kind not in _BOUND_KINDS:
-                raise InputError(f"variable bound must be one of {_BOUND_KINDS}, got {kind!r}")
+        if self.bounds is None:
+            bounds, free = (NONNEG,) * n, np.zeros(n, dtype=bool)
+        else:
+            bounds = tuple(self.bounds)
+            if len(bounds) != n:
+                raise InputError(f"bounds has length {len(bounds)}, expected {n}")
+            for kind in bounds:
+                if kind not in _BOUND_KINDS:
+                    raise InputError(f"variable bound must be one of {_BOUND_KINDS}, got {kind!r}")
+            free = np.array([kind == FREE for kind in bounds], dtype=bool)
+        free.setflags(write=False)
+        row_sign = le - ge.astype(float)
+        row_sign.setflags(write=False)
         for name, value in (("objective", objective), ("M", M), ("rel", rel), ("b", b),
-                            ("bounds", bounds),
-                            ("_free", _frozen([kind == FREE for kind in bounds], bool))):
+                            ("bounds", bounds), ("_free", free), ("_row_sign", row_sign)):
             object.__setattr__(self, name, value)
 
     @property
@@ -209,31 +228,44 @@ class _Tableau:
 
         m, n = model.n_rows, model.n_vars
         c = model.objective if self.maximize else -model.objective
+        rows, rhs, kind = model.M, model.b, model._row_sign
 
-        # Split free variables: x[j] = column pos_col[j] - column neg_col[j].
+        # Row normalization: nonnegative rhs, with the applied sign sigma
+        # kept so original duals can be recovered (None when no row is
+        # negated).  kind is +1 for <=, -1 for >= and 0 for = after the
+        # flip; a >= row gets a surplus column, and every row but a <= one
+        # an artificial logical.
+        flip = rhs < 0
+        self.sigma = None
+        if flip.any():
+            self.sigma = np.where(flip, -1.0, 1.0)
+            rows, rhs, kind = rows * self.sigma[:, None], rhs * self.sigma, kind * self.sigma
+        surplus = (kind < 0).nonzero()[0]
+
+        # Split free variables, if any: x[j] = column pos_col[j] - column
+        # neg_col[j].  With none, x[j] is column j.
         free = model._free
-        pos_col = np.arange(n) + np.cumsum(free) - free
-        neg_col = np.where(free, pos_col + 1, -1)
-        n_struct = n + int(free.sum())
-        self.pos_col = pos_col
-        self.neg_col = neg_col
-
-        # Row normalization: nonnegative rhs, with the applied sign kept
-        # so original duals can be recovered.  kind is +1 for <=, -1 for
-        # >= and 0 for = after the flip; a >= row gets a surplus column,
-        # and every row but a <= one an artificial logical.
-        sigma = np.where(model.b < 0, -1.0, 1.0)
-        kind = sigma * ((model.rel == LE).astype(float) - (model.rel == GE))
-        surplus = np.flatnonzero(kind < 0)
-        rows = model.M * sigma[:, None]
-        self.sigma = sigma
+        self.split = bool(free.any())
+        n_struct = n
+        if self.split:
+            self.pos_col = np.arange(n) + np.cumsum(free) - free
+            self.neg_col = np.where(free, self.pos_col + 1, -1)
+            n_struct += int(free.sum())
 
         n_cols = n_struct + surplus.size
         T = np.zeros((m + 1, n_cols + 1))
-        T[:m, pos_col] = rows
-        T[:m, neg_col[free]] = -rows[:, free]
-        T[surplus, np.arange(n_struct, n_cols)] = -1.0
-        T[:m, -1] = model.b * sigma
+        costs2 = np.zeros(n_cols + m)
+        if self.split:
+            T[:m, self.pos_col] = rows
+            T[:m, self.neg_col[free]] = -rows[:, free]
+            costs2[self.pos_col] = c
+            costs2[self.neg_col[free]] = -c[free]
+        else:
+            T[:m, :n] = rows
+            costs2[:n] = c
+        if surplus.size:
+            T[surplus, np.arange(n_struct, n_cols)] = -1.0
+        T[:m, -1] = rhs
 
         self.T = T
         self.basis = n_cols + np.arange(m)
@@ -241,18 +273,14 @@ class _Tableau:
         self.row_ids = np.arange(m)
         # Pristine structural and surplus columns and right-hand side,
         # for the final refactorization.
-        self.A0 = T[:m, :n_cols].copy()
-        self.b0 = T[:m, -1].copy()
+        self.A0 = T[:m, :n_cols].copy() if self.split or surplus.size else rows
+        self.b0 = rhs
         self.n_cols = n_cols
-        self.artificial = np.concatenate([np.zeros(n_cols, dtype=bool), kind <= 0])
+        self.artificial = np.zeros(n_cols + m, dtype=bool)
+        self.artificial[n_cols:] = kind <= 0
         # Whether each tableau column may enter the basis: artificials
         # that left it may not.
         self.enterable = np.ones(n_cols, dtype=bool)
-
-        self.phase1_costs = np.where(self.artificial, -1.0, 0.0)
-        costs2 = np.zeros(n_cols + m)
-        costs2[pos_col] = c
-        costs2[neg_col[free]] = -c[free]
         self.phase2_costs = costs2
 
     # -- tableau mechanics ------------------------------------------------
@@ -314,7 +342,7 @@ class _Tableau:
         """
         T = self.T
         reduced = T[-1, :-1]
-        favorable = np.flatnonzero(self.enterable & (reduced < -_RC_TOL))
+        favorable = (self.enterable & (reduced < -_RC_TOL)).nonzero()[0]
         if favorable.size == 0:
             return OPTIMAL
         ids = self.nonbasic[favorable]
@@ -327,7 +355,7 @@ class _Tableau:
         fallback = None
         for col in favorable[: self._SCAN_LIMIT].tolist():
             column = T[:-1, col]
-            rows = np.flatnonzero(column > PIVOT_EPS)
+            rows = (column > PIVOT_EPS).nonzero()[0]
             if rows.size == 0:
                 self.ray_col = int(self.nonbasic[col])
                 return UNBOUNDED
@@ -380,7 +408,7 @@ class _Tableau:
         # a pivot replaces only its own row's basic variable
         for ri in np.flatnonzero(self.artificial[self.basis]).tolist():
             row = T[ri, :-1]
-            candidates = np.flatnonzero(self.enterable & (np.abs(row) > PIVOT_EPS))
+            candidates = (self.enterable & (np.abs(row) > PIVOT_EPS)).nonzero()[0]
             if candidates.size:
                 # rhs is zero within phase 1's tolerance, so any pivot is
                 # degenerate-feasible; take the largest, ties to the lowest
@@ -414,15 +442,18 @@ class _Tableau:
         live = np.zeros(self.model.n_rows, dtype=bool)
         live[self.row_ids] = True
         live[basis[basis >= self.n_cols] - self.n_cols] = False
-        rows = np.flatnonzero(live)
-        base = self.A0[rows[:, None], cols]
+        rows = live.nonzero()[0]
         z = np.zeros(self.n_cols)
         y = np.zeros(self.model.n_rows)
+        k = rows.size
+        system = np.empty((2, k, k))
+        system[0] = self.A0[rows[:, None], cols]
+        system[1] = system[0].T
+        right = np.empty((2, k, 1))
+        right[0, :, 0] = rhs[rows]
+        right[1, :, 0] = self.phase2_costs[cols]
         try:
-            z[cols], y[rows] = np.linalg.solve(
-                np.stack([base, base.T]),
-                np.stack([rhs[rows], self.phase2_costs[cols]])[:, :, None],
-            )[:, :, 0]
+            z[cols], y[rows] = np.linalg.solve(system, right)[:, :, 0]
         except np.linalg.LinAlgError:
             raise SolverFailure(
                 "final basis is numerically singular", iterations=self.iterations
@@ -431,6 +462,8 @@ class _Tableau:
 
     def _recombine(self, values: np.ndarray) -> np.ndarray:
         """Model-space values from structural ones: ``x = x+ - x-``."""
+        if not self.split:
+            return values[: self.model.n_vars].copy()
         x = values[self.pos_col]
         split = self.neg_col >= 0
         x[split] -= values[self.neg_col[split]]
@@ -446,7 +479,8 @@ class _Tableau:
         model = self.model
         values, duals = self._basis_solve(self.b0)
         x = self._recombine(values)
-        duals *= self.sigma
+        if self.sigma is not None:
+            duals *= self.sigma
         if not self.maximize:
             duals = -duals
         objective_value = float(model.objective @ x)
@@ -474,7 +508,7 @@ class _Tableau:
 
     def run(self) -> LpSolution:
         if self.artificial.any():
-            self._price_out(self.phase1_costs)
+            self._price_out(np.where(self.artificial, -1.0, 0.0))
             status = self._pivot_loop(phase=1)
             if status != OPTIMAL:
                 # Phase-1 objective is bounded above by zero.
@@ -501,10 +535,9 @@ def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: f
             iterations: int) -> None:
     """Certify optimality: primal feasible, dual feasible, zero gap.  A nan
     anywhere fails the check it reaches."""
-    M, b = model.M, model.b
-    le, ge = model.rel == LE, model.rel == GE
+    M, b, s = model.M, model.b, model._row_sign
     gap = M @ x - b
-    row_viol = np.where(le, np.maximum(gap, 0.0), np.where(ge, np.maximum(-gap, 0.0), np.abs(gap)))
+    row_viol = np.where(s == 0, np.abs(gap), np.maximum(s * gap, 0.0))
     worst = float(np.maximum(
         (row_viol / np.maximum(1.0, np.abs(b))).max(initial=0.0),
         (-x[~model._free]).max(initial=0.0),
@@ -516,10 +549,10 @@ def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: f
             iterations=iterations,
         )
 
-    # multiplier sign conditions per relation
+    # multiplier sign conditions per relation; an = row's sign is 0
     maximize = model.sense == MAX
-    sign = np.where(le, 1.0, -1.0) if maximize else np.where(le, -1.0, 1.0)
-    worst_dual = float((-sign * duals)[le | ge].max(initial=0.0))
+    sign = s if maximize else -s
+    worst_dual = float((-sign * duals).max(initial=0.0))
     reduced = model.objective - M.T @ duals
     var_viol = np.maximum(reduced, 0.0) if maximize else np.maximum(-reduced, 0.0)
     var_viol = np.where(model._free, np.abs(reduced), var_viol)
@@ -548,7 +581,8 @@ def _verify_ray(model: LpModel, ray: np.ndarray, iterations: int) -> None:
     """Certify unboundedness: along ``ray`` every row and bound holds and
     the objective improves, each beyond roundoff of the terms involved."""
     lhs = model.M @ ray
-    viol = np.where(model.rel == LE, lhs, np.where(model.rel == GE, -lhs, np.abs(lhs)))
+    s = model._row_sign
+    viol = np.where(s == 0, np.abs(lhs), s * lhs)
     size = np.abs(ray).max() * _RAY_TOL
     gain = float(model.objective @ ray) * (1.0 if model.sense == MAX else -1.0)
     if ((viol - size * np.abs(model.M).sum(axis=1)).max(initial=0.0) > 0.0
@@ -586,10 +620,9 @@ def dualize(model: LpModel) -> LpModel:
     if model.n_rows == 0:
         raise InputError("cannot dualize a model with no constraints")
     maximize = model.sense == MAX
-    flip = model.rel == (GE if maximize else LE)
+    flip = model._row_sign == (-1.0 if maximize else 1.0)
     sign = np.where(flip, -1.0, 1.0)
-    rel = np.where(flip, LE if maximize else GE, model.rel)
-    dual_bounds = tuple(FREE if r == EQ else NONNEG for r in rel.tolist())
+    dual_bounds = tuple(np.where(model._row_sign == 0, FREE, NONNEG).tolist())
     dual_rel = np.where(model._free, EQ, GE if maximize else LE)
     return LpModel(
         MIN if maximize else MAX,

@@ -74,6 +74,29 @@ class TestSeparability:
         huge = BimatrixGame([[1e308, -1e308], [0.0, 1e308]], np.zeros((2, 2)))
         assert is_separable_sum(huge) == (False, np.inf)
 
+    def test_decompose_reports_the_separability_residual(self):
+        # decompose forms S = B + C once, as is_separable_sum does: the
+        # residual its NotSeparable carries is exactly the test's, at the
+        # default tol and at a given one
+        bg = BimatrixGame(*build_payoff_matrices(random_tpass(4, 5, -3.0, 3.0, seed=21)))
+        B = np.array(bg.B)
+        B[2, 3] += 0.25
+        bg = BimatrixGame(B, bg.C)
+        for tol in (None, 1e-3):
+            ok, residual = is_separable_sum(bg, tol)
+            assert not ok
+            with pytest.raises(NotSeparable) as caught:
+                decompose(bg, tol)
+            assert caught.value.residual == residual
+            assert caught.value.tol == (default_separability_tol(bg) if tol is None else tol)
+
+    @pytest.mark.parametrize("tol", [None, 1e-9])
+    def test_overflowing_payoff_sum_rejected(self, tol):
+        bg = BimatrixGame([[1e308, 0.0], [0.0, 0.0]], [[1e308, 0.0], [0.0, 0.0]])
+        for check in (is_separable_sum, decompose):
+            with pytest.raises(InputError, match="B \\+ C must be finite"):
+                check(bg, tol)
+
     def test_negative_tol_rejected(self):
         with pytest.raises(InputError):
             is_separable_sum(compose(dilemma()), tol=-1.0)

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 
 from tpass import lp
-from tpass.equilibrium import _joint_model, build_dual_lp, build_joint_lp, build_primal_lp
+from tpass.equilibrium import (
+    _joint_model,
+    _onto_one_two,
+    build_dual_lp,
+    build_joint_lp,
+    build_primal_lp,
+)
 from tpass.errors import InputError, SolverFailure
-from tpass.game import random_tpass
+from tpass.game import random_tpass, zero_sum_matrix
 
 from gamegen import games, random_lp, random_simplex
 
@@ -432,6 +438,25 @@ class TestTableauBranches:
         assert sol.status == lp.OPTIMAL
         assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
         assert np.allclose(sol.x, [0.04, 0.0, 1.0, 0.0], atol=1e-9)
+
+
+class TestSetUpBranches:
+    def test_flipped_matrix_game_lp_solves_alike(self, tableaus):
+        # The matrix-game LP written as -Zh y >= -1 goes through the sign
+        # flip and must come back to the Zh y <= 1 tableau: the same
+        # pivots and x, and duals negated by the flip.
+        rng = np.random.default_rng(16)
+        for seed in range(300):
+            m, n = (int(k) for k in rng.integers(2, 9, size=2))
+            Zh = _onto_one_two(zero_sum_matrix(random_tpass(m, n, -1.0, 1.0, seed=seed)))
+            tableaus.clear()
+            plain = lp.solve(lp.LpModel(lp.MAX, np.ones(n), Zh, [lp.LE] * m, np.ones(m)))
+            flipped = lp.solve(lp.LpModel(lp.MAX, np.ones(n), -Zh, [lp.GE] * m, -np.ones(m)))
+            assert tableaus[0].sigma is None and tableaus[1].sigma is not None
+            assert flipped.iterations == plain.iterations
+            assert np.array_equal(flipped.x, plain.x)
+            assert flipped.objective_value == plain.objective_value
+            assert np.array_equal(flipped.duals, -plain.duals)
 
 
 def standard_form(model):

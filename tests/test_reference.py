@@ -113,6 +113,29 @@ def test_highs_presolve_calls_a_feasible_lp_infeasible():
     assert lp.solve(model).status == lp.UNBOUNDED
 
 
+@pytest.mark.parametrize("sense", [lp.MAX, lp.MIN])
+def test_every_set_up_branch_at_once_matches_highs(sense, tableaus):
+    # x2 free, a >= row, a <= row with b < 0 (a >= row after the flip)
+    # and a >= row with b < 0 (a <= row after it): the split, the flip,
+    # two surplus columns and a phase 1 on one tableau
+    model = lp.LpModel(
+        sense,
+        [1.0, 1.0, -1.0],
+        [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]],
+        [lp.LE, lp.GE, lp.LE, lp.GE],
+        [4.0, 1.0, -1.0, -3.0],
+        (lp.NONNEG, lp.FREE, lp.NONNEG),
+    )
+    sol = lp.solve(model)
+    (tableau,) = tableaus
+    assert tableau.split and tableau.sigma.tolist() == [1.0, 1.0, -1.0, -1.0]
+    assert tableau.n_cols == model.n_vars + 1 + 2
+    assert tableau.artificial.tolist() == [False] * 6 + [False, True, True, False]
+    status, value = highs_reference(model)
+    assert sol.status == status == lp.OPTIMAL
+    assert sol.objective_value == pytest.approx(value, abs=1e-9)
+
+
 def test_small_lps_match_highs():
     # this sample includes unbounded LPs whose ray column holds a
     # positive roundoff entry below PIVOT_EPS
