@@ -272,7 +272,8 @@ class _Tableau:
         self.nonbasic = np.arange(n_cols)
         self.row_ids = np.arange(m)
         # Pristine structural and surplus columns and right-hand side,
-        # for the final refactorization.
+        # for the final refactorization: the (flipped) model rows
+        # themselves when no column was split or added.
         self.A0 = T[:m, :n_cols].copy() if self.split or surplus.size else rows
         self.b0 = rhs
         self.n_cols = n_cols
@@ -461,7 +462,8 @@ class _Tableau:
         return z, y
 
     def _recombine(self, values: np.ndarray) -> np.ndarray:
-        """Model-space values from structural ones: ``x = x+ - x-``."""
+        """Model-space values from structural ones: ``x = x+ - x-``, or
+        the first ``n`` values when no variable is split."""
         if not self.split:
             return values[: self.model.n_vars].copy()
         x = values[self.pos_col]
@@ -549,7 +551,8 @@ def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: f
             iterations=iterations,
         )
 
-    # multiplier sign conditions per relation; an = row's sign is 0
+    # multiplier sign conditions per relation; an = row's sign is 0, so
+    # its free multiplier adds only zeros
     maximize = model.sense == MAX
     sign = s if maximize else -s
     worst_dual = float((-sign * duals).max(initial=0.0))
