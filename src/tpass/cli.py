@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .demo import DEMO_NAMES, dilemma_summary
 from .equilibrium import solve_equilibrium, solve_joint_lp
 from .errors import CertificationFailure, InputError, NotSeparable, SolverFailure, TpassError
 from .game import TOL_EQUILIBRIUM, TpassGame, is_equilibrium, random_tpass
-from .gamefile import dumps_game, load_game
+from .gamefile import _parse_vector, dumps_game, load_game
 from .oracle import SIZE_CAP, cross_check, enumerate_equilibria
 
 
@@ -35,21 +34,6 @@ def _fmt_vec(v) -> str:
 
 def _fmt_mat(m) -> str:
     return "[" + ", ".join(_fmt_vec(row) for row in np.asarray(m, dtype=float)) + "]"
-
-
-def _parse_weights(text: str, flag: str) -> np.ndarray:
-    parts = [piece.strip() for piece in text.split(",")]
-    if not parts or any(not piece for piece in parts):
-        raise InputError(f"{flag} must be a comma-separated list of numbers")
-    out = []
-    for k, piece in enumerate(parts):
-        try:
-            out.append(float(Fraction(piece)))
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"{flag}[{k + 1}]: cannot parse {piece!r} as a number") from None
-        except OverflowError:
-            raise InputError(f"{flag}[{k + 1}]: {piece!r} is too large for a float") from None
-    return np.array(out)
 
 
 def _as_tpass(loaded, tol) -> tuple[TpassGame, str | None]:
@@ -121,8 +105,8 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     loaded = load_game(args.path)
     game, notice = _as_tpass(loaded, None)
-    p = _parse_weights(args.p, "--p")
-    q = _parse_weights(args.q, "--q")
+    p = _parse_vector(args.p.split(","), "--p")
+    q = _parse_vector(args.q.split(","), "--q")
     # verify_lp_pair and check_joint_lp read their verdicts off this one
     # report (see their docstrings), so every line below is printed from it
     report = is_equilibrium(game, p, q, args.tol)

@@ -159,21 +159,17 @@ def build_primal_lp(game: TpassGame) -> lp.LpModel:
 
 def build_dual_lp(game: TpassGame) -> lp.LpModel:
     """The dual program over ``(p, beta)`` (variables in that order), in
-    its textbook minimize form.
+    its textbook minimize form: the primal program of the transposed
+    game ``(-A', rho, pi)`` with its objective and its ``<=`` rows
+    negated.
 
     The solvers do not use it: both solve matrix-game LPs.
     """
-    m, n = game.shape
-    M = np.zeros((n + 1, m + 1))
-    M[:n, :m] = game.A.T
-    M[:n, m] = 1.0
-    M[n, :m] = 1.0
-    rel = np.full(n + 1, lp.GE)
-    rel[n] = lp.EQ
-    bounds = (lp.NONNEG,) * m + (lp.FREE,)
-    return lp.LpModel(
-        lp.MIN, np.append(-game.pi, 1.0), M, rel, np.append(game.rho, 1.0), bounds
-    )
+    primal = build_primal_lp(TpassGame(-game.A.T, game.rho, game.pi))
+    le = primal.rel == lp.LE
+    sign = np.where(le, -1.0, 1.0)
+    return lp.LpModel(lp.MIN, -primal.objective, primal.M * sign[:, None],
+                      np.where(le, lp.GE, primal.rel), primal.b * sign, primal.bounds)
 
 
 def build_joint_lp(game: TpassGame) -> lp.LpModel:

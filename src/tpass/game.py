@@ -46,7 +46,7 @@ def _frozen_array(values, ndim: int, name: str) -> tuple[np.ndarray, float]:
     """A read-only float copy of ``values`` and its largest magnitude."""
     try:
         arr = np.array(values, dtype=float)
-    except (OverflowError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"{name} is not a real array: {exc}") from None
     if arr.ndim != ndim or arr.size == 0:
         raise InputError(f"{name} must be a nonempty {ndim}-d real array, got shape {arr.shape}")
@@ -186,7 +186,10 @@ def _weights_for(x, size: int, name: str) -> np.ndarray:
     point.
     """
     strategy = isinstance(x, MixedStrategy)
-    w = x.weights if strategy else np.asarray(x, dtype=float)
+    try:
+        w = x.weights if strategy else np.asarray(x, dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise InputError(f"{name} is not a real vector: {exc}") from None
     if w.ndim != 1 or w.shape[0] != size:
         raise InputError(f"{name} must be a length-{size} vector, got shape {w.shape}")
     if not strategy and not np.all(np.isfinite(w)):

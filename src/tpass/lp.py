@@ -36,10 +36,11 @@ Solver design:
   of its unit column (``1/pivot`` in the pivot row, minus the entering
   column over the pivot elsewhere).  Every other column is updated as
   in the full tableau, so the pivots are the same.  An artificial that
-  leaves the basis stays at zero cost, barred from re-entering.  Basic
-  artificials left over from phase 1 are driven out by degenerate
-  pivots; rows that cannot be pivoted are redundant and are dropped
-  with a zero dual.
+  leaves the basis takes over a column of zeros instead, which every
+  later pivot keeps zero and phase 2 prices at zero, so it never
+  re-enters.  Basic artificials left over from phase 1 are driven out
+  by degenerate pivots; rows that cannot be pivoted are redundant and
+  are dropped with a zero dual.
 * One chooser serves both pricing rules.  The default is steepest-edge
   pricing (Goldfarb & Reid 1977): a favorable column ``j`` is priced by
   its reduced cost over the length of its edge, ``d_j / sqrt(1 +
@@ -109,8 +110,11 @@ _RELATIONS = (LE, EQ, GE)
 _BOUND_KINDS = (NONNEG, FREE)
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _frozen(values, dtype, name: str) -> np.ndarray:
+    try:
+        out = np.array(values, dtype=dtype)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise InputError(f"{name} is not an array of {dtype.__name__}: {exc}") from None
     out.setflags(write=False)
     return out
 
@@ -141,15 +145,15 @@ class LpModel:
     def __post_init__(self):
         if self.sense not in (MAX, MIN):
             raise InputError(f"sense must be '{MAX}' or '{MIN}', got {self.sense!r}")
-        objective = _frozen(self.objective, float)
+        objective = _frozen(self.objective, float, "objective")
         if objective.ndim != 1 or objective.size == 0:
             raise InputError(f"objective must be a 1-d vector, got shape {objective.shape}")
         if not np.isfinite(objective).all():
             raise InputError("objective contains non-finite entries")
         n = objective.shape[0]
-        M = _frozen(self.M, float)
-        b = _frozen(self.b, float)
-        rel = _frozen(self.rel, str)
+        M = _frozen(self.M, float, "M")
+        b = _frozen(self.b, float, "b")
+        rel = _frozen(self.rel, str, "rel")
         if M.size == 0 and M.ndim == 1:
             M = M.reshape(0, n)
         if M.ndim != 2 or M.shape[1] != n or b.shape != (M.shape[0],) or rel.shape != b.shape:
@@ -167,7 +171,10 @@ class LpModel:
         if self.bounds is None:
             bounds, free = (NONNEG,) * n, np.zeros(n, dtype=bool)
         else:
-            bounds = tuple(self.bounds)
+            try:
+                bounds = tuple(self.bounds)
+            except TypeError:
+                raise InputError(f"bounds must be a sequence, got {self.bounds!r}") from None
             if len(bounds) != n:
                 raise InputError(f"bounds has length {len(bounds)}, expected {n}")
             for kind in bounds:
@@ -279,9 +286,6 @@ class _Tableau:
         self.n_cols = n_cols
         self.artificial = np.zeros(n_cols + m, dtype=bool)
         self.artificial[n_cols:] = kind <= 0
-        # Whether each tableau column may enter the basis: artificials
-        # that left it may not.
-        self.enterable = np.ones(n_cols, dtype=bool)
         self.phase2_costs = costs2
 
     # -- tableau mechanics ------------------------------------------------
@@ -294,7 +298,8 @@ class _Tableau:
 
     def _pivot(self, row: int, col: int) -> None:
         """Exchange ``basis[row]`` and ``nonbasic[col]``: the leaving
-        variable takes over the entering one's column."""
+        variable takes over the entering one's column, or a leaving
+        artificial a column of zeros, which no later pivot changes."""
         T = self.T
         piv = T[row, col]
         if abs(piv) < PIVOT_EPS:
@@ -305,13 +310,12 @@ class _Tableau:
         column = T[:, col].copy()
         column[row] = 0.0
         T[:, col] = 0.0
-        T[row, col] = 1.0 / piv
-        T -= column[:, None] * T[row]
         leaving = self.basis[row]
+        if not self.artificial[leaving]:
+            T[row, col] = 1.0 / piv
+        T -= column[:, None] * T[row]
         self.basis[row] = self.nonbasic[col]
         self.nonbasic[col] = leaving
-        if self.artificial[leaving]:
-            self.enterable[col] = False
         self.iterations += 1
 
     # How many favorable columns the stabilized steepest-edge scan examines,
@@ -326,8 +330,8 @@ class _Tableau:
     def _choose(self, bland: bool) -> tuple[int, int] | str:
         """The pivot ``(col, row)``, or OPTIMAL or UNBOUNDED.
 
-        The favorable columns are the enterable ones with a reduced cost
-        ``d_j`` below ``-_RC_TOL``; with none, the basis is OPTIMAL.
+        The favorable columns are those with a reduced cost ``d_j`` below
+        ``-_RC_TOL``; with none, the basis is OPTIMAL.
         Bland's rule takes the first, the one of the lowest variable id,
         and breaks ratio ties by the lowest basic id.  Steepest edge scans
         them from the most negative price ``d_j / sqrt(1 + ||T[:-1,
@@ -343,7 +347,7 @@ class _Tableau:
         """
         T = self.T
         reduced = T[-1, :-1]
-        favorable = (self.enterable & (reduced < -_RC_TOL)).nonzero()[0]
+        favorable = (reduced < -_RC_TOL).nonzero()[0]
         if favorable.size == 0:
             return OPTIMAL
         ids = self.nonbasic[favorable]
@@ -409,7 +413,7 @@ class _Tableau:
         # a pivot replaces only its own row's basic variable
         for ri in np.flatnonzero(self.artificial[self.basis]).tolist():
             row = T[ri, :-1]
-            candidates = (self.enterable & (np.abs(row) > PIVOT_EPS)).nonzero()[0]
+            candidates = (np.abs(row) > PIVOT_EPS).nonzero()[0]
             if candidates.size:
                 # rhs is zero within phase 1's tolerance, so any pivot is
                 # degenerate-feasible; take the largest, ties to the lowest

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from tpass import cli, game
+from tpass import cli, game, lp
 from tpass.cli import main
 from tpass.decompose import compose
 from tpass.errors import TpassError
@@ -17,6 +17,7 @@ DEMO_TPASS_DECIMAL = '{"kind": "tpass", "A": [[0, 1], [-1, 0]], "pi": [0.5, 0.75
 DERIVED_BIMATRIX = '{"kind": "bimatrix", "B": [[0.5, 1.5], [-0.25, 0.75]], "C": [[0.5, -0.25], [1.5, 0.75]]}'
 NEAR_MISS_BIMATRIX = '{"kind": "bimatrix", "B": [["1/2", "3/4"], ["-1/4", "3/4"]], "C": [["1/2", "-1/4"], ["3/4", "3/4"]]}'
 PENNIES_BIMATRIX = '{"kind": "bimatrix", "B": [[1, -1], [-1, 1]], "C": [[-1, 1], [1, -1]]}'
+PENNIES_TPASS = '{"kind": "tpass", "A": [[1, -1], [-1, 1]], "pi": [0, 0], "rho": [0, 0]}'
 COORDINATION = '{"kind": "bimatrix", "B": [[1, 0], [0, 1]], "C": [[1, 0], [0, 1]]}'
 
 
@@ -89,6 +90,17 @@ class TestSolve:
         code = main(["solve", write(NEAR_MISS_BIMATRIX)])
         assert code == 1
         assert "not additively separable" in capsys.readouterr().err
+
+    def test_refused_lp_solution_exits_3(self, write, capsys, monkeypatch):
+        # both gaps of this pair are within tol, but the joint optimum is not
+        near_half = np.array([0.5 + 3e-9, 0.5 - 3e-9])
+        monkeypatch.setattr(lp, "solve", lambda model: lp.LpSolution(
+            lp.OPTIMAL, near_half, 1.0, near_half, 1))
+        code = main(["solve", write(PENNIES_TPASS), "--method", "joint"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("solver failure: joint LP optimum -1.2e-08 is nonzero")
 
     @pytest.mark.parametrize("command", ["solve", "decompose"])
     def test_bare_tpass_error_exits_3(self, write, capsys, monkeypatch, command):
@@ -247,9 +259,12 @@ class TestVerify:
         assert code == 2
 
     def test_unparseable_vector_exits_2(self, write, capsys):
-        code = main(["verify", write(DEMO_TPASS), "--p", "1,zebra", "--q", "1,0"])
-        assert code == 2
-        assert "--p[2]" in capsys.readouterr().err
+        # --p and --q take the game file's number grammar and its messages
+        for text, message in (("1,zebra", "--p[2]: cannot parse 'zebra' as a number"),
+                              ("1/0,1", "--p[1]: fraction '1/0' has a zero denominator")):
+            code = main(["verify", write(DEMO_TPASS), "--p", text, "--q", "1,0"])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_oversized_vector_entry_exits_2(self, write, capsys):
         code = main(["verify", write(DEMO_TPASS), "--p", "1e999,0", "--q", "1,0"])
@@ -259,6 +274,9 @@ class TestVerify:
     def test_fraction_vectors_accepted(self, write, capsys):
         code = main(["verify", write(DEMO_TPASS), "--p", "1/2,1/2", "--q", "1/2,1/2"])
         assert code == 1  # valid input, just not an equilibrium
+        fraction = capsys.readouterr()
+        assert main(["verify", write(DEMO_TPASS), "--p", "0.5,0.5", "--q", "1/2,1/2"]) == 1
+        assert capsys.readouterr() == fraction
 
 
 class TestDecompose:

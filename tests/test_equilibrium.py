@@ -14,7 +14,7 @@ from tpass.equilibrium import (
     solve_joint_lp,
     verify_lp_pair,
 )
-from tpass.errors import CertificationFailure, InputError
+from tpass.errors import CertificationFailure, InputError, SolverFailure
 from tpass.game import (
     TpassGame,
     is_equilibrium,
@@ -70,13 +70,26 @@ class TestBuilders:
     @given(games(min_m=2, min_n=2))
     @settings(max_examples=30, deadline=None)
     def test_dualize_agrees_with_handwritten_dual(self, g):
+        # the textbook layout [[A', 1], [1', 0]] (p, beta) >= (rho, 1) and
+        # minimize (-pi, 1) . (p, beta), bit for bit with the signed zeros
+        m, n = g.shape
+        textbook = {
+            "M": np.block([[g.A.T, np.ones((n, 1))], [np.ones((1, m)), np.zeros((1, 1))]]),
+            "b": np.append(g.rho, 1.0),
+            "objective": np.append(-g.pi, 1.0),
+        }
+        dual = build_dual_lp(g)
+        for name, expected in textbook.items():
+            built = getattr(dual, name)
+            assert np.array_equal(built, expected)
+            assert np.array_equal(np.signbit(built), np.signbit(expected))
+        assert dual.rel.tolist() == [lp.GE] * n + [lp.EQ]
         mechanical = lp.dualize(build_primal_lp(g))
-        handwritten = build_dual_lp(g)
-        assert mechanical.sense == handwritten.sense
-        assert np.allclose(mechanical.objective, handwritten.objective, atol=1e-12)
-        assert mechanical.bounds == handwritten.bounds
+        assert mechanical.sense == dual.sense
+        assert np.allclose(mechanical.objective, dual.objective, atol=1e-12)
+        assert mechanical.bounds == dual.bounds
         lhs = sorted(_normalize_row(*c) for c in zip(mechanical.M, mechanical.rel, mechanical.b))
-        rhs = sorted(_normalize_row(*c) for c in zip(handwritten.M, handwritten.rel, handwritten.b))
+        rhs = sorted(_normalize_row(*c) for c in zip(dual.M, dual.rel, dual.b))
         assert lhs == rhs
 
     def test_joint_structure(self):
@@ -499,6 +512,50 @@ class TestCertificateIdentities:
         solve = solve_joint_lp if route == "joint" else solve_equilibrium
         with pytest.raises(CertificationFailure, match=f"^{route} LP solution failed"):
             solve(game)
+
+
+def _crafted_solve(status, x, duals):
+    """A stand-in for :func:`lp.solve` that returns the given solution."""
+    def solve(model):
+        vectors = [None if v is None else np.array(v, dtype=float) for v in (x, duals)]
+        return lp.LpSolution(status, vectors[0], 1.0, vectors[1], 1)
+
+    return solve
+
+
+_TOL = 1e-8
+_NEAR_HALF = (0.5 + 0.3 * _TOL, 0.5 - 0.3 * _TOL)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "solve, game, crafted, error, message",
+        [
+            (solve_equilibrium, matching_pennies(), (lp.OPTIMAL, (1 + 2e-8, -2e-8), (0.5, 0.5)),
+             CertificationFailure, "^q from the LP has a negative coordinate -2e-08"),
+            # eleven entries just inside -tol clamp to a sum 1.1e-7 above 1
+            (solve_equilibrium, TpassGame(np.zeros((2, 12)), np.zeros(2), np.zeros(12)),
+             (lp.OPTIMAL, (1 + 11 * 0.99e-8,) + (-0.99e-8,) * 11, (0.5, 0.5)),
+             CertificationFailure, "^q from the LP sums to 1.0000001"),
+            (solve_joint_lp, matching_pennies(), (lp.UNBOUNDED, None, None),
+             SolverFailure, "^joint LP terminated unbounded"),
+            # both gaps are 0.6 tol, within tol, but they sum past it
+            (solve_joint_lp, matching_pennies(), (lp.OPTIMAL, _NEAR_HALF, _NEAR_HALF),
+             CertificationFailure, "^joint LP optimum -1.2e-08 is nonzero beyond tol 1e-08"),
+        ],
+        ids=["negative-coordinate", "sum", "unbounded", "nonzero-joint-optimum"],
+    )
+    def test_refusals_of_a_doubtful_lp_solution(self, monkeypatch, solve, game, crafted, error,
+                                                message):
+        monkeypatch.setattr(lp, "solve", _crafted_solve(*crafted))
+        with pytest.raises(error, match=message):
+            solve(game, _TOL)
+
+    def test_the_joint_refusal_is_of_a_certified_pair(self, monkeypatch):
+        monkeypatch.setattr(lp, "solve", _crafted_solve(lp.OPTIMAL, _NEAR_HALF, _NEAR_HALF))
+        sol = solve_equilibrium(matching_pennies(), _TOL)
+        assert sol.report.is_equilibrium
+        assert sol.report.row_violation + sol.report.col_violation > _TOL
 
 
 class TestZeroSumReduction:

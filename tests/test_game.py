@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpass import lp
+from tpass.decompose import BimatrixGame
 from tpass.demo import dilemma
 from tpass.errors import InputError
 from tpass.game import (
@@ -49,6 +51,27 @@ class TestTypes:
         # in the last case only Z = A + pi 1' - 1 rho'
         with pytest.raises(InputError, match="^payoffs overflow"):
             TpassGame(A, pi, rho)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TpassGame([[1j]], [0], [0]), "^A is not a real array"),
+            (lambda: TpassGame({}, [0], [0]), "^A is not a real array"),
+            (lambda: MixedStrategy([1j]), "^strategy weights is not a real array"),
+            (lambda: BimatrixGame([["x"]], [[0]]), "^B is not a real array"),
+            (lambda: is_equilibrium(dilemma(), "ab", [1, 0]), "^p is not a real vector"),
+            (lambda: payoff_row(dilemma(), {}, [1, 0]), "^p is not a real vector"),
+            (lambda: lp.LpModel(lp.MAX, [1j], [], [], []), "^objective is not an array"),
+            (lambda: lp.LpModel(lp.MAX, "ab", [], [], []), "^objective is not an array"),
+            (lambda: lp.LpModel(lp.MAX, [1.0], [[1.0]], [lp.LE], [1j]), "^b is not an array"),
+            (lambda: lp.LpModel(lp.MAX, [1.0], [], [], [], bounds=5), "^bounds must be a sequence"),
+        ],
+        ids=["complex-A", "dict-A", "complex-weights", "string-B", "string-p", "dict-p",
+             "complex-objective", "string-objective", "complex-b", "int-bounds"],
+    )
+    def test_non_numeric_input_is_an_input_error(self, build, message):
+        with pytest.raises(InputError, match=message):
+            build()
 
     def test_game_arrays_are_read_only(self):
         g = dilemma()

@@ -136,9 +136,20 @@ def test_every_set_up_branch_at_once_matches_highs(sense, tableaus):
     assert sol.objective_value == pytest.approx(value, abs=1e-9)
 
 
-def test_small_lps_match_highs():
+def test_small_lps_match_highs(monkeypatch):
     # this sample includes unbounded LPs whose ray column holds a
-    # positive roundoff entry below PIVOT_EPS
+    # positive roundoff entry below PIVOT_EPS; every pivot is watched too:
+    # an artificial that leaves the basis leaves an all-zero column that
+    # never enters again
+    real_pivot, departures = lp._Tableau._pivot, []
+
+    def pivot(tableau, row, col):
+        assert not tableau.artificial[tableau.nonbasic[col]]
+        departures.append(bool(tableau.artificial[tableau.basis[row]]))
+        real_pivot(tableau, row, col)
+        assert not tableau.T[:, :-1][:, tableau.artificial[tableau.nonbasic]].any()
+
+    monkeypatch.setattr(lp._Tableau, "_pivot", pivot)
     rng = np.random.default_rng(5)
     for _ in range(2000):
         model = random_lp(rng)
@@ -147,6 +158,7 @@ def test_small_lps_match_highs():
         assert sol.status == status
         if status == lp.OPTIMAL:
             assert sol.objective_value == pytest.approx(value, abs=1e-7)
+    assert sum(departures) > 1000
 
 
 @pytest.mark.parametrize("k", [-6, -3, 3])
