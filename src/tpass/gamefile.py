@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -26,28 +27,35 @@ from .game import TpassGame
 _KINDS = ("tpass", "bimatrix")
 
 
-def _parse_number(value, where: str) -> float:
+def _parse_number(value, name: str, *index: int) -> float:
+    """``value`` as a finite float.  ``name`` and the 0-based ``index``
+    place it in the error message, which is formatted only when raised."""
+    if type(value) is float and isfinite(value):
+        return value
     if isinstance(value, bool):
-        raise InputError(f"{where}: expected a number, got a boolean")
-    if not isinstance(value, (int, float, str)):
-        raise InputError(f"{where}: expected a number or fraction string, got {type(value).__name__}")
-    try:
-        out = float(Fraction(value.strip()) if isinstance(value, str) else value)
-    except ZeroDivisionError:
-        raise InputError(f"{where}: fraction {value!r} has a zero denominator") from None
-    except ValueError:
-        raise InputError(f"{where}: cannot parse {value!r} as a number") from None
-    except OverflowError:
-        raise InputError(f"{where}: value is too large for a float") from None
-    if not np.isfinite(out):
-        raise InputError(f"{where}: value {value!r} is not finite")
-    return out
+        problem = "expected a number, got a boolean"
+    elif not isinstance(value, (int, float, str)):
+        problem = f"expected a number or fraction string, got {type(value).__name__}"
+    else:
+        try:
+            out = float(Fraction(value.strip()) if isinstance(value, str) else value)
+        except ZeroDivisionError:
+            problem = f"fraction {value!r} has a zero denominator"
+        except ValueError:
+            problem = f"cannot parse {value!r} as a number"
+        except OverflowError:
+            problem = "value is too large for a float"
+        else:
+            if isfinite(out):
+                return out
+            problem = f"value {value!r} is not finite"
+    raise InputError(name + "".join(f"[{k + 1}]" for k in index) + ": " + problem)
 
 
 def _parse_vector(raw, name: str) -> np.ndarray:
     if not isinstance(raw, list) or not raw:
         raise InputError(f"field '{name}' must be a nonempty list of numbers")
-    return np.array([_parse_number(v, f"{name}[{k + 1}]") for k, v in enumerate(raw)])
+    return np.array([_parse_number(v, name, k) for k, v in enumerate(raw)])
 
 
 def _parse_matrix(raw, name: str) -> np.ndarray:
@@ -64,7 +72,7 @@ def _parse_matrix(raw, name: str) -> np.ndarray:
             raise InputError(
                 f"{name}[{i + 1}] has {len(row)} entries but {name}[1] has {width}"
             )
-        rows.append([_parse_number(v, f"{name}[{i + 1}][{j + 1}]") for j, v in enumerate(row)])
+        rows.append([_parse_number(v, name, i, j) for j, v in enumerate(row)])
     return np.array(rows)
 
 

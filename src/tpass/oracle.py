@@ -14,9 +14,21 @@ normalized, and pass the full best-response check; near-duplicates are
 merged.  On a nondegenerate game this enumerates every equilibrium,
 which is why the module serves as the oracle for the LP pipeline.
 
-Cost grows as (2^m - 1)(2^n - 1) systems, so sizes are capped (default
-5 x 5, under a thousand systems); raise the cap explicitly if you can
-afford the blowup.
+Cost grows as (2^m - 1)(2^n - 1) support pairs, so sizes are capped
+(default 5 x 5: 961 pairs); raise the cap explicitly if you can afford
+the blowup.  The pairs are solved in groups of equal support sizes, each
+group's systems stacked by fancy indexing.  A square group takes one
+stacked ``np.linalg.solve``.  A rectangular group is screened by one
+stacked ``np.linalg.pinv``, cut off where ``lstsq`` cuts, and only the
+pairs whose two sides might solve exactly go on.  Those pairs, and every
+system of a square group whose stack holds a singular system, fall back
+to ``_indifference_solution``, one system at a time.  The finiteness,
+sign, normalization and best-response filters act on whole stacks; the
+best-response screen keeps a margin over roundoff, and each pair it
+passes is checked again on its own.  So the output has the bits of a
+loop that takes one system at a time.  A random 5 x 5 game takes about
+4.5 ms against 25 ms for that loop; a 5 x 5 game with payoffs in
+{-2..2}, whose square stacks are often singular, about 14 ms against 32.
 """
 
 from __future__ import annotations
@@ -32,6 +44,13 @@ from .game import MixedStrategy, TOL_EQUILIBRIUM, TpassGame, _check_tol, zero_su
 
 SIZE_CAP = 5
 DEDUP_EPS = 1e-7
+# The stacked screens pass what is within this factor of the bound they
+# stand in for, plus roundoff; the per-pair checks then decide.
+_SCREEN = 1e3
+# A least-squares system counts as solved when no residual exceeds
+# max(tol, _EXACT).
+_EXACT = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 def _supports(count: int):
@@ -62,7 +81,7 @@ def _indifference_solution(payoffs: np.ndarray, support: tuple[int, ...],
             return None
     else:
         sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        if np.abs(M @ sol - rhs).max() > max(tol, 1e-10):
+        if np.abs(M @ sol - rhs).max() > max(tol, _EXACT):
             return None
     if not np.all(np.isfinite(sol)):
         return None
@@ -75,6 +94,101 @@ def _indifference_solution(payoffs: np.ndarray, support: tuple[int, ...],
     if total <= 0.0:
         return None
     return full / total
+
+
+def _by_size(count: int) -> list[np.ndarray]:
+    """The supports of each size as an index array, in ``_supports`` order."""
+    return [np.array(list(combinations(range(count), size))) for size in range(1, count + 1)]
+
+
+def _systems(payoffs: np.ndarray, supports: np.ndarray, opp_supports: np.ndarray) -> np.ndarray:
+    """The matrices of ``_indifference_solution``, one per row of ``supports``."""
+    count, k = supports.shape
+    l = opp_supports.shape[1]
+    M = np.zeros((count, k + 1, l + 1))
+    M[:, :k, :l] = payoffs[supports[:, :, None], opp_supports[:, None, :]]
+    M[:, :k, l] = -1.0
+    M[:, k, :l] = 1.0
+    return M
+
+
+def _one_by_one(payoffs, supports, opp_supports, full_size, tol):
+    """``_indifference_solution`` on each row of ``supports``: the indices
+    of the systems that give a mixture, and those mixtures."""
+    at, mixes = [], []
+    for i, (support, opp_support) in enumerate(zip(supports.tolist(), opp_supports.tolist())):
+        mix = _indifference_solution(payoffs, tuple(support), tuple(opp_support), full_size, tol)
+        if mix is not None:
+            at.append(i)
+            mixes.append(mix)
+    return np.array(at, dtype=np.intp), np.array(mixes).reshape(len(at), full_size)
+
+
+def _square(payoffs, supports, opp_supports, full_size, tol):
+    """``_one_by_one`` on square systems of one size, as one stacked solve.
+
+    Each system gets the LAPACK call it gets on its own, so the bits are
+    the same.  A singular system makes the stacked call raise; the stack
+    is then solved one by one, which skips it.
+    """
+    count, k = supports.shape
+    rhs = np.zeros((count, k + 1, 1))
+    rhs[:, k] = 1.0
+    try:
+        sol = np.linalg.solve(_systems(payoffs, supports, opp_supports), rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        return _one_by_one(payoffs, supports, opp_supports, full_size, tol)
+    at = np.flatnonzero(np.isfinite(sol).all(axis=1))
+    mix = sol[at, :k]
+    keep = ~(mix.min(axis=1) < -tol)
+    at, mix = at[keep], mix[keep]
+    full = np.zeros((len(at), full_size))
+    full[np.arange(len(at))[:, None], opp_supports[at]] = np.clip(mix, 0.0, None)
+    total = full.sum(axis=1)
+    keep = total > 0.0
+    return at[keep], full[keep] / total[keep, None]
+
+
+def _may_solve_exactly(payoffs, supports, opp_supports, tol) -> np.ndarray:
+    """Mask of the rectangular systems of one size whose least-squares
+    solution might pass ``_indifference_solution``'s exactness bound.
+
+    One stacked pseudoinverse, cut off where ``lstsq(rcond=None)`` cuts
+    (``rtol=None``: max(M, N) eps times the largest singular value).  A
+    system passes when its residual is within ``_SCREEN`` times that bound
+    plus the roundoff of these entries, or is nan; those are then solved
+    one by one.
+    """
+    M = _systems(payoffs, supports, opp_supports)
+    try:
+        sol = np.linalg.pinv(M, rtol=None)[..., -1]
+    except np.linalg.LinAlgError:
+        return np.ones(len(M), dtype=bool)
+    with np.errstate(all="ignore"):
+        residual = (M @ sol[..., None])[..., 0]
+        residual[:, -1] -= 1.0
+        worst = np.abs(residual).max(axis=1)
+    scale = max(1.0, float(np.abs(payoffs).max()))
+    return ~(worst > _SCREEN * (max(tol, _EXACT) + _EPS * scale))
+
+
+def _best_response_screen(B, C, p, q, tol) -> np.ndarray:
+    """Mask of the stacked pairs that might pass the best-response check.
+
+    The stacked products may round differently from the per-pair ones,
+    by at most about (m + n) eps times the largest payoff; a pair passes
+    when its gaps are within ``tol`` plus ``_SCREEN`` times that, or nan.
+    """
+    m, n = B.shape
+    with np.errstate(all="ignore"):
+        Bq = q @ B.T
+        Cp = p @ C
+        row_gap = Bq.max(axis=1) - np.einsum("ki,ki->k", p, Bq)
+        col_gap = Cp.max(axis=1) - np.einsum("kj,kj->k", Cp, q)
+    slack = _SCREEN * (m + n) * _EPS
+    return ~(row_gap > tol + slack * (float(np.abs(B).max()) + tol)) & ~(
+        col_gap > tol + slack * (float(np.abs(C).max()) + tol)
+    )
 
 
 def enumerate_equilibria(
@@ -99,27 +213,58 @@ def enumerate_equilibria(
             f"raise size_cap explicitly to accept the exponential cost"
         )
     B, C = bg.B, bg.C
+    # each pair's place in the order rows outer, columns inner, each by
+    # size and then lexicographically
+    col_count = 2 ** n - 1
+    places, ps, qs = [], [], []
+    col_sets = _by_size(n)
+    row_start = 0
+    for I in _by_size(m):
+        col_start = 0
+        for J in col_sets:
+            rows = np.repeat(I, len(J), axis=0)
+            cols = np.tile(J, (len(I), 1))
+            at = np.arange(len(rows))
+            k, l = I.shape[1], J.shape[1]
+            if k == l:
+                solve = _square
+            else:
+                # screen the side with more equations than unknowns first:
+                # it rarely solves exactly
+                sides = [(B, rows, cols), (C.T, cols, rows)]
+                for payoffs, support, opp_support in sides if k > l else sides[::-1]:
+                    at = at[_may_solve_exactly(payoffs, support[at], opp_support[at], tol)]
+                solve = _one_by_one
+            on, q = solve(B, rows[at], cols[at], n, tol)
+            at = at[on]
+            on, p = solve(C.T, cols[at], rows[at], m, tol)
+            at, q = at[on], q[on]
+            places.append((row_start + at // len(J)) * col_count + col_start + at % len(J))
+            ps.append(p)
+            qs.append(q)
+            col_start += len(J)
+        row_start += len(I)
+    # the first of near-duplicates in that order is the one kept
+    place = np.concatenate(places)
+    order = np.argsort(place)
+    place, P, Q = place[order], np.concatenate(ps)[order], np.concatenate(qs)[order]
+    row_supports, col_supports = list(_supports(m)), list(_supports(n))
     found: list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray]] = []
-    for rows in _supports(m):
-        for cols in _supports(n):
-            q = _indifference_solution(B, rows, cols, n, tol)
-            if q is None:
-                continue
-            p = _indifference_solution(C.T, cols, rows, m, tol)
-            if p is None:
-                continue
-            row_value = float(p @ B @ q)
-            col_value = float(p @ C @ q)
-            if (B @ q).max() > row_value + tol:
-                continue
-            if (C.T @ p).max() > col_value + tol:
-                continue
-            duplicate = any(
-                max(np.abs(p - fp).max(), np.abs(q - fq).max()) <= DEDUP_EPS
-                for _, _, fp, fq in found
-            )
-            if not duplicate:
-                found.append((rows, cols, p, q))
+    for i in np.flatnonzero(_best_response_screen(B, C, P, Q, tol)).tolist():
+        p, q = P[i], Q[i]
+        row_value = float(p @ B @ q)
+        col_value = float(p @ C @ q)
+        if (B @ q).max() > row_value + tol:
+            continue
+        if (C.T @ p).max() > col_value + tol:
+            continue
+        duplicate = any(
+            max(np.abs(p - fp).max(), np.abs(q - fq).max()) <= DEDUP_EPS
+            for _, _, fp, fq in found
+        )
+        if not duplicate:
+            rows, cols = divmod(int(place[i]), col_count)
+            found.append((row_supports[rows], col_supports[cols], p, q))
     found.sort(key=lambda item: (item[0], item[1]))
     return [(MixedStrategy(p), MixedStrategy(q)) for _, _, p, q in found]
 

@@ -1,3 +1,6 @@
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -51,6 +54,41 @@ def test_parse_errors_name_the_problem(text, fragment):
     with pytest.raises(InputError) as err:
         parse_game(text)
     assert fragment in str(err.value)
+
+
+def _deep_document(token: str) -> str:
+    """A 128x128 tpass document with the raw JSON ``token`` at A[97][113]."""
+    rng = np.random.default_rng(97)
+    A = rng.uniform(-1, 1, (128, 128)).tolist()
+    A[96][112] = "BAD"
+    doc = {"kind": "tpass", "A": A, "pi": [0.0] * 128, "rho": [0.0] * 128}
+    return json.dumps(doc).replace('"BAD"', token)
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("true", "A[97][113]: expected a number, got a boolean"),
+        ('"x"', "A[97][113]: cannot parse 'x' as a number"),
+        ('"1/0"', "A[97][113]: fraction '1/0' has a zero denominator"),
+        ("1e999", "A[97][113]: value inf is not finite"),
+        ("9" * 400, "A[97][113]: value is too large for a float"),
+    ],
+    ids=["boolean", "text", "zero-denominator", "overflowing-float", "400-digit-integer"],
+)
+def test_bad_entry_deep_in_a_large_matrix_is_named_exactly(token, message):
+    with pytest.raises(InputError) as err:
+        parse_game(_deep_document(token))
+    assert str(err.value) == message
+
+
+def test_mixed_entry_forms_parse_to_the_bits_of_their_fractions():
+    entries = [3, -7, 0, "1/3", "-22/7", " 5/8 ", "0.1", "-2.5e-3", "7e2", 0.1, -1e-300, 12345678901234567]
+    text = json.dumps({"kind": "tpass", "A": [entries], "pi": [0], "rho": entries})
+    g = parse_game(text)
+    expected = [float(Fraction(v.strip()) if isinstance(v, str) else Fraction(v)) for v in entries]
+    assert g.A[0].tolist() == expected
+    assert g.rho.tolist() == expected
 
 
 def test_missing_file_is_input_error(tmp_path):

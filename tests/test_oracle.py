@@ -93,6 +93,82 @@ def test_odd_equilibrium_counts_on_nondegenerate_games():
     assert total >= 90
 
 
+def per_pair_enumeration(bg, tol=1e-8):
+    """The enumeration as one loop over support pairs, a system at a time:
+    the reference the stacked solves must reproduce bit for bit."""
+    m, n = bg.shape
+    B, C = bg.B, bg.C
+    found = []
+    for rows in oracle._supports(m):
+        for cols in oracle._supports(n):
+            q = oracle._indifference_solution(B, rows, cols, n, tol)
+            if q is None:
+                continue
+            p = oracle._indifference_solution(C.T, cols, rows, m, tol)
+            if p is None:
+                continue
+            row_value = float(p @ B @ q)
+            col_value = float(p @ C @ q)
+            if (B @ q).max() > row_value + tol:
+                continue
+            if (C.T @ p).max() > col_value + tol:
+                continue
+            duplicate = any(
+                max(np.abs(p - fp).max(), np.abs(q - fq).max()) <= oracle.DEDUP_EPS
+                for _, _, fp, fq in found
+            )
+            if not duplicate:
+                found.append((rows, cols, p, q))
+    found.sort(key=lambda item: (item[0], item[1]))
+    return [(MixedStrategy(p), MixedStrategy(q)) for _, _, p, q in found]
+
+
+class TestStackedSolves:
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """Count the systems solved one by one, square and rectangular."""
+        counts = {"square": 0, "rectangular": 0}
+        one_by_one = oracle._one_by_one
+
+        def counted(payoffs, supports, opp_supports, full_size, tol):
+            kind = "square" if supports.shape[1] == opp_supports.shape[1] else "rectangular"
+            counts[kind] += len(supports)
+            return one_by_one(payoffs, supports, opp_supports, full_size, tol)
+
+        monkeypatch.setattr(oracle, "_one_by_one", counted)
+        return counts
+
+    def test_random_games_match_the_per_pair_loop(self):
+        rng = np.random.default_rng(1729)
+        for _ in range(300):
+            m, n = (int(d) for d in rng.integers(1, 6, 2))
+            bg = BimatrixGame(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, (m, n)))
+            assert as_pairs(enumerate_equilibria(bg)) == as_pairs(per_pair_enumeration(bg))
+
+    def test_integer_games_match_the_per_pair_loop_through_both_fallbacks(self, fallbacks):
+        # small integer payoffs make singular square systems (a stack that
+        # raises) and rectangular systems that solve exactly
+        rng = np.random.default_rng(31415)
+        for _ in range(300):
+            m, n = (int(d) for d in rng.integers(1, 6, 2))
+            B, C = rng.integers(-2, 3, (2, m, n)).astype(float)
+            bg = BimatrixGame(B, C)
+            assert as_pairs(enumerate_equilibria(bg)) == as_pairs(per_pair_enumeration(bg))
+        assert fallbacks["square"] > 0
+        assert fallbacks["rectangular"] > 0
+
+    @pytest.mark.parametrize(
+        "bg",
+        [
+            BimatrixGame(np.zeros((3, 3)), np.zeros((3, 3))),
+            BimatrixGame([[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+        ],
+        ids=["zero-3x3", "coordination"],
+    )
+    def test_degenerate_games_match_the_per_pair_loop(self, bg):
+        assert as_pairs(enumerate_equilibria(bg)) == as_pairs(per_pair_enumeration(bg))
+
+
 class TestCrossCheck:
     def test_confirms_lp_solution_on_dilemma(self):
         g = dilemma()
