@@ -17,18 +17,19 @@ which is why the module serves as the oracle for the LP pipeline.
 Cost grows as (2^m - 1)(2^n - 1) support pairs, so sizes are capped
 (default 5 x 5: 961 pairs); raise the cap explicitly if you can afford
 the blowup.  The pairs are solved in groups of equal support sizes, each
-group's systems stacked by fancy indexing.  A square group takes one
-stacked ``np.linalg.solve``.  A rectangular group is screened by one
-stacked ``np.linalg.pinv``, cut off where ``lstsq`` cuts, and only the
-pairs whose two sides might solve exactly go on.  Those pairs, and every
-system of a square group whose stack holds a singular system, fall back
-to ``_indifference_solution``, one system at a time.  The finiteness,
-sign, normalization and best-response filters act on whole stacks; the
-best-response screen keeps a margin over roundoff, and each pair it
-passes is checked again on its own.  So the output has the bits of a
-loop that takes one system at a time.  A random 5 x 5 game takes about
-4.5 ms against 25 ms for that loop; a 5 x 5 game with payoffs in
-{-2..2}, whose square stacks are often singular, about 14 ms against 32.
+group's systems stacked by fancy indexing, at most ``_CHUNK`` at a time.
+A square group takes one stacked ``np.linalg.solve``.  A rectangular
+group is screened by one stacked ``np.linalg.pinv``, cut off where
+``lstsq`` cuts, and only the pairs whose two sides might solve exactly
+go on.  Those pairs, and every system of a square group whose stack
+holds a singular system, fall back to ``_indifference_solution``, one
+system at a time.  The finiteness, sign and normalization filters act on
+whole stacks, with the arithmetic of one system; the best-response
+check and de-duplication take the surviving pairs one at a time.  So the
+output has the bits of a loop that takes one system at a time.  A random
+5 x 5 game takes about 3.6 ms against 24 ms for that loop; a 5 x 5 game
+with payoffs in {-2..2}, whose square stacks are often singular, about
+8 ms against 29.
 """
 
 from __future__ import annotations
@@ -44,56 +45,21 @@ from .game import MixedStrategy, TOL_EQUILIBRIUM, TpassGame, _check_tol, zero_su
 
 SIZE_CAP = 5
 DEDUP_EPS = 1e-7
-# The stacked screens pass what is within this factor of the bound they
-# stand in for, plus roundoff; the per-pair checks then decide.
+# The stacked least-squares screen passes what is within this factor of
+# the exactness bound, plus roundoff; the per-system solve then decides.
 _SCREEN = 1e3
 # A least-squares system counts as solved when no residual exceeds
 # max(tol, _EXACT).
 _EXACT = 1e-10
 _EPS = float(np.finfo(float).eps)
+# The most systems stacked at once: a 7 x 7 stack of this many takes
+# 1.6 MB, and its solve a few times that.
+_CHUNK = 4096
 
 
 def _supports(count: int):
     for size in range(1, count + 1):
         yield from combinations(range(count), size)
-
-
-def _indifference_solution(payoffs: np.ndarray, support: tuple[int, ...],
-                           opp_support: tuple[int, ...], full_size: int,
-                           tol: float) -> np.ndarray | None:
-    """Opponent mixture over ``opp_support`` equalizing ``support``'s payoffs.
-
-    ``payoffs[i, j]`` is what pure strategy ``i`` earns against opponent
-    pure strategy ``j``.  Unknowns are the mixture plus the common payoff
-    value; returns the embedded full-length mixture or None.
-    """
-    k, l = len(support), len(opp_support)
-    M = np.zeros((k + 1, l + 1))
-    M[:k, :l] = payoffs[np.ix_(support, opp_support)]
-    M[:k, l] = -1.0
-    M[k, :l] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    if k == l:
-        try:
-            sol = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:
-            return None
-    else:
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        if np.abs(M @ sol - rhs).max() > max(tol, _EXACT):
-            return None
-    if not np.all(np.isfinite(sol)):
-        return None
-    mix = sol[:l]
-    if mix.min() < -tol:
-        return None
-    full = np.zeros(full_size)
-    full[list(opp_support)] = np.clip(mix, 0.0, None)
-    total = full.sum()
-    if total <= 0.0:
-        return None
-    return full / total
 
 
 def _by_size(count: int) -> list[np.ndarray]:
@@ -102,7 +68,13 @@ def _by_size(count: int) -> list[np.ndarray]:
 
 
 def _systems(payoffs: np.ndarray, supports: np.ndarray, opp_supports: np.ndarray) -> np.ndarray:
-    """The matrices of ``_indifference_solution``, one per row of ``supports``."""
+    """The indifference systems, one per row of ``supports``.
+
+    ``payoffs[i, j]`` is what pure strategy ``i`` earns against opponent
+    pure strategy ``j``.  The unknowns of each system are the opponent's
+    mixture over its row of ``opp_supports`` plus the common payoff value;
+    the right-hand side is the last unit vector.
+    """
     count, k = supports.shape
     l = opp_supports.shape[1]
     M = np.zeros((count, k + 1, l + 1))
@@ -112,34 +84,60 @@ def _systems(payoffs: np.ndarray, supports: np.ndarray, opp_supports: np.ndarray
     return M
 
 
-def _one_by_one(payoffs, supports, opp_supports, full_size, tol):
-    """``_indifference_solution`` on each row of ``supports``: the indices
-    of the systems that give a mixture, and those mixtures."""
-    at, mixes = [], []
-    for i, (support, opp_support) in enumerate(zip(supports.tolist(), opp_supports.tolist())):
-        mix = _indifference_solution(payoffs, tuple(support), tuple(opp_support), full_size, tol)
-        if mix is not None:
-            at.append(i)
-            mixes.append(mix)
-    return np.array(at, dtype=np.intp), np.array(mixes).reshape(len(at), full_size)
+def _indifference_solution(M: np.ndarray, tol: float) -> np.ndarray | None:
+    """The solution of one system of ``_systems``, or None.
 
-
-def _square(payoffs, supports, opp_supports, full_size, tol):
-    """``_one_by_one`` on square systems of one size, as one stacked solve.
-
-    Each system gets the LAPACK call it gets on its own, so the bits are
-    the same.  A singular system makes the stacked call raise; the stack
-    is then solved one by one, which skips it.
+    A square system is solved exactly (None when singular); a rectangular
+    one by least squares, None unless no residual exceeds max(tol, _EXACT).
     """
+    rhs = np.zeros(len(M))
+    rhs[-1] = 1.0
+    if M.shape[0] == M.shape[1]:
+        try:
+            return np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:
+            return None
+    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    if np.abs(M @ sol - rhs).max() > max(tol, _EXACT):
+        return None
+    return sol
+
+
+def _one_by_one(M: np.ndarray, tol: float) -> np.ndarray:
+    """``_indifference_solution`` on each system of the stack ``M``, a nan
+    row where it gives None."""
+    sol = np.full(M.shape[::2], np.nan)
+    for i, system in enumerate(M):
+        x = _indifference_solution(system, tol)
+        if x is not None:
+            sol[i] = x
+    return sol
+
+
+def _mixtures(payoffs, supports, opp_supports, full_size, tol):
+    """Solve the systems of one size: the indices of those that give a
+    mixture, and those mixtures embedded at full length.
+
+    A square stack takes one stacked ``np.linalg.solve``, which gives each
+    system the LAPACK call it gets on its own, so the bits are the same.  A
+    singular system makes that call raise; the stack, and a rectangular
+    one, is then solved one system at a time.  A mixture must be finite,
+    no weight below ``-tol``; it is clipped at 0 and normalized.
+    """
+    M = _systems(payoffs, supports, opp_supports)
     count, k = supports.shape
-    rhs = np.zeros((count, k + 1, 1))
-    rhs[:, k] = 1.0
-    try:
-        sol = np.linalg.solve(_systems(payoffs, supports, opp_supports), rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        return _one_by_one(payoffs, supports, opp_supports, full_size, tol)
+    sol = None
+    if k == opp_supports.shape[1]:
+        rhs = np.zeros((count, k + 1, 1))
+        rhs[:, k] = 1.0
+        try:
+            sol = np.linalg.solve(M, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            pass
+    if sol is None:
+        sol = _one_by_one(M, tol)
     at = np.flatnonzero(np.isfinite(sol).all(axis=1))
-    mix = sol[at, :k]
+    mix = sol[at, :-1]
     keep = ~(mix.min(axis=1) < -tol)
     at, mix = at[keep], mix[keep]
     full = np.zeros((len(at), full_size))
@@ -153,15 +151,14 @@ def _may_solve_exactly(payoffs, supports, opp_supports, tol) -> np.ndarray:
     """Mask of the rectangular systems of one size whose least-squares
     solution might pass ``_indifference_solution``'s exactness bound.
 
-    One stacked pseudoinverse, cut off where ``lstsq(rcond=None)`` cuts
-    (``rtol=None``: max(M, N) eps times the largest singular value).  A
-    system passes when its residual is within ``_SCREEN`` times that bound
-    plus the roundoff of these entries, or is nan; those are then solved
-    one by one.
+    One stacked pseudoinverse, cut off where ``lstsq(rcond=None)`` cuts:
+    max(M, N) eps times the largest singular value.  A system passes when
+    its residual is within ``_SCREEN`` times that bound plus the roundoff
+    of these entries, or is nan; those are then solved one by one.
     """
     M = _systems(payoffs, supports, opp_supports)
     try:
-        sol = np.linalg.pinv(M, rtol=None)[..., -1]
+        sol = np.linalg.pinv(M, rcond=max(M.shape[1:]) * _EPS)[..., -1]
     except np.linalg.LinAlgError:
         return np.ones(len(M), dtype=bool)
     with np.errstate(all="ignore"):
@@ -170,25 +167,6 @@ def _may_solve_exactly(payoffs, supports, opp_supports, tol) -> np.ndarray:
         worst = np.abs(residual).max(axis=1)
     scale = max(1.0, float(np.abs(payoffs).max()))
     return ~(worst > _SCREEN * (max(tol, _EXACT) + _EPS * scale))
-
-
-def _best_response_screen(B, C, p, q, tol) -> np.ndarray:
-    """Mask of the stacked pairs that might pass the best-response check.
-
-    The stacked products may round differently from the per-pair ones,
-    by at most about (m + n) eps times the largest payoff; a pair passes
-    when its gaps are within ``tol`` plus ``_SCREEN`` times that, or nan.
-    """
-    m, n = B.shape
-    with np.errstate(all="ignore"):
-        Bq = q @ B.T
-        Cp = p @ C
-        row_gap = Bq.max(axis=1) - np.einsum("ki,ki->k", p, Bq)
-        col_gap = Cp.max(axis=1) - np.einsum("kj,kj->k", Cp, q)
-    slack = _SCREEN * (m + n) * _EPS
-    return ~(row_gap > tol + slack * (float(np.abs(B).max()) + tol)) & ~(
-        col_gap > tol + slack * (float(np.abs(C).max()) + tol)
-    )
 
 
 def enumerate_equilibria(
@@ -222,26 +200,27 @@ def enumerate_equilibria(
     for I in _by_size(m):
         col_start = 0
         for J in col_sets:
-            rows = np.repeat(I, len(J), axis=0)
-            cols = np.tile(J, (len(I), 1))
-            at = np.arange(len(rows))
             k, l = I.shape[1], J.shape[1]
-            if k == l:
-                solve = _square
-            else:
-                # screen the side with more equations than unknowns first:
-                # it rarely solves exactly
-                sides = [(B, rows, cols), (C.T, cols, rows)]
-                for payoffs, support, opp_support in sides if k > l else sides[::-1]:
-                    at = at[_may_solve_exactly(payoffs, support[at], opp_support[at], tol)]
-                solve = _one_by_one
-            on, q = solve(B, rows[at], cols[at], n, tol)
-            at = at[on]
-            on, p = solve(C.T, cols[at], rows[at], m, tol)
-            at, q = at[on], q[on]
-            places.append((row_start + at // len(J)) * col_count + col_start + at % len(J))
-            ps.append(p)
-            qs.append(q)
+            # a size group, in chunks that bound the memory of its stacks
+            for start in range(0, len(I) * len(J), _CHUNK):
+                pair = np.arange(start, min(start + _CHUNK, len(I) * len(J)))
+                rows, cols = I[pair // len(J)], J[pair % len(J)]
+                at = np.arange(len(pair))
+                if k != l:
+                    # screen the side with more equations than unknowns
+                    # first: it rarely solves exactly
+                    sides = [(B, rows, cols), (C.T, cols, rows)]
+                    for payoffs, support, opp_support in sides if k > l else sides[::-1]:
+                        at = at[_may_solve_exactly(payoffs, support[at], opp_support[at], tol)]
+                    if not len(at):
+                        continue
+                on, q = _mixtures(B, rows[at], cols[at], n, tol)
+                at = at[on]
+                on, p = _mixtures(C.T, cols[at], rows[at], m, tol)
+                pair, q = pair[at[on]], q[on]
+                places.append((row_start + pair // len(J)) * col_count + col_start + pair % len(J))
+                ps.append(p)
+                qs.append(q)
             col_start += len(J)
         row_start += len(I)
     # the first of near-duplicates in that order is the one kept
@@ -250,8 +229,7 @@ def enumerate_equilibria(
     place, P, Q = place[order], np.concatenate(ps)[order], np.concatenate(qs)[order]
     row_supports, col_supports = list(_supports(m)), list(_supports(n))
     found: list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray]] = []
-    for i in np.flatnonzero(_best_response_screen(B, C, P, Q, tol)).tolist():
-        p, q = P[i], Q[i]
+    for i, (p, q) in enumerate(zip(P, Q)):
         row_value = float(p @ B @ q)
         col_value = float(p @ C @ q)
         if (B @ q).max() > row_value + tol:

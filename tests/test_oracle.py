@@ -93,6 +93,39 @@ def test_odd_equilibrium_counts_on_nondegenerate_games():
     assert total >= 90
 
 
+def indifference_solution(payoffs, support, opp_support, full_size, tol):
+    """One side of one support pair, solved on its own: the opponent
+    mixture over ``opp_support`` equalizing ``support``'s payoffs, embedded
+    at full length, or None."""
+    k, l = len(support), len(opp_support)
+    M = np.zeros((k + 1, l + 1))
+    M[:k, :l] = payoffs[np.ix_(support, opp_support)]
+    M[:k, l] = -1.0
+    M[k, :l] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    if k == l:
+        try:
+            sol = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:
+            return None
+    else:
+        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+        if np.abs(M @ sol - rhs).max() > max(tol, 1e-10):
+            return None
+    if not np.all(np.isfinite(sol)):
+        return None
+    mix = sol[:l]
+    if mix.min() < -tol:
+        return None
+    full = np.zeros(full_size)
+    full[list(opp_support)] = np.clip(mix, 0.0, None)
+    total = full.sum()
+    if total <= 0.0:
+        return None
+    return full / total
+
+
 def per_pair_enumeration(bg, tol=1e-8):
     """The enumeration as one loop over support pairs, a system at a time:
     the reference the stacked solves must reproduce bit for bit."""
@@ -101,10 +134,10 @@ def per_pair_enumeration(bg, tol=1e-8):
     found = []
     for rows in oracle._supports(m):
         for cols in oracle._supports(n):
-            q = oracle._indifference_solution(B, rows, cols, n, tol)
+            q = indifference_solution(B, rows, cols, n, tol)
             if q is None:
                 continue
-            p = oracle._indifference_solution(C.T, cols, rows, m, tol)
+            p = indifference_solution(C.T, cols, rows, m, tol)
             if p is None:
                 continue
             row_value = float(p @ B @ q)
@@ -130,10 +163,10 @@ class TestStackedSolves:
         counts = {"square": 0, "rectangular": 0}
         one_by_one = oracle._one_by_one
 
-        def counted(payoffs, supports, opp_supports, full_size, tol):
-            kind = "square" if supports.shape[1] == opp_supports.shape[1] else "rectangular"
-            counts[kind] += len(supports)
-            return one_by_one(payoffs, supports, opp_supports, full_size, tol)
+        def counted(M, tol):
+            kind = "square" if M.shape[1] == M.shape[2] else "rectangular"
+            counts[kind] += len(M)
+            return one_by_one(M, tol)
 
         monkeypatch.setattr(oracle, "_one_by_one", counted)
         return counts
@@ -154,6 +187,19 @@ class TestStackedSolves:
             B, C = rng.integers(-2, 3, (2, m, n)).astype(float)
             bg = BimatrixGame(B, C)
             assert as_pairs(enumerate_equilibria(bg)) == as_pairs(per_pair_enumeration(bg))
+        assert fallbacks["square"] > 0
+        assert fallbacks["rectangular"] > 0
+
+    def test_chunked_groups_match_the_per_pair_loop(self, monkeypatch, fallbacks):
+        # chunks smaller than the size groups, which at 5x5 hold up to 100
+        # pairs, so that groups split and chunks are left empty by the screen
+        monkeypatch.setattr(oracle, "_CHUNK", 7)
+        rng = np.random.default_rng(271)
+        for _ in range(40):
+            m, n = (int(d) for d in rng.integers(3, 6, 2))
+            B, C = rng.integers(-2, 3, (2, m, n)).astype(float)
+            for bg in (BimatrixGame(B, C), BimatrixGame(B + rng.uniform(-0.1, 0.1, B.shape), C)):
+                assert as_pairs(enumerate_equilibria(bg)) == as_pairs(per_pair_enumeration(bg))
         assert fallbacks["square"] > 0
         assert fallbacks["rectangular"] > 0
 
