@@ -36,11 +36,11 @@ def _fmt_mat(m) -> str:
     return "[" + ", ".join(_fmt_vec(row) for row in np.asarray(m, dtype=float)) + "]"
 
 
-def _as_tpass(loaded, tol) -> tuple[TpassGame, str | None]:
+def _as_tpass(loaded) -> tuple[TpassGame, str | None]:
     """Accept either file kind; bimatrix input is decomposed first."""
     if isinstance(loaded, TpassGame):
         return loaded, None
-    result = decompose(loaded, tol)
+    result = decompose(loaded)
     notice = (
         f"notice: bimatrix input decomposed to (A, pi, rho); "
         f"reconstruction residual {_fmt(result.max_residual)}"
@@ -50,7 +50,7 @@ def _as_tpass(loaded, tol) -> tuple[TpassGame, str | None]:
 
 def _cmd_solve(args) -> int:
     loaded = load_game(args.path)
-    game, notice = _as_tpass(loaded, None)
+    game, notice = _as_tpass(loaded)
     if args.method == "primal":
         sol = solve_equilibrium(game, args.tol)
         objective = sol.lp_value
@@ -104,7 +104,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     loaded = load_game(args.path)
-    game, notice = _as_tpass(loaded, None)
+    game, notice = _as_tpass(loaded)
     p = _parse_vector(args.p.split(","), "--p")
     q = _parse_vector(args.q.split(","), "--q")
     # verify_lp_pair and check_joint_lp read their verdicts off this one

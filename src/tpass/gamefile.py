@@ -84,9 +84,11 @@ def _require(doc: dict, field: str):
 
 def parse_game(text: str) -> TpassGame | BimatrixGame:
     """Parse a game document; raises :class:`InputError` on any defect."""
+    # json.loads raises JSONDecodeError, ValueError for an integer beyond
+    # Python's digit limit and RecursionError for nesting past its limit
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer beyond Python's digit limit
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("top level must be a JSON object")

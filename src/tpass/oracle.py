@@ -18,18 +18,18 @@ Cost grows as (2^m - 1)(2^n - 1) support pairs, so sizes are capped
 (default 5 x 5: 961 pairs); raise the cap explicitly if you can afford
 the blowup.  The pairs are solved in groups of equal support sizes, each
 group's systems stacked by fancy indexing, at most ``_CHUNK`` at a time.
-A square group takes one stacked ``np.linalg.solve``.  A rectangular
-group is screened by one stacked ``np.linalg.pinv``, cut off where
-``lstsq`` cuts, and only the pairs whose two sides might solve exactly
-go on.  Those pairs, and every system of a square group whose stack
-holds a singular system, fall back to ``_indifference_solution``, one
-system at a time.  The finiteness, sign and normalization filters act on
-whole stacks, with the arithmetic of one system; the best-response
-check and de-duplication take the surviving pairs one at a time.  So the
-output has the bits of a loop that takes one system at a time.  A random
-5 x 5 game takes about 3.6 ms against 24 ms for that loop; a 5 x 5 game
-with payoffs in {-2..2}, whose square stacks are often singular, about
-8 ms against 29.
+A square group takes one stacked ``np.linalg.solve``; when a singular
+system makes it raise, ``np.linalg.slogdet`` marks the singular systems
+and the others take one more stacked solve.  A rectangular group is
+screened by one stacked ``np.linalg.pinv``, cut off where ``lstsq``
+cuts, and only the pairs whose two sides might solve exactly go on to
+``lstsq``, one system at a time.  The finiteness, sign and normalization
+filters act on whole stacks, with the arithmetic of one system; the
+best-response check and de-duplication take the surviving pairs one at
+a time.  So the output has the bits of a loop that takes one system at a
+time.  A random 5 x 5 game takes about 3.6 ms against 24 ms for that
+loop; a 5 x 5 game with payoffs in {-2..2}, whose square stacks are
+often singular, about 7 ms against 29.
 """
 
 from __future__ import annotations
@@ -84,32 +84,17 @@ def _systems(payoffs: np.ndarray, supports: np.ndarray, opp_supports: np.ndarray
     return M
 
 
-def _indifference_solution(M: np.ndarray, tol: float) -> np.ndarray | None:
-    """The solution of one system of ``_systems``, or None.
-
-    A square system is solved exactly (None when singular); a rectangular
-    one by least squares, None unless no residual exceeds max(tol, _EXACT).
-    """
-    rhs = np.zeros(len(M))
+def _least_squares(M: np.ndarray, tol: float) -> np.ndarray:
+    """The least-squares solution of each rectangular system of the stack
+    ``M``, one ``lstsq`` per system (numpy has no stacked one); a nan row
+    where a residual exceeds max(tol, _EXACT)."""
+    rhs = np.zeros(M.shape[1])
     rhs[-1] = 1.0
-    if M.shape[0] == M.shape[1]:
-        try:
-            return np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:
-            return None
-    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    if np.abs(M @ sol - rhs).max() > max(tol, _EXACT):
-        return None
-    return sol
-
-
-def _one_by_one(M: np.ndarray, tol: float) -> np.ndarray:
-    """``_indifference_solution`` on each system of the stack ``M``, a nan
-    row where it gives None."""
     sol = np.full(M.shape[::2], np.nan)
     for i, system in enumerate(M):
-        x = _indifference_solution(system, tol)
-        if x is not None:
+        x, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+        # a nan residual keeps x, for the finiteness filter to judge
+        if not np.abs(system @ x - rhs).max() > max(tol, _EXACT):
             sol[i] = x
     return sol
 
@@ -120,22 +105,26 @@ def _mixtures(payoffs, supports, opp_supports, full_size, tol):
 
     A square stack takes one stacked ``np.linalg.solve``, which gives each
     system the LAPACK call it gets on its own, so the bits are the same.  A
-    singular system makes that call raise; the stack, and a rectangular
-    one, is then solved one system at a time.  A mixture must be finite,
-    no weight below ``-tol``; it is clipped at 0 and normalized.
+    singular system makes that call raise; ``np.linalg.slogdet`` then finds
+    the singular systems, as its sign is 0 exactly where the same LU
+    factorization meets a zero pivot, and the others are solved again in
+    one stack.  A rectangular stack goes to ``_least_squares``.  A singular
+    or inexact system leaves a nan row.  A mixture must be finite, no
+    weight below ``-tol``; it is clipped at 0 and normalized.
     """
     M = _systems(payoffs, supports, opp_supports)
     count, k = supports.shape
-    sol = None
     if k == opp_supports.shape[1]:
         rhs = np.zeros((count, k + 1, 1))
         rhs[:, k] = 1.0
         try:
             sol = np.linalg.solve(M, rhs)[..., 0]
         except np.linalg.LinAlgError:
-            pass
-    if sol is None:
-        sol = _one_by_one(M, tol)
+            regular = np.linalg.slogdet(M)[0] != 0
+            sol = np.full((count, k + 1), np.nan)
+            sol[regular] = np.linalg.solve(M[regular], rhs[regular])[..., 0]
+    else:
+        sol = _least_squares(M, tol)
     at = np.flatnonzero(np.isfinite(sol).all(axis=1))
     mix = sol[at, :-1]
     keep = ~(mix.min(axis=1) < -tol)
@@ -149,12 +138,12 @@ def _mixtures(payoffs, supports, opp_supports, full_size, tol):
 
 def _may_solve_exactly(payoffs, supports, opp_supports, tol) -> np.ndarray:
     """Mask of the rectangular systems of one size whose least-squares
-    solution might pass ``_indifference_solution``'s exactness bound.
+    solution might pass ``_least_squares``'s exactness bound.
 
     One stacked pseudoinverse, cut off where ``lstsq(rcond=None)`` cuts:
     max(M, N) eps times the largest singular value.  A system passes when
     its residual is within ``_SCREEN`` times that bound plus the roundoff
-    of these entries, or is nan; those are then solved one by one.
+    of these entries, or is nan; those go on to ``_least_squares``.
     """
     M = _systems(payoffs, supports, opp_supports)
     try:
@@ -265,12 +254,8 @@ def cross_check(
     point at that value: ``max_i (Z q)_i <= v + tol`` and
     ``min_j (p'Z)_j >= v - tol``.  A pair on a degenerate face that the
     enumeration represents by other points is confirmed too.  Raises
-    :class:`InputError` when ``tol`` is not positive and finite.
+    :class:`InputError` where :func:`enumerate_equilibria` does.
     """
-    _check_tol(tol)
-    m, n = game.shape
-    if m > size_cap or n > size_cap:
-        raise InputError(f"game is {m}x{n} but the oracle cap is {size_cap}")
     Z = zero_sum_matrix(game)
     values = [
         float(pe.weights @ Z @ qe.weights)

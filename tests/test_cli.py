@@ -133,6 +133,9 @@ class TestSolve:
         code = main(["solve", write('{"kind": "tpass", "A": [[0, 1], [-1]], "pi": [0, 0], "rho": [0, 0]}')])
         assert code == 2
         assert "A[2]" in capsys.readouterr().err
+        # nesting past the JSON decoder's recursion limit
+        assert main(["solve", write("[" * 1000 + "]" * 1000)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid JSON")
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.json")]) == 2

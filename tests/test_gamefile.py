@@ -48,6 +48,8 @@ def test_parse_bimatrix():
         ('{"kind": "tpass", "A": [["-1e400"]], "pi": [0], "rho": [0]}', "A[1][1]: value is too large"),
         ('{"kind": "tpass", "A": [[0]], "pi": [0, 1], "rho": [0]}', "pi"),
         ('{"kind": "bimatrix", "B": [[0]], "C": [[0, 1]]}', "shape"),
+        # nesting past the JSON decoder's recursion limit
+        pytest.param("[" * 1000 + "]" * 1000, "invalid JSON", id="deep-nesting"),
     ],
 )
 def test_parse_errors_name_the_problem(text, fragment):

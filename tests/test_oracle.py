@@ -159,16 +159,22 @@ def per_pair_enumeration(bg, tol=1e-8):
 class TestStackedSolves:
     @pytest.fixture
     def fallbacks(self, monkeypatch):
-        """Count the systems solved one by one, square and rectangular."""
-        counts = {"square": 0, "rectangular": 0}
-        one_by_one = oracle._one_by_one
+        """Count the square systems found singular and the rectangular
+        systems solved by least squares."""
+        counts = {"singular": 0, "least_squares": 0}
+        least_squares, slogdet = oracle._least_squares, np.linalg.slogdet
 
-        def counted(M, tol):
-            kind = "square" if M.shape[1] == M.shape[2] else "rectangular"
-            counts[kind] += len(M)
-            return one_by_one(M, tol)
+        def counted_least_squares(M, tol):
+            counts["least_squares"] += len(M)
+            return least_squares(M, tol)
 
-        monkeypatch.setattr(oracle, "_one_by_one", counted)
+        def counted_slogdet(M):
+            result = slogdet(M)
+            counts["singular"] += int((result[0] == 0).sum())
+            return result
+
+        monkeypatch.setattr(oracle, "_least_squares", counted_least_squares)
+        monkeypatch.setattr(np.linalg, "slogdet", counted_slogdet)
         return counts
 
     def test_random_games_match_the_per_pair_loop(self):
@@ -187,8 +193,24 @@ class TestStackedSolves:
             B, C = rng.integers(-2, 3, (2, m, n)).astype(float)
             bg = BimatrixGame(B, C)
             assert as_pairs(enumerate_equilibria(bg)) == as_pairs(per_pair_enumeration(bg))
-        assert fallbacks["square"] > 0
-        assert fallbacks["rectangular"] > 0
+        assert fallbacks["singular"] > 0
+        assert fallbacks["least_squares"] > 0
+
+    def test_scaled_games_at_three_tols_match_the_per_pair_loop(self):
+        # payoffs scaled by 10^k and tols far from the default reach least
+        # squares solutions that only the exactness check refuses
+        rng = np.random.default_rng(2026)
+        for g in range(100):
+            m, n = (int(d) for d in rng.integers(1, 6, 2))
+            if g % 2:
+                B, C = rng.integers(-2, 3, (2, m, n)).astype(float)
+            else:
+                B, C = rng.uniform(-1, 1, (2, m, n))
+            bg = BimatrixGame(*(10.0 ** int(rng.integers(-9, 10)) * np.array([B, C])))
+            for tol in (1e-4, 1e-8, 1e-12):
+                assert as_pairs(enumerate_equilibria(bg, tol)) == as_pairs(
+                    per_pair_enumeration(bg, tol)
+                )
 
     def test_chunked_groups_match_the_per_pair_loop(self, monkeypatch, fallbacks):
         # chunks smaller than the size groups, which at 5x5 hold up to 100
@@ -200,8 +222,30 @@ class TestStackedSolves:
             B, C = rng.integers(-2, 3, (2, m, n)).astype(float)
             for bg in (BimatrixGame(B, C), BimatrixGame(B + rng.uniform(-0.1, 0.1, B.shape), C)):
                 assert as_pairs(enumerate_equilibria(bg)) == as_pairs(per_pair_enumeration(bg))
-        assert fallbacks["square"] > 0
-        assert fallbacks["rectangular"] > 0
+        assert fallbacks["singular"] > 0
+        assert fallbacks["least_squares"] > 0
+
+    def test_slogdet_sign_is_zero_exactly_where_a_lone_solve_raises(self):
+        # every square system, both sides, of the 300 {-2..2} games above:
+        # _mixtures finds the singular systems of a stack by that sign
+        rng = np.random.default_rng(31415)
+        singular = 0
+        for _ in range(300):
+            m, n = (int(d) for d in rng.integers(1, 6, 2))
+            B, C = rng.integers(-2, 3, (2, m, n)).astype(float)
+            for I, J in zip(oracle._by_size(m), oracle._by_size(n)):
+                rows, cols = np.repeat(I, len(J), axis=0), np.tile(J, (len(I), 1))
+                for M in (oracle._systems(B, rows, cols), oracle._systems(C.T, cols, rows)):
+                    for system, sign in zip(M, np.linalg.slogdet(M)[0]):
+                        try:
+                            np.linalg.solve(system, np.eye(len(system))[-1])
+                        except np.linalg.LinAlgError:
+                            raised = True
+                        else:
+                            raised = False
+                        assert (sign == 0) == raised
+                        singular += raised
+        assert singular > 0
 
     @pytest.mark.parametrize(
         "bg",
@@ -236,7 +280,7 @@ class TestCrossCheck:
     def test_size_cap(self):
         g = random_tpass(6, 2, -1.0, 1.0, seed=1)
         sol = solve_equilibrium(g)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="raise size_cap explicitly"):
             cross_check(g, sol)
 
     def test_agreement_on_random_games(self):
