@@ -104,8 +104,13 @@ def _separability(bg: BimatrixGame, tol: float | None) -> tuple[np.ndarray, floa
     """``(S, tol, residual)``: the payoff sum ``S``, formed once, the
     tolerance (:func:`default_separability_tol` for ``None``) and the
     tetrad residual."""
-    if tol is not None and not 0 <= tol < np.inf:
-        raise InputError("tol must be finite and nonnegative")
+    if tol is not None:
+        try:
+            ok = 0 <= tol < np.inf
+        except TypeError:
+            ok = False
+        if not ok:
+            raise InputError("tol must be finite and nonnegative")
     S = _payoff_sum(bg)
     size = float(np.abs(S).max())
     return S, _default_tol(size) if tol is None else tol, _tetrad_residual(S, size)

@@ -256,8 +256,12 @@ def zero_sum_matrix(game: TpassGame) -> np.ndarray:
 
 def _check_tol(tol: float) -> None:
     """Reject a certification tolerance that is not positive and finite
-    (nan included)."""
-    if not 0 < tol < float("inf"):
+    (nan and values that are not real numbers included)."""
+    try:
+        ok = 0 < tol < float("inf")
+    except TypeError:
+        ok = False
+    if not ok:
         raise InputError("tol must be positive and finite")
 
 
@@ -342,5 +346,9 @@ def random_tpass(m: int, n: int, lo: float, hi: float, seed: int) -> TpassGame:
         raise InputError(
             f"need finite bounds with lo <= hi and a finite width hi - lo, got lo={lo}, hi={hi}"
         )
-    u = lo + (hi - lo) * _splitmix64(seed, m * n + m + n)
+    try:
+        u = lo + (hi - lo) * _splitmix64(seed, m * n + m + n)
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses a size past its index range with a ValueError
+        raise InputError(f"a {m}x{n} game is too large to draw: {exc}") from None
     return TpassGame(u[: m * n].reshape(m, n), u[m * n : m * n + m], u[m * n + m :])

@@ -79,6 +79,11 @@ class TestSolve:
         assert code_a == code_b == 0
         assert out_a == out_b
 
+    def test_over_cap_game_skips_the_cross_check(self, write, capsys):
+        six = dumps_game(game.random_tpass(6, 6, -1.0, 1.0, seed=6))
+        assert main(["solve", write(six)]) == 0
+        assert "oracle cross-check: skipped (size over cap)\n" in capsys.readouterr().out
+
     def test_bimatrix_input_is_decomposed(self, write, capsys):
         code = main(["solve", write(DERIVED_BIMATRIX)])
         captured = capsys.readouterr()
@@ -257,6 +262,13 @@ class TestVerify:
         assert "row violation 0.75" in out
         assert "verdict: not an equilibrium" in out
 
+    def test_bimatrix_input_prints_the_decompose_notice(self, write, capsys):
+        code = main(["verify", write(DERIVED_BIMATRIX), "--p", "1,0", "--q", "1,0"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.startswith("notice: bimatrix input decomposed to (A, pi, rho)")
+        assert "verdict: equilibrium" in captured.out
+
     def test_off_simplex_vector_exits_2(self, write, capsys):
         code = main(["verify", write(DEMO_TPASS), "--p", "0.6,0.5", "--q", "1,0"])
         assert code == 2
@@ -317,6 +329,11 @@ class TestDecompose:
         payload = json.loads(capsys.readouterr().out)
         assert payload["separable"] is True
         assert payload["pi"] == [0.5, 0.75]
+
+    def test_json_format_of_a_non_separable_game_exits_1(self, write, capsys):
+        code = main(["decompose", write(NEAR_MISS_BIMATRIX), "--format", "json"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out) == {"separable": False, "tetrad_residual": 1.5}
 
 
 class TestEnumerate:
@@ -399,6 +416,13 @@ class TestRandom:
     def test_overflowing_range_exits_2_naming_the_bounds(self, capsys):
         assert main(["random", "-m", "2", "-n", "2", "--lo=-1e308", "--hi=1e308"]) == 2
         assert "lo=-1e+308, hi=1e+308" in capsys.readouterr().err
+
+    def test_huge_sizes_exit_2_naming_the_size(self, capsys):
+        # numpy refuses this draw before it allocates anything
+        assert main(["random", "-m", "10000000000", "-n", "10000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a 10000000000x10000000000 game is too large")
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "g.json"

@@ -101,7 +101,7 @@ class TestSeparability:
         with pytest.raises(InputError):
             is_separable_sum(compose(dilemma()), tol=-1.0)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), "x"])
     def test_non_finite_tol_rejected(self, tol):
         for check in (is_separable_sum, decompose):
             with pytest.raises(InputError):

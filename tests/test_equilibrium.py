@@ -252,7 +252,7 @@ class TestSolveEquilibrium:
         assert len(tableaus) == 36
         assert sum(t.iterations for t in tableaus) <= 267
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), None, "x"])
     def test_solvers_reject_a_bad_tol(self, tol):
         for solve in (solve_equilibrium, solve_joint_lp):
             with pytest.raises(InputError, match="tol must be positive"):
@@ -470,7 +470,7 @@ class TestCertificateIdentities:
                     max(report.row_violation, report.col_violation), abs=1e-12
                 )
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("inf")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("inf"), None, "x", 1j])
     def test_every_certificate_rejects_nonpositive_tol(self, tol):
         for check in (is_equilibrium, verify_lp_pair, check_joint_lp):
             with pytest.raises(InputError):

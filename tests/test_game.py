@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpass import lp
+from tpass import game, lp
 from tpass.decompose import BimatrixGame
 from tpass.demo import dilemma
 from tpass.errors import InputError
@@ -65,9 +65,16 @@ class TestTypes:
             (lambda: lp.LpModel(lp.MAX, "ab", [], [], []), "^objective is not an array"),
             (lambda: lp.LpModel(lp.MAX, [1.0], [[1.0]], [lp.LE], [1j]), "^b is not an array"),
             (lambda: lp.LpModel(lp.MAX, [1.0], [], [], [], bounds=5), "^bounds must be a sequence"),
+            (lambda: TpassGame([0.0, 1.0], [0], [0]), "^A must be a nonempty 2-d real array"),
+            (lambda: MixedStrategy([]), "^strategy weights must be a nonempty 1-d"),
+            (lambda: is_equilibrium(dilemma(), [np.nan, 1], [1, 0]), "^p contains non-finite"),
+            (lambda: lp.LpModel(lp.MAX, [[1.0]], [], [], []), "^objective must be a 1-d vector"),
+            (lambda: lp.LpModel(lp.MAX, [], [], [], []), "^objective must be a 1-d vector"),
+            (lambda: lp.LpModel(lp.MAX, [1.0], [], [], [], bounds=[]), "^bounds has length 0"),
         ],
         ids=["complex-A", "dict-A", "complex-weights", "string-B", "string-p", "dict-p",
-             "complex-objective", "string-objective", "complex-b", "int-bounds"],
+             "complex-objective", "string-objective", "complex-b", "int-bounds", "1d-A",
+             "empty-weights", "nan-p", "2d-objective", "empty-objective", "short-bounds"],
     )
     def test_non_numeric_input_is_an_input_error(self, build, message):
         with pytest.raises(InputError, match=message):
@@ -288,6 +295,19 @@ class TestRandomTpass:
     def test_rejects_a_range_whose_width_overflows(self):
         with pytest.raises(InputError, match=r"lo=-1e\+308, hi=1e\+308"):
             random_tpass(2, 2, -1e308, 1e308, seed=0)
+
+    def test_rejects_a_size_past_numpy_index_range(self):
+        # numpy refuses the draw before it allocates anything
+        with pytest.raises(InputError, match="10000000000x10000000000 game is too large"):
+            random_tpass(10**10, 10**10, -1.0, 1.0, seed=0)
+
+    def test_rejects_a_size_that_cannot_be_allocated(self, monkeypatch):
+        def out_of_memory(seed, count):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(game, "_splitmix64", out_of_memory)
+        with pytest.raises(InputError, match="100000x100000 game is too large"):
+            random_tpass(100000, 100000, -1.0, 1.0, seed=0)
 
 
 _MASK64 = (1 << 64) - 1

@@ -44,6 +44,11 @@ def test_parse_bimatrix():
         ('{"kind": "tpass", "A": [["x"]], "pi": [0], "rho": [0]}', "A[1][1]"),
         ('{"kind": "tpass", "A": [["1/0"]], "pi": [0], "rho": [0]}', "zero denominator"),
         ('{"kind": "tpass", "A": [[true]], "pi": [0], "rho": [0]}', "boolean"),
+        ('{"kind": "tpass", "A": [[null]], "pi": [0], "rho": [0]}', "A[1][1]: expected a number"),
+        ('{"kind": "tpass", "A": [[{}]], "pi": [0], "rho": [0]}', "A[1][1]: expected a number"),
+        ('{"kind": "tpass", "A": [[0]], "pi": [], "rho": [0]}', "'pi' must be a nonempty list"),
+        ('{"kind": "tpass", "A": [], "pi": [0], "rho": [0]}', "'A' must be a nonempty list"),
+        ('{"kind": "tpass", "A": [[]], "pi": [0], "rho": [0]}', "A[1] must be a nonempty list"),
         ('{"kind": "tpass", "A": [[Infinity]], "pi": [0], "rho": [0]}', "not finite"),
         ('{"kind": "tpass", "A": [["-1e400"]], "pi": [0], "rho": [0]}', "A[1][1]: value is too large"),
         ('{"kind": "tpass", "A": [[0]], "pi": [0, 1], "rho": [0]}', "pi"),

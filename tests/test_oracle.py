@@ -12,6 +12,15 @@ from tpass.oracle import cross_check, enumerate_equilibria
 from gamegen import random_games
 
 
+# {-2..2} payoffs scaled by 10^6: three overdetermined systems on the q
+# side, rows {1,2,4}, {2,3,4} and {1,2,3,4} against columns {2,3}, solve
+# exactly although they are ill-conditioned
+SCALED_4X3 = BimatrixGame(
+    1e6 * np.array([[0, -1, 0], [2, -1, 2], [-1, -1, 0], [1, -1, -2]]),
+    1e6 * np.array([[-1, 0, -2], [0, 0, -1], [0, 1, 0], [-2, -2, 2]]),
+)
+
+
 def as_pairs(equilibria):
     return [(p.weights.tolist(), q.weights.tolist()) for p, q in equilibria]
 
@@ -54,7 +63,7 @@ def test_size_cap_enforced():
     assert enumerate_equilibria(big, size_cap=6)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), None, "x"])
 def test_bad_tol_rejected(tol):
     g = dilemma()
     sol = solve_equilibrium(g)
@@ -247,13 +256,44 @@ class TestStackedSolves:
                         singular += raised
         assert singular > 0
 
+    def test_the_screen_passes_every_system_that_least_squares_accepts(self):
+        # the overdetermined side of every rectangular support pair, over
+        # payoffs scaled by 10^k that make many of them ill-conditioned
+        rng = np.random.default_rng(1618)
+        games = [SCALED_4X3]
+        for g in range(200):
+            m, n = (int(d) for d in rng.integers(1, 6, 2))
+            if g % 2:
+                B, C = rng.integers(-2, 3, (2, m, n)).astype(float)
+            else:
+                B, C = rng.uniform(-1, 1, (2, m, n))
+            games.append(BimatrixGame(*(10.0 ** int(rng.integers(-9, 10)) * np.array([B, C]))))
+        accepted = 0
+        for bg in games:
+            for I in oracle._by_size(bg.m):
+                for J in oracle._by_size(bg.n):
+                    if I.shape[1] == J.shape[1]:
+                        continue
+                    rows, cols = np.repeat(I, len(J), axis=0), np.tile(J, (len(I), 1))
+                    side = (bg.B, rows, cols) if I.shape[1] > J.shape[1] else (bg.C.T, cols, rows)
+                    M = oracle._systems(*side)
+                    for tol in (1e-4, 1e-8, 1e-12):
+                        solved = np.isfinite(oracle._least_squares(M, tol)).all(axis=1)
+                        assert oracle._may_solve_exactly(*side, tol)[solved].all()
+                        accepted += int(solved.sum())
+        assert accepted > 0
+
+    def test_the_scaled_4x3_game_has_14_equilibria(self):
+        assert len(enumerate_equilibria(SCALED_4X3, 1e-8)) == 14
+
     @pytest.mark.parametrize(
         "bg",
         [
             BimatrixGame(np.zeros((3, 3)), np.zeros((3, 3))),
             BimatrixGame([[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+            SCALED_4X3,
         ],
-        ids=["zero-3x3", "coordination"],
+        ids=["zero-3x3", "coordination", "scaled-4x3"],
     )
     def test_degenerate_games_match_the_per_pair_loop(self, bg):
         assert as_pairs(enumerate_equilibria(bg)) == as_pairs(per_pair_enumeration(bg))
