@@ -164,11 +164,6 @@ def _cmd_decompose(args) -> int:
 def _cmd_enumerate(args) -> int:
     loaded = load_game(args.path)
     bg = compose(loaded) if isinstance(loaded, TpassGame) else loaded
-    if max(bg.shape) > SIZE_CAP:
-        raise InputError(
-            f"game is {bg.m}x{bg.n}, but tpass enumerate takes games of at most "
-            f"{SIZE_CAP}x{SIZE_CAP}"
-        )
     equilibria = enumerate_equilibria(bg, args.tol)
     for p, q in equilibria:
         pw = np.asarray(p, dtype=float)

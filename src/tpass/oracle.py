@@ -14,22 +14,21 @@ normalized, and pass the full best-response check; near-duplicates are
 merged.  On a nondegenerate game this enumerates every equilibrium,
 which is why the module serves as the oracle for the LP pipeline.
 
-Cost grows as (2^m - 1)(2^n - 1) support pairs, so sizes are capped
-(default 5 x 5: 961 pairs); raise the cap explicitly if you can afford
-the blowup.  The pairs are solved in groups of equal support sizes, each
-group's systems stacked by fancy indexing, at most ``_CHUNK`` at a time.
-A square group takes one stacked ``np.linalg.solve``; when a singular
-system makes it raise, ``np.linalg.slogdet`` marks the singular systems
-and the others take one more stacked solve.  A rectangular group is
-screened on the side with more equations than unknowns by one stacked
-QR projection, which cannot refuse a system that solves exactly, and
-the pairs that pass go on to ``lstsq``, one system at a time.  The
-finiteness, sign and normalization filters act on whole stacks, with the
-arithmetic of one system; the best-response check and de-duplication
-take the surviving pairs one at a time.  So the output has the bits of a
-loop that takes one system at a time.  A random 5 x 5 game takes about
-1.9 ms against 24 ms for that loop; a 5 x 5 game with payoffs in
-{-2..2}, whose square stacks are often singular, about 4.8 ms against 29.
+Cost grows as (2^m - 1)(2^n - 1) support pairs, so games are capped at
+``SIZE_CAP`` = 5 per side (961 pairs).  The pairs are solved in groups
+of equal support sizes, each group's systems stacked by fancy indexing;
+at the cap the largest group holds 100 pairs.  A square stack takes one
+stacked ``np.linalg.solve`` over the systems that ``np.linalg.slogdet``
+finds nonsingular.  A rectangular group is screened on the side with
+more equations than unknowns by one stacked QR projection, which cannot
+refuse a system that solves exactly, and the pairs that pass go on to
+``lstsq``, one system at a time.  The finiteness, sign and
+normalization filters act on whole stacks, with the arithmetic of one
+system; the best-response check and de-duplication take the surviving
+pairs one at a time.  So the output has the bits of a loop that takes
+one system at a time.  A random 5 x 5 game takes about 2.1 ms against
+24 ms for that loop; a 5 x 5 game with payoffs in {-2..2}, whose square
+stacks are often singular, about 5.2 ms against 29.
 """
 
 from __future__ import annotations
@@ -52,9 +51,6 @@ _SCREEN = 1e3
 # max(tol, _EXACT).
 _EXACT = 1e-10
 _EPS = float(np.finfo(float).eps)
-# The most systems stacked at once: a 7 x 7 stack of this many takes
-# 1.6 MB, and its solve a few times that.
-_CHUNK = 4096
 
 
 def _supports(count: int):
@@ -103,12 +99,12 @@ def _mixtures(payoffs, supports, opp_supports, full_size, tol):
     """Solve the systems of one size: the indices of those that give a
     mixture, and those mixtures embedded at full length.
 
-    A square stack takes one stacked ``np.linalg.solve``, which gives each
-    system the LAPACK call it gets on its own, so the bits are the same.  A
-    singular system makes that call raise; ``np.linalg.slogdet`` then finds
-    the singular systems, as its sign is 0 exactly where the same LU
-    factorization meets a zero pivot, and the others are solved again in
-    one stack.  A rectangular stack goes to ``_least_squares``.  A singular
+    A square stack takes one stacked ``np.linalg.solve`` over its
+    nonsingular systems, which gives each system the LAPACK call it gets
+    on its own, so the bits are the same.  ``np.linalg.slogdet`` marks
+    the singular systems: its sign is 0 exactly where the same LU
+    factorization meets a zero pivot, which is where a lone solve
+    raises.  A rectangular stack goes to ``_least_squares``.  A singular
     or inexact system leaves a nan row.  A mixture must be finite, no
     weight below ``-tol``; it is clipped at 0 and normalized.
     """
@@ -117,12 +113,12 @@ def _mixtures(payoffs, supports, opp_supports, full_size, tol):
     if k == opp_supports.shape[1]:
         rhs = np.zeros((count, k + 1, 1))
         rhs[:, k] = 1.0
-        try:
-            sol = np.linalg.solve(M, rhs)[..., 0]
-        except np.linalg.LinAlgError:
+        # only the sign is read: the log-determinant of payoffs near the
+        # float limits may overflow or be log(0), which is no error here
+        with np.errstate(all="ignore"):
             regular = np.linalg.slogdet(M)[0] != 0
-            sol = np.full((count, k + 1), np.nan)
-            sol[regular] = np.linalg.solve(M[regular], rhs[regular])[..., 0]
+        sol = np.full((count, k + 1), np.nan)
+        sol[regular] = np.linalg.solve(M[regular], rhs[regular])[..., 0]
     else:
         sol = _least_squares(M, tol)
     at = np.flatnonzero(np.isfinite(sol).all(axis=1))
@@ -156,10 +152,7 @@ def _may_solve_exactly(payoffs, supports, opp_supports, tol) -> np.ndarray:
 
 
 def enumerate_equilibria(
-    bg: BimatrixGame,
-    tol: float = TOL_EQUILIBRIUM,
-    *,
-    size_cap: int = SIZE_CAP,
+    bg: BimatrixGame, tol: float = TOL_EQUILIBRIUM
 ) -> list[tuple[MixedStrategy, MixedStrategy]]:
     """All equilibria found by support enumeration, deduplicated.
 
@@ -167,14 +160,14 @@ def enumerate_equilibria(
     deterministic regardless of evaluation order.  Singular indifference
     systems are skipped, not errors.  Raises :class:`InputError` when
     ``tol`` is not positive and finite or a dimension exceeds
-    ``size_cap``.
+    ``SIZE_CAP``.
     """
     _check_tol(tol)
     m, n = bg.shape
-    if m > size_cap or n > size_cap:
+    if m > SIZE_CAP or n > SIZE_CAP:
         raise InputError(
-            f"game is {m}x{n} but the enumeration cap is {size_cap}; "
-            f"raise size_cap explicitly to accept the exponential cost"
+            f"game is {m}x{n}, but support enumeration takes games of at most "
+            f"{SIZE_CAP}x{SIZE_CAP}"
         )
     B, C = bg.B, bg.C
     # each pair's place in the order rows outer, columns inner, each by
@@ -186,27 +179,25 @@ def enumerate_equilibria(
     for I in _by_size(m):
         col_start = 0
         for J in col_sets:
-            k, l = I.shape[1], J.shape[1]
-            # a size group, in chunks that bound the memory of its stacks
-            for start in range(0, len(I) * len(J), _CHUNK):
-                pair = np.arange(start, min(start + _CHUNK, len(I) * len(J)))
-                rows, cols = I[pair // len(J)], J[pair % len(J)]
-                at = np.arange(len(pair))
-                if k != l:
-                    # the side with more equations than unknowns rarely
-                    # solves exactly; the other side nearly always does
-                    side = (B, rows, cols) if k > l else (C.T, cols, rows)
-                    at = np.flatnonzero(_may_solve_exactly(*side, tol))
-                    if not len(at):
-                        continue
-                on, q = _mixtures(B, rows[at], cols[at], n, tol)
-                at = at[on]
-                on, p = _mixtures(C.T, cols[at], rows[at], m, tol)
-                pair, q = pair[at[on]], q[on]
-                places.append((row_start + pair // len(J)) * col_count + col_start + pair % len(J))
-                ps.append(p)
-                qs.append(q)
+            pair = np.arange(len(I) * len(J))
+            rows, cols = I[pair // len(J)], J[pair % len(J)]
+            place = (row_start + pair // len(J)) * col_count + col_start + pair % len(J)
             col_start += len(J)
+            k, l = I.shape[1], J.shape[1]
+            if k != l:
+                # the side with more equations than unknowns rarely
+                # solves exactly; the other side nearly always does
+                side = (B, rows, cols) if k > l else (C.T, cols, rows)
+                passed = _may_solve_exactly(*side, tol)
+                if not passed.any():
+                    continue
+                place, rows, cols = place[passed], rows[passed], cols[passed]
+            on, q = _mixtures(B, rows, cols, n, tol)
+            place, rows, cols = place[on], rows[on], cols[on]
+            on, p = _mixtures(C.T, cols, rows, m, tol)
+            places.append(place[on])
+            ps.append(p)
+            qs.append(q[on])
         row_start += len(I)
     # the first of near-duplicates in that order is the one kept
     place = np.concatenate(places)
@@ -248,8 +239,7 @@ def cross_check(
     point at that value: ``max_i (Z q)_i <= v + tol`` and
     ``min_j (p'Z)_j >= v - tol``.  A pair on a degenerate face that the
     enumeration represents by other points is confirmed too.  Raises
-    :class:`InputError` where :func:`enumerate_equilibria` does at its
-    default ``size_cap``.
+    :class:`InputError` where :func:`enumerate_equilibria` does.
     """
     Z = zero_sum_matrix(game)
     values = [

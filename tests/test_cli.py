@@ -1,16 +1,23 @@
+import argparse
+import io
 import json
 import math
 import subprocess
 import sys
+import traceback
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tpass import cli, game, lp
 from tpass.cli import main
 from tpass.decompose import compose
 from tpass.errors import TpassError
-from tpass.gamefile import dumps_game, load_game
+from tpass.gamefile import dumps_game, load_game, parse_game
 
 DEMO_TPASS = '{"kind": "tpass", "A": [[0, 1], [-1, 0]], "pi": ["1/2", "3/4"], "rho": [0.5, 0.75]}'
 DEMO_TPASS_DECIMAL = '{"kind": "tpass", "A": [[0, 1], [-1, 0]], "pi": [0.5, 0.75], "rho": [0.5, 0.75]}'
@@ -442,3 +449,125 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "unique equilibrium" in proc.stdout
+
+
+# placeholders in a drawn command line for the game file and the output
+# path of tpass random
+GAME, OUT = "<game>", "<out>"
+
+_ENTRIES = st.one_of(
+    st.integers(-2, 2),
+    st.floats(),  # the float limits, subnormals, inf and nan
+    st.sampled_from(["1/3", " -22/7 ", "7e-2", "1e400", "1/0", "x", "", True, None, [], {}]),
+)
+_TOLS = st.one_of(st.sampled_from(["1e-8", "1e-4", "1e-12", "1e308", "5e-324"]),
+                  st.sampled_from(["0", "-1", "nan", "inf", "x"]))
+_VECTORS = st.sampled_from(["1,0", "0.5,0.5", "1/2,1/2", "1", "", "x", "1e400,0", "nan,1", "-1,2"])
+
+
+def _strategies(size):
+    """--p or --q text: a pure or uniform strategy of ``size`` or a drawn one."""
+    return st.one_of(
+        st.just(",".join(["1"] + ["0"] * (size - 1))),
+        st.just(",".join([f"1/{size}"] * size)),
+        _VECTORS,
+    )
+
+
+@st.composite
+def invocations(draw):
+    """A game file's text and a tpass command line that reads it.
+
+    The file is tpass or bimatrix, 0..5 per side, with extreme entries,
+    number strings, non-numbers and missing keys; the command line is
+    any subcommand with its options."""
+    kind = draw(st.sampled_from(["tpass", "bimatrix"]))
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    style = draw(st.sampled_from(["integer", "uniform", "scaled", "any"]))
+    if style == "integer":
+        entry = st.integers(-2, 2)
+    elif style == "uniform":
+        entry = st.floats(-1.0, 1.0)
+    elif style == "scaled":
+        # {-2..2} payoffs near the largest float and among the subnormals
+        scale = draw(st.sampled_from([8.5e307, 1e-320, 5e-324]))
+        entry = st.integers(-2, 2).map(lambda v: v * scale)
+    else:
+        entry = _ENTRIES
+
+    def entries(size):
+        return draw(st.lists(entry, min_size=size, max_size=size))
+
+    if kind == "tpass":
+        doc = {"kind": kind, "A": [entries(n) for _ in range(m)], "pi": entries(m), "rho": entries(n)}
+    else:
+        doc = {"kind": kind, "B": [entries(n) for _ in range(m)], "C": [entries(n) for _ in range(m)]}
+    missing = draw(st.sampled_from([None] * 9 + sorted(doc)))
+    if missing:
+        del doc[missing]
+
+    command = draw(st.sampled_from(["solve", "verify", "decompose", "enumerate", "demo", "random"]))
+    if command == "demo":
+        argv = [command, draw(st.sampled_from(["pd", "nope"]))]
+    elif command == "random":
+        size = st.integers(-1, 6).map(str)
+        argv = [command, "-m", draw(size), "-n", draw(size), "--seed", str(draw(st.integers(-1, 3)))]
+        argv += draw(st.sampled_from([[], ["--lo=1", "--hi=-1"], ["--lo=-1e308", "--hi=1e308"],
+                                      ["--lo=-2", "--hi=2"]]))
+        if draw(st.booleans()):
+            argv += ["-o", OUT]
+    else:
+        argv = [command, GAME]
+        if command == "verify":
+            argv += [f"--p={draw(_strategies(m))}", f"--q={draw(_strategies(n))}"]
+        if command == "solve" and draw(st.booleans()):
+            argv.append("--method=joint")
+        if draw(st.booleans()):
+            argv.append(f"--tol={draw(_TOLS)}")
+    if command in ("solve", "decompose", "demo") and draw(st.booleans()):
+        argv.append("--format=json")
+    return json.dumps(doc), argv
+
+
+@pytest.fixture(scope="module")
+def folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-contract")
+
+
+@given(invocation=invocations())
+@settings(max_examples=500, derandomize=True, deadline=None)
+# {-2..2} games at the float limits whose square oracle systems have a
+# log-determinant that overflows or is log(0)
+@example(invocation=(
+    json.dumps({"kind": "bimatrix",
+                "B": [[8.5e307, 0.0], [1.7e308, -8.5e307], [1.7e308, 8.5e307]],
+                "C": [[1.7e308, -1.7e308], [8.5e307, 1.7e308], [-1.7e308, -8.5e307]]}),
+    ["enumerate", GAME],
+))
+@example(invocation=(
+    json.dumps({"kind": "bimatrix",
+                "B": [[-5e-324, 0.0, -1e-323], [1e-323, 1e-323, -1e-323]],
+                "C": [[1e-323, 0.0, -1e-323], [1e-323, 1e-323, -1e-323]]}),
+    ["enumerate", GAME],
+))
+def test_every_input_maps_to_a_documented_exit_code(folder, invocation):
+    doc, argv = invocation
+    game, out = folder / "game.json", folder / "out.json"
+    game.write_text(doc, encoding="utf-8")
+    out.unlink(missing_ok=True)
+    argv = [{GAME: str(game), OUT: str(out)}.get(arg, arg) for arg in argv]
+    stdout = io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # only argparse exits, on a command line it refuses
+            assert exc.code == 2
+            assert traceback.extract_tb(exc.__traceback__)[-1].filename == argparse.__file__
+            return
+    assert code in (0, 1, 2, 3)
+    if "--format=json" in argv and stdout.getvalue():
+        json.loads(stdout.getvalue())
+    if code == 0 and argv[0] == "random":
+        parse_game(out.read_text(encoding="utf-8") if out.exists() else stdout.getvalue())

@@ -252,6 +252,31 @@ class TestSolveEquilibrium:
         assert len(tableaus) == 36
         assert sum(t.iterations for t in tableaus) <= 267
 
+    def test_mixed_magnitude_games_are_refused_no_more_often_than_measured(self):
+        # each entry of A, pi and rho is +-10^U(-k, k): one game's payoffs
+        # span 2k orders of magnitude, which breaks the absolute-tol verdict
+        # far more often than scaling a whole game does, while the LP holds
+        # up (a SolverFailure fails the test); lower the bounds as refusals
+        # fall, never raise them
+        rng = np.random.default_rng(5)
+
+        def entries(k, size):
+            return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-k, k, size)
+
+        refused = {}
+        for k in (4, 8, 12):
+            refused[k] = 0
+            for _ in range(400):
+                m, n = rng.integers(2, 9, 2)
+                try:
+                    solve_equilibrium(TpassGame(entries(k, (m, n)), entries(k, m), entries(k, n)))
+                except CertificationFailure as exc:
+                    assert "failed the best-response check" in str(exc)
+                    refused[k] += 1
+        assert refused[4] <= 0
+        assert refused[8] <= 57
+        assert refused[12] <= 169
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), None, "x"])
     def test_solvers_reject_a_bad_tol(self, tol):
         for solve in (solve_equilibrium, solve_joint_lp):

@@ -19,6 +19,7 @@ from tpass.game import (
     pure_payoffs,
     random_tpass,
 )
+from tpass.gamefile import dumps_game
 
 from gamegen import games, games_with_strategies, random_simplex
 
@@ -71,10 +72,12 @@ class TestTypes:
             (lambda: lp.LpModel(lp.MAX, [[1.0]], [], [], []), "^objective must be a 1-d vector"),
             (lambda: lp.LpModel(lp.MAX, [], [], [], []), "^objective must be a 1-d vector"),
             (lambda: lp.LpModel(lp.MAX, [1.0], [], [], [], bounds=[]), "^bounds has length 0"),
+            (lambda: dumps_game(dilemma().A), "^cannot serialize ndarray"),
         ],
         ids=["complex-A", "dict-A", "complex-weights", "string-B", "string-p", "dict-p",
              "complex-objective", "string-objective", "complex-b", "int-bounds", "1d-A",
-             "empty-weights", "nan-p", "2d-objective", "empty-objective", "short-bounds"],
+             "empty-weights", "nan-p", "2d-objective", "empty-objective", "short-bounds",
+             "array-game"],
     )
     def test_non_numeric_input_is_an_input_error(self, build, message):
         with pytest.raises(InputError, match=message):
@@ -98,6 +101,7 @@ class TestTypes:
     def test_pure_strategy_is_one_hot(self):
         s = MixedStrategy.pure(2, 3)
         assert s.weights.tolist() == [0.0, 1.0, 0.0]
+        assert len(s) == 3
         with pytest.raises(InputError):
             MixedStrategy.pure(0, 3)
 

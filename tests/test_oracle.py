@@ -59,8 +59,6 @@ def test_size_cap_enforced():
     big = BimatrixGame(np.zeros((6, 2)), np.zeros((6, 2)))
     with pytest.raises(InputError):
         enumerate_equilibria(big)
-    # explicit opt-in raises the cap
-    assert enumerate_equilibria(big, size_cap=6)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), None, "x"])
@@ -194,8 +192,8 @@ class TestStackedSolves:
             assert as_pairs(enumerate_equilibria(bg)) == as_pairs(per_pair_enumeration(bg))
 
     def test_integer_games_match_the_per_pair_loop_through_both_fallbacks(self, fallbacks):
-        # small integer payoffs make singular square systems (a stack that
-        # raises) and rectangular systems that solve exactly
+        # small integer payoffs make singular square systems and
+        # rectangular systems that solve exactly
         rng = np.random.default_rng(31415)
         for _ in range(300):
             m, n = (int(d) for d in rng.integers(1, 6, 2))
@@ -221,10 +219,9 @@ class TestStackedSolves:
                     per_pair_enumeration(bg, tol)
                 )
 
-    def test_chunked_groups_match_the_per_pair_loop(self, monkeypatch, fallbacks):
-        # chunks smaller than the size groups, which at 5x5 hold up to 100
-        # pairs, so that groups split and chunks are left empty by the screen
-        monkeypatch.setattr(oracle, "_CHUNK", 7)
+    def test_perturbed_integer_games_match_the_per_pair_loop(self, fallbacks):
+        # 3..5 per side, so that size groups hold up to 100 pairs and the
+        # screen leaves some groups empty
         rng = np.random.default_rng(271)
         for _ in range(40):
             m, n = (int(d) for d in rng.integers(3, 6, 2))
@@ -233,6 +230,26 @@ class TestStackedSolves:
                 assert as_pairs(enumerate_equilibria(bg)) == as_pairs(per_pair_enumeration(bg))
         assert fallbacks["singular"] > 0
         assert fallbacks["least_squares"] > 0
+
+    @pytest.mark.parametrize(
+        "bg",
+        [
+            BimatrixGame(
+                8.5e307 * np.array([[1, 0], [2, -1], [2, 1]]),
+                8.5e307 * np.array([[2, -2], [1, 2], [-2, -1]]),
+            ),
+            BimatrixGame(
+                5e-324 * np.array([[-1, 0, -2], [2, 2, -2]]),
+                5e-324 * np.array([[2, 0, -2], [2, 2, -2]]),
+            ),
+        ],
+        ids=["overflowing-log-determinant", "zero-log-determinant"],
+    )
+    def test_payoffs_near_the_float_limits_warn_nothing(self, bg):
+        # only slogdet's sign is read; its log-determinant of these stacks
+        # overflows or is log(0), which must not warn (warnings are errors
+        # here)
+        assert as_pairs(enumerate_equilibria(bg)) == as_pairs(per_pair_enumeration(bg))
 
     def test_slogdet_sign_is_zero_exactly_where_a_lone_solve_raises(self):
         # every square system, both sides, of the 300 {-2..2} games above:
@@ -320,7 +337,7 @@ class TestCrossCheck:
     def test_size_cap(self):
         g = random_tpass(6, 2, -1.0, 1.0, seed=1)
         sol = solve_equilibrium(g)
-        with pytest.raises(InputError, match="raise size_cap explicitly"):
+        with pytest.raises(InputError, match="at most 5x5$"):
             cross_check(g, sol)
 
     def test_agreement_on_random_games(self):
