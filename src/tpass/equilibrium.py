@@ -80,14 +80,22 @@ LP-pair and joint-LP certificates are the best-response gaps of
 :func:`tpass.game.is_equilibrium` under other names, and they are
 computed once: :func:`verify_lp_pair` returns its report and
 :func:`check_joint_lp` its verdict, and their docstrings state the
-identities.  Both solvers run one body, which solves the matrix-game
-LP, cleans the simplex points read off it of roundoff and certifies
-them at ``tol``; a failure raises :class:`CertificationFailure` naming
-the route (primal or joint).  Every other number is read off that one
-report: ``alpha = payoff_row + row_violation``, ``beta = payoff_col +
-col_violation``, the primal optimum ``rho.q - alpha``, the joint
-optimum ``-(row_violation + col_violation)`` and the slackness residual,
-the larger of the two gaps.
+identities.  Both solvers run one body, which finds the pair by one
+of two routes and certifies it at ``tol``; a failure raises
+:class:`CertificationFailure` naming the route (primal or joint).  When
+``Z`` has a strict pure saddle, an entry that is the unique minimum of
+its row and the unique maximum of its column, that cell is the game's
+only equilibrium and the body returns it as a pure pair, found exactly
+by comparisons on ``Z``, with no LP.  The matrix-game LP stops at the
+same unit vectors, so the answer has the LP's bits, except where
+roundoff in ``Zh`` ties entries within the LP's tolerance and the LP
+may stop at another pair.  Every other game, a saddle with ties
+included, takes the LP route: solve the matrix-game LP and clean the
+simplex points read off it of roundoff.  Every other number is read
+off the one report: ``alpha = payoff_row + row_violation``, ``beta =
+payoff_col + col_violation``, the primal optimum ``rho.q - alpha``, the
+joint optimum ``-(row_violation + col_violation)`` and the slackness
+residual, the larger of the two gaps.
 
 Multiplicity: these LPs can have many optima (one per equilibrium, plus
 faces between them).  The solvers return the single vertex selected by
@@ -225,20 +233,44 @@ def _onto_one_two(Z: np.ndarray) -> np.ndarray:
     return 1.0 + (Z - low) / width
 
 
+def _strict_saddle(Z: np.ndarray) -> tuple[int, int] | None:
+    """The strict pure saddle ``(i, j)`` of ``Z`` (0-based), or None.
+
+    ``Z[i, j]`` is a strict saddle when it is the unique maximum of its
+    column and the unique minimum of its row; it is then the matrix
+    game's only equilibrium.  Every other row's minimum is then strictly
+    smaller, so the row of the largest row minimum and that row's
+    smallest entry find it whenever it exists, and the test is exact.
+    The column is tested first, where most games without a saddle fail.
+    """
+    i = int(Z.min(axis=1).argmax())
+    j = int(Z[i].argmin())
+    v = Z[i, j]
+    if np.count_nonzero(Z[:, j] >= v) == 1 and np.count_nonzero(Z[i] <= v) == 1:
+        return i, j
+    return None
+
+
 def _certified(game: TpassGame, route: str, tol: float) -> EquilibriumSolution:
-    """The certified solution off the game's matrix-game LP, maximize
-    ``1'y`` subject to ``Zh y <= 1`` and ``y >= 0``: ``(p, q)`` from its
-    normalized multipliers and values, and every other number from their
+    """The certified solution of the game: ``(p, q)`` is the strict pure
+    saddle of ``Z`` if it has one, else the normalized multipliers and
+    values of its matrix-game LP, maximize ``1'y`` subject to ``Zh y <=
+    1`` and ``y >= 0``; every other number comes from the pair's
     :func:`is_equilibrium` report.  Failures name ``route``.
     """
     _check_tol(tol)
-    Zh = _onto_one_two(zero_sum_matrix(game))
-    m, n = Zh.shape
-    sol = lp.solve(lp.LpModel(lp.MAX, np.ones(n), Zh, np.full(m, lp.LE), np.ones(m)))
-    if sol.status != lp.OPTIMAL:
-        raise SolverFailure(f"{route} LP terminated {sol.status}; the program is always solvable")
-    p = _clean_simplex(sol.duals / sol.duals.sum(), tol, "p")
-    q = _clean_simplex(sol.x / sol.x.sum(), tol, "q")
+    Z = zero_sum_matrix(game)
+    m, n = Z.shape
+    saddle = _strict_saddle(Z)
+    if saddle is not None:
+        p, q = MixedStrategy.pure(saddle[0] + 1, m), MixedStrategy.pure(saddle[1] + 1, n)
+    else:
+        Zh = _onto_one_two(Z)
+        sol = lp.solve(lp.LpModel(lp.MAX, np.ones(n), Zh, np.full(m, lp.LE), np.ones(m)))
+        if sol.status != lp.OPTIMAL:
+            raise SolverFailure(f"{route} LP terminated {sol.status}; the program is always solvable")
+        p = _clean_simplex(sol.duals / sol.duals.sum(), tol, "p")
+        q = _clean_simplex(sol.x / sol.x.sum(), tol, "q")
     report = is_equilibrium(game, p, q, tol)
     if not report.is_equilibrium:
         raise CertificationFailure(
@@ -261,7 +293,9 @@ def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> Equilibr
     """Compute one equilibrium from the matrix-game LP and certify it.
 
     The LP's values normalized to sum 1 are ``q`` and its multipliers
-    normalized alike are ``p``; ``alpha = max_i (A q + pi)_i`` and ``beta
+    normalized alike are ``p``; a game whose ``Z`` has a strict pure
+    saddle skips the LP and returns that saddle, the LP's own optimum
+    there, as a pure pair.  ``alpha = max_i (A q + pi)_i`` and ``beta
     = max_j (rho - A' p)_j`` are the players' best-response values, and
     ``rho.q - alpha`` is the primal LP's optimum.  One LP serves every
     shape, and every scale and gauge shift of a game gives it the same
@@ -313,7 +347,8 @@ def solve_joint_lp(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> tuple[Equil
     dual LP over ``(p, beta)`` side by side, so its optima are the LP
     pair's primal-dual optimal pairs.  The matrix-game LP that
     :func:`solve_equilibrium` solves gives one: ``q`` from its values and
-    ``p`` from its multipliers, with no second LP.
+    ``p`` from its multipliers, with no second LP, or, as there, the
+    strict pure saddle of ``Z`` with no LP at all.
 
     Returns the certified solution together with the joint optimum
     ``(rho.q - alpha) + (pi.p - beta)``, read off the certificate as

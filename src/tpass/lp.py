@@ -350,13 +350,14 @@ class _Tableau:
         favorable = (reduced < -_RC_TOL).nonzero()[0]
         if favorable.size == 0:
             return OPTIMAL
-        ids = self.nonbasic[favorable]
-        if bland:
-            favorable = favorable[np.argsort(ids)]
-        else:
-            edges = T[:-1, favorable]
-            price = reduced[favorable] / np.sqrt(1.0 + np.einsum("ij,ij->j", edges, edges))
-            favorable = favorable[np.lexsort((ids, price))]
+        if favorable.size > 1:  # one favorable column needs no order
+            ids = self.nonbasic[favorable]
+            if bland:
+                favorable = favorable[np.argsort(ids)]
+            else:
+                edges = T[:-1, favorable]
+                price = reduced[favorable] / np.sqrt(1.0 + np.einsum("ij,ij->j", edges, edges))
+                favorable = favorable[np.lexsort((ids, price))]
         fallback = None
         for col in favorable[: self._SCAN_LIMIT].tolist():
             column = T[:-1, col]
@@ -370,9 +371,12 @@ class _Tableau:
                 raise SolverFailure(
                     "ratio test met a non-finite entry", iterations=self.iterations
                 )
+            row = int(ties[0])
+            if ties.size > 1:
+                pick = np.argmin(self.basis[ties]) if bland else np.argmax(np.abs(column[ties]))
+                row = int(ties[pick])
             if bland:
-                return col, int(ties[np.argmin(self.basis[ties])])
-            row = int(ties[np.argmax(np.abs(column[ties]))])
+                return col, row
             if abs(column[row]) >= self._STABLE_REL * max(1.0, float(np.abs(column).max())):
                 return col, row
             if fallback is None:

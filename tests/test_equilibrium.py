@@ -1,9 +1,12 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tpass import lp
+from tpass import equilibrium, lp
 from tpass.demo import dilemma
 from tpass.equilibrium import (
     build_dual_lp,
@@ -21,6 +24,7 @@ from tpass.game import (
     payoff_col,
     payoff_row,
     random_tpass,
+    zero_sum_matrix,
 )
 
 from gamegen import games, random_games, random_simplex
@@ -32,6 +36,26 @@ def matching_pennies():
 
 def zero_game():
     return TpassGame(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
+
+
+def _strict_saddles(Z):
+    """Every cell of ``Z`` below all other entries of its row and above
+    all other entries of its column, found by comparing each cell with
+    its whole row and column."""
+    m, n = Z.shape
+    row_min = (Z[:, None, :] > Z[:, :, None]).sum(axis=2) == n - 1
+    col_max = (Z[None, :, :] < Z[:, None, :]).sum(axis=1) == m - 1
+    return [tuple(cell) for cell in np.argwhere(row_min & col_max).tolist()]
+
+
+def _bits(record):
+    """Every field of a solution, its strategies and its report, as
+    type and bytes."""
+    out = []
+    for f in dataclasses.fields(record):
+        v = getattr(record, f.name)
+        out.append(_bits(v) if dataclasses.is_dataclass(v) else (type(v), np.asarray(v).tobytes()))
+    return out
 
 
 def _normalize_row(coeffs, rel, rhs):
@@ -275,7 +299,7 @@ class TestSolveEquilibrium:
                     refused[k] += 1
         assert refused[4] <= 0
         assert refused[8] <= 57
-        assert refused[12] <= 169
+        assert refused[12] <= 155
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), None, "x"])
     def test_solvers_reject_a_bad_tol(self, tol):
@@ -463,18 +487,23 @@ class TestFeasibleStart:
         # side 1 only: no surplus column, no = row and no artificial, on
         # one tableau on both routes, for every shape
         rng = np.random.default_rng(k + 3)
+        lp_routes = 0
         for m, n in ((3, 5), (4, 4), (7, 2), (60, 40)):
             g = random_tpass(m, n, -1.0, 1.0, seed=int(rng.integers(1 << 32)))
             g = TpassGame(g.A * 10.0**k, g.pi * 10.0**k, g.rho * 10.0**k)
+            # a game with a strict pure saddle is answered without an LP
+            lp_route = not _strict_saddles(zero_sum_matrix(g))
+            lp_routes += lp_route
             for solve in (solve_equilibrium, solve_joint_lp):
                 tableaus.clear()
                 solve(g)
-                assert len(tableaus) == 1
+                assert len(tableaus) == lp_route
                 for tableau in tableaus:
                     model = tableau.model
                     assert tableau.n_cols == model.n_vars
                     assert int((model.rel == lp.EQ).sum()) == 0
                     assert int(tableau.artificial.sum()) == 0
+        assert lp_routes >= 1
 
 
 class TestCertificateIdentities:
@@ -534,6 +563,8 @@ class TestCertificateIdentities:
             return lp.LpSolution(sol.status, vectors["x"], sol.objective_value, vectors["duals"], sol.iterations)
 
         monkeypatch.setattr(lp, "solve", swapped)
+        # these games have strict pure saddles, which skip the LP
+        monkeypatch.setattr(equilibrium, "_strict_saddle", lambda Z: None)
         solve = solve_joint_lp if route == "joint" else solve_equilibrium
         with pytest.raises(CertificationFailure, match=f"^{route} LP solution failed"):
             solve(game)
@@ -605,3 +636,93 @@ class TestZeroSumReduction:
             sol = solve_equilibrium(g)
             assert sol.alpha == pytest.approx(-sol.beta, abs=1e-9)
             assert sol.alpha == pytest.approx(game_value(g.A), abs=1e-8)
+
+
+def _saddle_test_games(monkeypatch, source, seed):
+    """The games of the benchmark's ``small-sweep`` workload at ``seed``,
+    or 3000 games of 1..5 per side with every payoff in {-2, ..., 2}."""
+    if source == "integer":
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(3000):
+            m, n = (int(k) for k in rng.integers(1, 6, 2))
+            out.append(TpassGame(rng.integers(-2, 3, (m, n)), rng.integers(-2, 3, m),
+                                 rng.integers(-2, 3, n)))
+        return out
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    return workloads.generate(source, seed).games
+
+
+_SADDLE_SOURCES = pytest.mark.parametrize(
+    "source, seed", [("small-sweep", 1), ("small-sweep", 201), ("integer", 17)]
+)
+
+
+def _lp_calls(monkeypatch):
+    """The models of every :func:`lp.solve` call from now on."""
+    calls = []
+    real = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda model: calls.append(model) or real(model))
+    return calls
+
+
+class TestStrictSaddle:
+    @_SADDLE_SOURCES
+    def test_strict_saddle_is_found_exactly_when_one_exists(self, monkeypatch, source, seed):
+        games = _saddle_test_games(monkeypatch, source, seed)
+        found = 0
+        for g in games:
+            Z = zero_sum_matrix(g)
+            cells = _strict_saddles(Z)
+            assert len(cells) <= 1
+            assert equilibrium._strict_saddle(Z) == (cells[0] if cells else None)
+            found += bool(cells)
+        assert 0.3 * len(games) < found < 0.7 * len(games)
+
+    @_SADDLE_SOURCES
+    def test_saddle_route_matches_the_lp_route_bit_for_bit(self, monkeypatch, source, seed):
+        # the LP returns exactly the saddle's unit vectors, so every field
+        # of the solution and its report is the LP route's, on both solvers
+        games = _saddle_test_games(monkeypatch, source, seed)
+        games = [g for g in games if _strict_saddles(zero_sum_matrix(g))]
+        assert len(games) > 800
+
+        def every_field():
+            out = []
+            for g in games:
+                joint, value = solve_joint_lp(g)
+                out.append((_bits(solve_equilibrium(g)), _bits(joint), type(value),
+                            np.float64(value).tobytes()))
+            return out
+
+        calls = _lp_calls(monkeypatch)
+        saddle = every_field()
+        assert calls == []
+        monkeypatch.setattr(equilibrium, "_strict_saddle", lambda Z: None)
+        assert every_field() == saddle
+        assert len(calls) == 2 * len(games)
+
+    def test_a_dominant_strategy_game_solves_no_lp(self, monkeypatch):
+        calls = _lp_calls(monkeypatch)
+        sol = solve_equilibrium(dilemma())
+        joint, value = solve_joint_lp(dilemma())
+        assert calls == []
+        for s in (sol, joint):
+            assert s.p.weights.tolist() == [1.0, 0.0]
+            assert s.q.weights.tolist() == [1.0, 0.0]
+            assert s.report.is_equilibrium
+        assert value == 0.0
+
+    @given(games(), st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_permuting_a_strict_saddle_game_permutes_its_pair(self, g, data):
+        assume(_strict_saddles(zero_sum_matrix(g)))
+        rows = np.array(data.draw(st.permutations(range(g.m))))
+        cols = np.array(data.draw(st.permutations(range(g.n))))
+        permuted = TpassGame(g.A[rows][:, cols], g.pi[rows], g.rho[cols])
+        for solve in (solve_equilibrium, lambda game: solve_joint_lp(game)[0]):
+            sol, other = solve(g), solve(permuted)
+            assert np.array_equal(other.p.weights, sol.p.weights[rows])
+            assert np.array_equal(other.q.weights, sol.q.weights[cols])
