@@ -255,7 +255,8 @@ def _certified(game: TpassGame, route: str, tol: float) -> EquilibriumSolution:
     """The certified solution of the game: ``(p, q)`` is the strict pure
     saddle of ``Z`` if it has one, else the normalized multipliers and
     values of its matrix-game LP, maximize ``1'y`` subject to ``Zh y <=
-    1`` and ``y >= 0``; every other number comes from the pair's
+    1`` and ``y >= 0``, which :func:`lp.solve` takes as the positive
+    matrix ``Zh`` itself; every other number comes from the pair's
     :func:`is_equilibrium` report.  Failures name ``route``.
     """
     _check_tol(tol)
@@ -266,7 +267,7 @@ def _certified(game: TpassGame, route: str, tol: float) -> EquilibriumSolution:
         p, q = MixedStrategy.pure(saddle[0] + 1, m), MixedStrategy.pure(saddle[1] + 1, n)
     else:
         Zh = _onto_one_two(Z)
-        sol = lp.solve(lp.LpModel(lp.MAX, np.ones(n), Zh, np.full(m, lp.LE), np.ones(m)))
+        sol = lp.solve(Zh)
         if sol.status != lp.OPTIMAL:
             raise SolverFailure(f"{route} LP terminated {sol.status}; the program is always solvable")
         p = _clean_simplex(sol.duals / sol.duals.sum(), tol, "p")

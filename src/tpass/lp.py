@@ -3,9 +3,10 @@
 A model, :class:`LpModel`, is one constructor over arrays: a maximize or
 minimize objective, the rows ``(M, rel, b)`` with ``<=``, ``=`` and
 ``>=`` relations, and per-variable bound classes (nonnegative or free).
-The equilibrium builders fill the arrays from slices of the payoff
-matrix, and the solver's set-up and verification run vectorized.  The
-solver works on a dense tableau and favors transparency over sparse
+:func:`solve` also takes a 2-D array ``P`` of positive finite entries
+for the packing LP ``maximize 1'y`` subject to ``P y <= 1``, ``y >=
+0``, which every game LP is.  The solver's set-up and verification run
+vectorized on a dense tableau and favor transparency over sparse
 machinery.
 
 Solver design:
@@ -24,9 +25,11 @@ Solver design:
   surplus column.  Only when an artificial exists does phase 1 run, on
   costs formed then: it maximizes minus the artificial sum, and an
   artificial left above zero, relative to its row's right-hand side,
-  means infeasible.  The game LPs have ``<=`` rows of right-hand side 1
-  and nonnegative variables only, so their set-up is the payoff block,
-  the right-hand side and the cost row.
+  means infeasible.  Phase 1 is bounded, so a ray there is roundoff:
+  from a basis feasible by that measure phase 2 goes on, and from any
+  other the solver raises.  A packing LP's set-up is ``[P | 1; -1' | 0]`` on
+  the slack basis, its model's tableau after pricing out, with the same
+  variable ids.
 * The tableau stores only the nonbasic columns (the dictionary form of
   the simplex method), with the right-hand side and the reduced-cost
   row.  The starting basis is the identity, the logicals, so the
@@ -61,15 +64,18 @@ Solver design:
   results.  A basic logical is a unit column of cost 0: its row's dual
   is 0, and the row drops out.  Only the structural and surplus basics
   are factorized, on the rows left over; at a game LP's optimum they
-  are a few of the many basics.
+  are a few of the many basics.  A packing LP shares the pivots and
+  this refactorization, so it returns its model's bits.
 * Every "optimal" result is re-verified against the original model:
   primal feasibility and dual feasibility within :data:`TOL_FEAS` and a
   primal-dual objective gap within :data:`TOL_GAP`, which together certify
-  optimality.  Every "unbounded" result is re-verified too: along the
-  ray, recomputed from the basis, every row and bound must hold and the
+  optimality; a packing LP's re-check reads the same conditions off
+  ``P``.  Every "unbounded" result is re-verified too: along the ray,
+  recomputed from the basis, every row and bound must hold and the
   objective must improve, each beyond roundoff; a column of tiny entries
-  or a roundoff reduced cost is no ray.  A violation raises
-  :class:`SolverFailure` rather than returning a silently wrong status.
+  or a roundoff reduced cost is no ray, and a packing LP has none.  A
+  violation raises :class:`SolverFailure` rather than returning a
+  silently wrong status.
 
 Dual sign convention (matching :func:`dualize`): for a maximize problem
 ``<=`` rows have nonnegative multipliers and ``>=`` rows nonpositive
@@ -225,13 +231,17 @@ class _Tableau:
     and an artificial on every other row.  ``T`` holds the nonbasic
     columns only, in the order of ``nonbasic``, then the right-hand side;
     its last row holds the reduced costs and the objective value.
-    ``basis[i]`` is the variable basic in row ``i``.
+    ``basis[i]`` is the variable basic in row ``i``.  A packing LP has
+    ``model`` None.
     """
 
-    def __init__(self, model: LpModel):
+    def __init__(self, model):
+        self.iterations = 0
+        if not isinstance(model, LpModel):
+            self._set_up_packing(model)
+            return
         self.model = model
         self.maximize = model.sense == MAX
-        self.iterations = 0
 
         m, n = model.n_rows, model.n_vars
         c = model.objective if self.maximize else -model.objective
@@ -283,10 +293,34 @@ class _Tableau:
         # themselves when no column was split or added.
         self.A0 = T[:m, :n_cols].copy() if self.split or surplus.size else rows
         self.b0 = rhs
-        self.n_cols = n_cols
+        self.n_cols, self.n_rows = n_cols, m
         self.artificial = np.zeros(n_cols + m, dtype=bool)
         self.artificial[n_cols:] = kind <= 0
         self.phase2_costs = costs2
+
+    def _set_up_packing(self, P) -> None:
+        """The packing LP of ``P``, priced out on the slack basis."""
+        P = _frozen(P, float, "P")
+        if P.ndim != 2 or P.size == 0:
+            raise InputError(f"P must be a nonempty 2-d array, got shape {P.shape}")
+        if not ((P > 0.0).all() and P.max() < np.inf):
+            raise InputError("P must have positive finite entries")
+        m, n = P.shape
+        T = np.empty((m + 1, n + 1))
+        T[:m, :n] = P
+        T[:m, -1] = 1.0
+        T[-1, :-1] = -1.0
+        T[-1, -1] = 0.0
+        self.model = None
+        self.T = T
+        self.basis = n + np.arange(m)
+        self.nonbasic = np.arange(n)
+        self.row_ids = np.arange(m)
+        self.A0, self.b0 = P, np.ones(m)
+        self.n_cols, self.n_rows = n, m
+        self.artificial = np.zeros(n + m, dtype=bool)
+        self.phase2_costs = np.zeros(n + m)
+        self.phase2_costs[:n] = 1.0
 
     # -- tableau mechanics ------------------------------------------------
 
@@ -387,7 +421,7 @@ class _Tableau:
         T = self.T
         stall_limit = self._STALL_PER_ROW * max(1, T.shape[0] - 1)
         # from the size of the full tableau: rows and standard-form columns
-        hard_cap = 10_000 + 200 * (2 * self.model.n_rows + self.n_cols + 2)
+        hard_cap = 10_000 + 200 * (2 * self.n_rows + self.n_cols + 2)
         bland = False
         best = T[-1, -1]
         stall = 0
@@ -448,12 +482,12 @@ class _Tableau:
         """
         basis = self.basis
         cols = basis[basis < self.n_cols]
-        live = np.zeros(self.model.n_rows, dtype=bool)
+        live = np.zeros(self.n_rows, dtype=bool)
         live[self.row_ids] = True
         live[basis[basis >= self.n_cols] - self.n_cols] = False
         rows = live.nonzero()[0]
         z = np.zeros(self.n_cols)
-        y = np.zeros(self.model.n_rows)
+        y = np.zeros(self.n_rows)
         k = rows.size
         system = np.empty((2, k, k))
         system[0] = self.A0[rows[:, None], cols]
@@ -488,13 +522,18 @@ class _Tableau:
         """
         model = self.model
         values, duals = self._basis_solve(self.b0)
-        x = self._recombine(values)
-        if self.sigma is not None:
-            duals *= self.sigma
-        if not self.maximize:
-            duals = -duals
-        objective_value = float(model.objective @ x)
-        _verify(model, x, duals, objective_value, self.iterations)
+        if model is None:
+            x = values
+            objective_value = float(self.phase2_costs[: self.n_cols] @ x)
+            _verify_packing(self.A0, x, duals, objective_value, self.iterations)
+        else:
+            x = self._recombine(values)
+            if self.sigma is not None:
+                duals *= self.sigma
+            if not self.maximize:
+                duals = -duals
+            objective_value = float(model.objective @ x)
+            _verify(model, x, duals, objective_value, self.iterations)
         x.setflags(write=False)
         duals.setflags(write=False)
         return LpSolution(OPTIMAL, x, objective_value, duals, self.iterations)
@@ -507,7 +546,7 @@ class _Tableau:
         if ray < self.n_cols:
             column = self.A0[:, ray]
         else:
-            column = np.zeros(self.model.n_rows)
+            column = np.zeros(self.n_rows)
             column[ray - self.n_cols] = 1.0
         d = self._basis_solve(-column)[0]
         if ray < self.n_cols:
@@ -520,21 +559,23 @@ class _Tableau:
         if self.artificial.any():
             self._price_out(np.where(self.artificial, -1.0, 0.0))
             status = self._pivot_loop(phase=1)
-            if status != OPTIMAL:
-                # Phase-1 objective is bounded above by zero.
-                raise SolverFailure(
-                    f"phase 1 terminated {status}", iterations=self.iterations
-                )
             # Infeasible if an artificial is left above TOL_FEAS relative
             # to its row's right-hand side, the measure _verify applies.
             art = self.artificial[self.basis]
             scale = np.maximum(1.0, self.b0[self.basis[art] - self.n_cols])
             if (self.T[:-1, -1][art] > TOL_FEAS * scale).any():
+                if status != OPTIMAL:  # phase 1 is bounded, so its ray proves nothing
+                    raise SolverFailure(
+                        f"phase 1 terminated {status}", iterations=self.iterations
+                    )
                 return LpSolution(INFEASIBLE, None, float("nan"), None, self.iterations)
             self._drive_out_artificials()
-        self._price_out(self.phase2_costs)
+        if self.model is not None:  # a packing tableau is priced out at set-up
+            self._price_out(self.phase2_costs)
         status = self._pivot_loop(phase=2)
         if status == UNBOUNDED:
+            if self.model is None:  # a packing LP has no ray to re-check
+                raise SolverFailure("unbounded ray fails the re-check", iterations=self.iterations)
             _verify_ray(self.model, self._recombine(self._ray()), self.iterations)
             value = float("inf") if self.maximize else float("-inf")
             return LpSolution(UNBOUNDED, None, value, None, self.iterations)
@@ -552,12 +593,6 @@ def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: f
         (row_viol / np.maximum(1.0, np.abs(b))).max(initial=0.0),
         (-x[~model._free]).max(initial=0.0),
     ))
-    if not worst <= TOL_FEAS:
-        raise SolverFailure(
-            "optimal basis fails the primal feasibility re-check",
-            violation=worst,
-            iterations=iterations,
-        )
 
     # multiplier sign conditions per relation; an = row's sign is 0, so
     # its free multiplier adds only zeros
@@ -569,14 +604,34 @@ def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: f
     var_viol = np.where(model._free, np.abs(reduced), var_viol)
     scale = np.maximum(1.0, np.abs(model.objective))
     worst_dual = float(np.maximum(worst_dual, (var_viol / scale).max()))
+    _certify(worst, worst_dual, objective_value, float(duals @ b), iterations)
+
+
+def _verify_packing(P: np.ndarray, y: np.ndarray, u: np.ndarray, objective_value: float,
+                    iterations: int) -> None:
+    """:func:`_verify` of the packing LP of ``P``, on ``P`` itself: there
+    its scales are 1 and its sign masks select nothing."""
+    worst = float(np.maximum(np.maximum(P @ y - 1.0, 0.0).max(), (-y).max(initial=0.0)))
+    worst_dual = float(np.maximum((-u).max(initial=0.0), np.maximum(1.0 - P.T @ u, 0.0).max()))
+    _certify(worst, worst_dual, objective_value, float(u @ np.ones(u.size)), iterations)
+
+
+def _certify(worst: float, worst_dual: float, objective_value: float, dual_objective: float,
+             iterations: int) -> None:
+    """Raise :class:`SolverFailure` unless both violations are within
+    :data:`TOL_FEAS` and the objectives within :data:`TOL_GAP`."""
+    if not worst <= TOL_FEAS:
+        raise SolverFailure(
+            "optimal basis fails the primal feasibility re-check",
+            violation=worst,
+            iterations=iterations,
+        )
     if not worst_dual <= TOL_FEAS:
         raise SolverFailure(
             "optimal basis fails the dual feasibility re-check",
             violation=worst_dual,
             iterations=iterations,
         )
-
-    dual_objective = float(duals @ b)
     gap = abs(objective_value - dual_objective)
     if not gap <= TOL_GAP * max(1.0, abs(objective_value)):
         raise SolverFailure(
@@ -602,10 +657,16 @@ def _verify_ray(model: LpModel, ray: np.ndarray, iterations: int) -> None:
         raise SolverFailure("unbounded ray fails the re-check", iterations=iterations)
 
 
-def solve(model: LpModel) -> LpSolution:
-    """Solve a model with the two-phase simplex method on one tableau.
+def solve(model: LpModel | np.ndarray) -> LpSolution:
+    """Solve a model, or the packing LP of a positive matrix, with the
+    two-phase simplex method on one tableau.
 
-    Deterministic: the same model always follows the same pivot path and
+    Any other input is read as a matrix ``P`` of positive finite entries
+    (else :class:`InputError`), for ``maximize 1'y`` subject to ``P y <=
+    1``, ``y >= 0``: the solution of ``LpModel(MAX, ones(n), P, [LE] *
+    m, ones(m))``, bit for bit, with no model built.
+
+    Deterministic: the same input always follows the same pivot path and
     returns the same solution and iteration count.  Raises
     :class:`SolverFailure` when the numbers cannot be trusted (a singular
     final basis, a failed re-check, the iteration limit) instead of

@@ -20,12 +20,14 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 @pytest.fixture
 def tableaus(monkeypatch):
-    """Each solve's tableau, as set up."""
+    """Each solve's tableau, as set up, with the argument it was set up
+    from as ``given``."""
     made = []
 
     class Spy(lp._Tableau):
         def __init__(self, model, *args):
             super().__init__(model, *args)
+            self.given = model
             made.append(self)
 
     monkeypatch.setattr(lp, "_Tableau", Spy)

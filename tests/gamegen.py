@@ -1,11 +1,14 @@
 """Shared generators for the test suite: hypothesis strategies plus
 plain seeded-rng helpers for the larger sweeps."""
 
+from pathlib import Path
+
 import numpy as np
 from hypothesis import strategies as st
 
 from tpass import lp
-from tpass.game import TpassGame, random_tpass
+from tpass.equilibrium import _onto_one_two, _strict_saddle
+from tpass.game import TpassGame, random_tpass, zero_sum_matrix
 
 finite_entries = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
@@ -72,3 +75,40 @@ def random_lp(rng) -> lp.LpModel:
         b,
         tuple(lp.FREE if free else lp.NONNEG for free in rng.random(n) < 0.2),
     )
+
+
+def benchmark_games(monkeypatch, workload, seed):
+    """The games of the benchmark's ``workload`` at ``seed``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    return workloads.generate(workload, seed).games
+
+
+def packing_model(P):
+    """The packing LP of ``P`` as a model: maximize ``1'y`` subject to
+    ``P y <= 1`` and ``y >= 0``."""
+    m, n = np.shape(P)
+    return lp.LpModel(lp.MAX, np.ones(n), P, [lp.LE] * m, np.ones(m))
+
+
+# (source, seed) pairs of packing_matrices
+PACKING_SOURCES = [("small-sweep", 1), ("small-sweep", 201), ("large-lp", 1), ("random", 5)]
+
+
+def packing_matrices(monkeypatch, source, seed):
+    """Positive matrices ``P`` for :func:`lp.solve`: the matrix-game LP's
+    ``Zh`` of every game of a benchmark workload that takes the LP route,
+    or, for source ``"random"``, 1200 matrices of 1..10 per side whose
+    entries are U(1, 2), 10^U(-3, 3) or 10^U(-6, 6), one of the three
+    per matrix, from numpy rng ``seed``."""
+    if source != "random":
+        Zs = (zero_sum_matrix(g) for g in benchmark_games(monkeypatch, source, seed))
+        return [_onto_one_two(Z) for Z in Zs if _strict_saddle(Z) is None]
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(1200):
+        m, n = (int(k) for k in rng.integers(1, 11, 2))
+        k = (0, 3, 6)[int(rng.integers(3))]
+        out.append(10.0 ** rng.uniform(-k, k, (m, n)) if k else rng.uniform(1.0, 2.0, (m, n)))
+    return out

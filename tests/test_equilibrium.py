@@ -1,5 +1,4 @@
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from tpass.game import (
     zero_sum_matrix,
 )
 
-from gamegen import games, random_games, random_simplex
+from gamegen import benchmark_games, games, packing_model, random_games, random_simplex
 
 
 def matching_pennies():
@@ -388,8 +387,9 @@ class TestJointProgram:
 
     @pytest.mark.parametrize("m, n", [(25, 25), (26, 26), (30, 24), (64, 64), (200, 10)])
     def test_one_feasible_tableau_matches_the_joint_lp(self, monkeypatch, m, n):
-        # one matrix-game LP for every shape, started with each inequality
-        # row on its slack, reaching the joint LP's optimum
+        # one matrix-game LP for every shape, the packing LP of a positive
+        # matrix, whose slack basis is feasible, reaching the joint LP's
+        # optimum
         g = random_tpass(m, n, -1.0, 1.0, seed=97_000 + m + n)
         whole = lp.solve(build_joint_lp(g))
         real, models = lp.solve, []
@@ -400,9 +400,9 @@ class TestJointProgram:
 
         monkeypatch.setattr(lp, "solve", recorded)
         sol, value = solve_joint_lp(g)
-        assert len(models) == 1
-        for model in models:
-            assert model.b[model.rel == lp.LE].min() >= 0.0
+        (P,) = models
+        assert isinstance(P, np.ndarray) and P.shape == (m, n)
+        assert (P > 0.0).all()
         x = whole.x
         assert np.abs(sol.p.weights - x[:m]).max() <= 1e-9
         assert np.abs(sol.q.weights - x[m : m + n]).max() <= 1e-9
@@ -483,9 +483,10 @@ def _worst_row_violation(model, x):
 class TestFeasibleStart:
     @pytest.mark.parametrize("k", range(-3, 4))
     def test_game_tableaus_start_on_their_logicals(self, tableaus, k):
-        # every game LP is a matrix-game LP, of <= rows of right-hand
-        # side 1 only: no surplus column, no = row and no artificial, on
-        # one tableau on both routes, for every shape
+        # every game LP is the packing LP of a positive matrix of the
+        # game's shape: <= rows of right-hand side 1 only, so no surplus
+        # column and no artificial, on one tableau on both routes, for
+        # every shape
         rng = np.random.default_rng(k + 3)
         lp_routes = 0
         for m, n in ((3, 5), (4, 4), (7, 2), (60, 40)):
@@ -499,11 +500,29 @@ class TestFeasibleStart:
                 solve(g)
                 assert len(tableaus) == lp_route
                 for tableau in tableaus:
-                    model = tableau.model
-                    assert tableau.n_cols == model.n_vars
-                    assert int((model.rel == lp.EQ).sum()) == 0
+                    P = tableau.given
+                    assert isinstance(P, np.ndarray) and P.shape == (m, n)
+                    assert (P > 0.0).all()
+                    assert tableau.n_cols == n
                     assert int(tableau.artificial.sum()) == 0
         assert lp_routes >= 1
+
+    def test_the_lp_as_a_model_gives_every_field_alike(self, monkeypatch):
+        # lp.solve(Zh) solves the LP that LpModel(MAX, 1, Zh, <=, 1) states,
+        # on the same pivots, so wrapping Zh in that model changes no bit
+        # of either solver's solutions
+        games = _saddle_test_games(monkeypatch, "small-sweep", 1)
+        real, models = lp.solve, []
+        calls = _lp_calls(monkeypatch)
+        packing = _every_field(games)
+
+        def as_model(P):
+            models.append(packing_model(P))
+            return real(models[-1])
+
+        monkeypatch.setattr(lp, "solve", as_model)
+        assert _every_field(games) == packing
+        assert len(models) == len(calls) > len(games)
 
 
 class TestCertificateIdentities:
@@ -649,10 +668,7 @@ def _saddle_test_games(monkeypatch, source, seed):
             out.append(TpassGame(rng.integers(-2, 3, (m, n)), rng.integers(-2, 3, m),
                                  rng.integers(-2, 3, n)))
         return out
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    import workloads
-
-    return workloads.generate(source, seed).games
+    return benchmark_games(monkeypatch, source, seed)
 
 
 _SADDLE_SOURCES = pytest.mark.parametrize(
@@ -660,8 +676,18 @@ _SADDLE_SOURCES = pytest.mark.parametrize(
 )
 
 
+def _every_field(games):
+    """Every field of both solvers' solutions of each game, as bits."""
+    out = []
+    for g in games:
+        joint, value = solve_joint_lp(g)
+        out.append((_bits(solve_equilibrium(g)), _bits(joint), type(value),
+                    np.float64(value).tobytes()))
+    return out
+
+
 def _lp_calls(monkeypatch):
-    """The models of every :func:`lp.solve` call from now on."""
+    """The argument of every :func:`lp.solve` call from now on."""
     calls = []
     real = lp.solve
     monkeypatch.setattr(lp, "solve", lambda model: calls.append(model) or real(model))
@@ -688,20 +714,11 @@ class TestStrictSaddle:
         games = _saddle_test_games(monkeypatch, source, seed)
         games = [g for g in games if _strict_saddles(zero_sum_matrix(g))]
         assert len(games) > 800
-
-        def every_field():
-            out = []
-            for g in games:
-                joint, value = solve_joint_lp(g)
-                out.append((_bits(solve_equilibrium(g)), _bits(joint), type(value),
-                            np.float64(value).tobytes()))
-            return out
-
         calls = _lp_calls(monkeypatch)
-        saddle = every_field()
+        saddle = _every_field(games)
         assert calls == []
         monkeypatch.setattr(equilibrium, "_strict_saddle", lambda Z: None)
-        assert every_field() == saddle
+        assert _every_field(games) == saddle
         assert len(calls) == 2 * len(games)
 
     def test_a_dominant_strategy_game_solves_no_lp(self, monkeypatch):

@@ -13,9 +13,16 @@ from tpass.equilibrium import (
     build_primal_lp,
 )
 from tpass.errors import InputError, SolverFailure
-from tpass.game import random_tpass, zero_sum_matrix
+from tpass.game import TpassGame, random_tpass, zero_sum_matrix
 
-from gamegen import games, random_lp, random_simplex
+from gamegen import (
+    PACKING_SOURCES,
+    games,
+    packing_matrices,
+    packing_model,
+    random_lp,
+    random_simplex,
+)
 
 
 def box_problem():
@@ -324,6 +331,18 @@ def pricing_rules(monkeypatch):
 
 
 class TestTableauBranches:
+    def test_false_phase_1_ray_at_a_feasible_basis_goes_on_to_phase_2(self):
+        # Phase 1 of this dual LP pivots on an entry of 4e-8 and reaches a
+        # zero infeasibility, then prices a column of nonpositive entries
+        # at -3.7e-9, pure roundoff: a false ray, since the phase-1
+        # objective is bounded above by zero.  From that feasible basis
+        # phase 2 reaches the optimum, which the primal LP confirms
+        g = TpassGame([[0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 1.5, -5.96046448e-08]], [0.0, 0.0],
+                      [0.0, 1.0, 0.0, -1.25920273e-175])
+        primal, dual = lp.solve(build_primal_lp(g)), lp.solve(build_dual_lp(g))
+        assert dual.status == lp.OPTIMAL
+        assert dual.objective_value == pytest.approx(primal.objective_value, abs=lp.TOL_GAP)
+
     def test_ray_with_a_roundoff_entry_is_unbounded(self):
         # After 4 pivots the entering column is [-1/3, 1.1e-16, -1/3]: its
         # one positive entry is roundoff, so the column is a ray.
@@ -457,6 +476,78 @@ class TestSetUpBranches:
             assert np.array_equal(flipped.x, plain.x)
             assert flipped.objective_value == plain.objective_value
             assert np.array_equal(flipped.duals, -plain.duals)
+
+
+def _outcome(verify, *args):
+    """The message ``verify`` raises on ``args``, or None if it passes."""
+    try:
+        verify(*args)
+    except SolverFailure as exc:
+        return str(exc)
+    return None
+
+
+class TestPackingInput:
+    @pytest.mark.parametrize(
+        "P",
+        [None, "x", [1.0, 2.0], np.zeros((0, 3)), [[1.0, np.nan]], [[1.0, np.inf]],
+         [[1.0, 0.0]], [[1.0, -2.0]]],
+        ids=["none", "string", "1-d", "no-rows", "nan", "inf", "zero", "negative"],
+    )
+    def test_input_that_is_not_a_positive_matrix_is_refused(self, P):
+        with pytest.raises(InputError, match="^P "):
+            lp.solve(P)
+
+    def test_a_list_of_lists_solves(self):
+        sol = lp.solve([[1, 2]])
+        assert sol.status == lp.OPTIMAL
+        assert sol.x.tolist() == [1.0, 0.0]
+        assert sol.duals.tolist() == [1.0]
+        assert sol.objective_value == 1.0
+
+    @pytest.mark.parametrize("source, seed", PACKING_SOURCES)
+    def test_matrix_and_model_solve_alike_bit_for_bit(self, monkeypatch, source, seed):
+        # the packing set-up is the model route's tableau after pricing
+        # out, so the pivots and every reported number are the same
+        for P in packing_matrices(monkeypatch, source, seed):
+            sol, want = lp.solve(P), lp.solve(packing_model(P))
+            assert sol.status == want.status == lp.OPTIMAL
+            assert sol.iterations == want.iterations
+            assert sol.x.tobytes() == want.x.tobytes()
+            assert sol.duals.tobytes() == want.duals.tobytes()
+            assert np.float64(sol.objective_value).tobytes() == np.float64(want.objective_value).tobytes()
+
+    def test_verifiers_agree_at_and_past_each_tolerance(self, monkeypatch):
+        # each optimality condition is pushed past by half and by twice its
+        # tolerance; the general and the packing verifier must raise the
+        # same message, or both pass
+        seen = {0.5: set(), 2.0: set()}
+        for P in packing_matrices(monkeypatch, "random", 5)[:300]:
+            model, sol = packing_model(P), lp.solve(P)
+            y, u = sol.x, sol.duals
+            for factor in seen:
+                d = factor * lp.TOL_FEAS
+                gap = factor * lp.TOL_GAP * max(1.0, abs(sol.objective_value))
+                pushed = [(y * (1.0 + d), u, 0.0),  # P y <= 1
+                          (y, u * (1.0 - d), 0.0),  # P'u >= 1
+                          (y, u, gap)]  # 1'y = 1'u
+                # y >= 0 and u >= 0: their zero entries, if any, set to -d
+                if (y == 0.0).any():
+                    pushed.append((np.where(y == 0.0, -d, y), u, 0.0))
+                if (u == 0.0).any():
+                    pushed.append((y, np.where(u == 0.0, -d, u), 0.0))
+                for y2, u2, shift in pushed:
+                    value = float(np.ones(y2.size) @ y2) + shift
+                    got = _outcome(lp._verify_packing, P, y2, u2, value, 7)
+                    assert got == _outcome(lp._verify, model, y2, u2, value, 7)
+                    seen[factor].add(got and got.split(" (")[0])
+        # a zero entry of u set to -d also lowers P'u, by up to d max(P)
+        assert None in seen[0.5]
+        assert seen[2.0] == {
+            "optimal basis fails the primal feasibility re-check",
+            "optimal basis fails the dual feasibility re-check",
+            "primal and dual objectives disagree",
+        }
 
 
 def standard_form(model):
