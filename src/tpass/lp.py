@@ -27,9 +27,9 @@ Solver design:
   artificial left above zero, relative to its row's right-hand side,
   means infeasible.  Phase 1 is bounded, so a ray there is roundoff:
   from a basis feasible by that measure phase 2 goes on, and from any
-  other the solver raises.  A packing LP's set-up is ``[P | 1; -1' | 0]`` on
-  the slack basis, its model's tableau after pricing out, with the same
-  variable ids.
+  other the solver raises.  A packing LP's set-up forms its model's
+  state from ``P`` directly, ``[P | 1; -1' | 0]`` on the slack basis.
+  Both set-ups end priced out for phase 2, on the logical basis.
 * The tableau stores only the nonbasic columns (the dictionary form of
   the simplex method), with the right-hand side and the reduced-cost
   row.  The starting basis is the identity, the logicals, so the
@@ -66,16 +66,15 @@ Solver design:
   are factorized, on the rows left over; at a game LP's optimum they
   are a few of the many basics.  A packing LP shares the pivots and
   this refactorization, so it returns its model's bits.
-* Every "optimal" result is re-verified against the original model:
-  primal feasibility and dual feasibility within :data:`TOL_FEAS` and a
-  primal-dual objective gap within :data:`TOL_GAP`, which together certify
-  optimality; a packing LP's re-check reads the same conditions off
-  ``P``.  Every "unbounded" result is re-verified too: along the ray,
-  recomputed from the basis, every row and bound must hold and the
-  objective must improve, each beyond roundoff; a column of tiny entries
-  or a roundoff reduced cost is no ray, and a packing LP has none.  A
-  violation raises :class:`SolverFailure` rather than returning a
-  silently wrong status.
+* Every "optimal" result is re-verified against the problem's own
+  arrays: primal feasibility and dual feasibility within
+  :data:`TOL_FEAS` and a primal-dual objective gap within
+  :data:`TOL_GAP`, which together certify optimality.  Every
+  "unbounded" result is re-verified too: along the ray, recomputed from
+  the basis, every row and bound must hold and the objective must
+  improve, each beyond roundoff of the terms involved; a column of tiny
+  entries or a roundoff reduced cost is no ray.  A violation raises
+  :class:`SolverFailure` rather than returning a silently wrong status.
 
 Dual sign convention (matching :func:`dualize`): for a maximize problem
 ``<=`` rows have nonnegative multipliers and ``>=`` rows nonpositive
@@ -224,34 +223,45 @@ class LpSolution:
 class _Tableau:
     """Mutable solver state; private to a single :func:`solve` call.
 
-    Variables are numbered in standard form: the columns ``0..n_cols-1``
+    Both set-ups record the same state in the same order: the problem as
+    given, for the re-checks (``M``, ``b``, ``row_sign``, ``free``,
+    ``objective``, ``maximize``, the ``=`` rows ``equality`` and the
+    scales ``row_scale`` and ``cost_scale``), the row signs ``sigma``
+    applied and the column maps ``split`` of the free variables (each
+    None when unneeded), then the tableau.  The columns ``0..n_cols-1``
     are the structural variables (free ones split in two) and then one
     ``-1`` surplus column per ``>=`` row; variable ``n_cols + i`` is row
     ``i``'s logical, whose column is ``+e_i``: a slack on a ``<=`` row
     and an artificial on every other row.  ``T`` holds the nonbasic
     columns only, in the order of ``nonbasic``, then the right-hand side;
     its last row holds the reduced costs and the objective value.
-    ``basis[i]`` is the variable basic in row ``i``.  A packing LP has
-    ``model`` None.
+    ``basis[i]`` is the variable basic in row ``i``.
     """
 
-    def __init__(self, model):
+    def __init__(self, problem):
         self.iterations = 0
-        if not isinstance(model, LpModel):
-            self._set_up_packing(model)
-            return
-        self.model = model
+        if isinstance(problem, LpModel):
+            self._set_up_model(problem)
+        else:
+            self._set_up_packing(problem)
+
+    def _set_up_model(self, model: LpModel) -> None:
+        self.M, self.b, self.row_sign = model.M, model.b, model._row_sign
+        self.free, self.objective = model._free, model.objective
         self.maximize = model.sense == MAX
+        equality = (model._row_sign == 0).nonzero()[0]
+        self.equality = equality if equality.size else None
+        self.row_scale = np.maximum(1.0, np.abs(model.b))
+        self.cost_scale = np.maximum(1.0, np.abs(model.objective))
 
         m, n = model.n_rows, model.n_vars
         c = model.objective if self.maximize else -model.objective
         rows, rhs, kind = model.M, model.b, model._row_sign
 
         # Row normalization: nonnegative rhs, with the applied sign sigma
-        # kept so original duals can be recovered (None when no row is
-        # negated).  kind is +1 for <=, -1 for >= and 0 for = after the
-        # flip; a >= row gets a surplus column, and every row but a <= one
-        # an artificial logical.
+        # kept so original duals can be recovered.  kind is +1 for <=, -1
+        # for >= and 0 for = after the flip; a >= row gets a surplus
+        # column, and every row but a <= one an artificial logical.
         flip = rhs < 0
         self.sigma = None
         if flip.any():
@@ -260,67 +270,75 @@ class _Tableau:
         surplus = (kind < 0).nonzero()[0]
 
         # Split free variables, if any: x[j] = column pos_col[j] - column
-        # neg_col[j].  With none, x[j] is column j.
+        # neg_col[j], with split = (pos_col, neg_col).  With none, x[j] is
+        # column j.
         free = model._free
-        self.split = bool(free.any())
+        self.split = None
         n_struct = n
-        if self.split:
-            self.pos_col = np.arange(n) + np.cumsum(free) - free
-            self.neg_col = np.where(free, self.pos_col + 1, -1)
+        if free.any():
+            pos_col = np.arange(n) + np.cumsum(free) - free
+            neg_col = np.where(free, pos_col + 1, -1)
+            self.split = pos_col, neg_col
             n_struct += int(free.sum())
 
         n_cols = n_struct + surplus.size
         T = np.zeros((m + 1, n_cols + 1))
-        costs2 = np.zeros(n_cols + m)
-        if self.split:
-            T[:m, self.pos_col] = rows
-            T[:m, self.neg_col[free]] = -rows[:, free]
-            costs2[self.pos_col] = c
-            costs2[self.neg_col[free]] = -c[free]
+        costs = np.zeros(n_cols + m)
+        if self.split is not None:
+            T[:m, pos_col] = rows
+            T[:m, neg_col[free]] = -rows[:, free]
+            costs[pos_col] = c
+            costs[neg_col[free]] = -c[free]
         else:
             T[:m, :n] = rows
-            costs2[:n] = c
+            costs[:n] = c
         if surplus.size:
             T[surplus, np.arange(n_struct, n_cols)] = -1.0
         T[:m, -1] = rhs
+        artificial = np.zeros(n_cols + m, dtype=bool)
+        artificial[n_cols:] = kind <= 0
+        # The pristine columns are the (flipped) model rows themselves
+        # when no column was split or added.
+        A0 = T[:m, :n_cols].copy() if self.split is not None or surplus.size else rows
+        self._start(T, A0, rhs, costs, artificial)
 
+    def _set_up_packing(self, P) -> None:
+        """The packing LP of ``P`` as ``LpModel(MAX, ones(n), P, [LE] *
+        m, ones(m))`` would set it up, with no model built."""
+        P = _frozen(P, float, "P")
+        if P.ndim != 2 or P.size == 0:
+            raise InputError(f"P must be a nonempty 2-d array, got shape {P.shape}")
+        if not (P.min() > 0.0 and P.max() < np.inf):  # a nan fails both
+            raise InputError("P must have positive finite entries")
+        m, n = P.shape
+        ones = np.ones(m)  # b, the row sign of <= rows and max(1, |b|)
+        costs = np.zeros(n + m)
+        costs[:n] = 1.0
+        self.M, self.b, self.row_sign = P, ones, ones
+        self.free, self.objective = np.zeros(n, dtype=bool), costs[:n]
+        self.maximize, self.equality = True, None
+        self.row_scale, self.cost_scale = ones, self.objective
+        self.sigma = self.split = None
+        T = np.empty((m + 1, n + 1))
+        T[:m, :n] = P
+        T[:m, -1] = 1.0
+        T[-1, -1] = 0.0
+        self._start(T, P, ones, costs, np.zeros(n + m, dtype=bool))
+
+    def _start(self, T, A0, b0, costs, artificial) -> None:
+        """Start on the logical basis, of cost 0, so ``T`` gets the phase-2
+        reduced costs ``0 - costs``; ``A0`` and ``b0``, the pristine columns
+        and right-hand side, are for the final refactorization."""
+        m, n_cols = T.shape[0] - 1, T.shape[1] - 1
+        np.subtract(0.0, costs[:n_cols], out=T[-1, :-1])
         self.T = T
         self.basis = n_cols + np.arange(m)
         self.nonbasic = np.arange(n_cols)
         self.row_ids = np.arange(m)
-        # Pristine structural and surplus columns and right-hand side,
-        # for the final refactorization: the (flipped) model rows
-        # themselves when no column was split or added.
-        self.A0 = T[:m, :n_cols].copy() if self.split or surplus.size else rows
-        self.b0 = rhs
+        self.A0, self.b0 = A0, b0
         self.n_cols, self.n_rows = n_cols, m
-        self.artificial = np.zeros(n_cols + m, dtype=bool)
-        self.artificial[n_cols:] = kind <= 0
-        self.phase2_costs = costs2
-
-    def _set_up_packing(self, P) -> None:
-        """The packing LP of ``P``, priced out on the slack basis."""
-        P = _frozen(P, float, "P")
-        if P.ndim != 2 or P.size == 0:
-            raise InputError(f"P must be a nonempty 2-d array, got shape {P.shape}")
-        if not ((P > 0.0).all() and P.max() < np.inf):
-            raise InputError("P must have positive finite entries")
-        m, n = P.shape
-        T = np.empty((m + 1, n + 1))
-        T[:m, :n] = P
-        T[:m, -1] = 1.0
-        T[-1, :-1] = -1.0
-        T[-1, -1] = 0.0
-        self.model = None
-        self.T = T
-        self.basis = n + np.arange(m)
-        self.nonbasic = np.arange(n)
-        self.row_ids = np.arange(m)
-        self.A0, self.b0 = P, np.ones(m)
-        self.n_cols, self.n_rows = n, m
-        self.artificial = np.zeros(n + m, dtype=bool)
-        self.phase2_costs = np.zeros(n + m)
-        self.phase2_costs[:n] = 1.0
+        self.artificial = artificial
+        self.phase2_costs = costs
 
     # -- tableau mechanics ------------------------------------------------
 
@@ -376,7 +394,7 @@ class _Tableau:
         that meets a nan (an overflowed tableau) raises
         :class:`SolverFailure`.  A candidate
         column with no entry above ``PIVOT_EPS`` is taken for a ray, whose
-        variable id is kept in ``ray_col``; :func:`_verify_ray` certifies
+        variable id is kept in ``ray_col``; :meth:`_verify_ray` certifies
         it.
         """
         T = self.T
@@ -504,13 +522,14 @@ class _Tableau:
         return z, y
 
     def _recombine(self, values: np.ndarray) -> np.ndarray:
-        """Model-space values from structural ones: ``x = x+ - x-``, or
+        """Problem-space values from structural ones: ``x = x+ - x-``, or
         the first ``n`` values when no variable is split."""
-        if not self.split:
-            return values[: self.model.n_vars].copy()
-        x = values[self.pos_col]
-        split = self.neg_col >= 0
-        x[split] -= values[self.neg_col[split]]
+        if self.split is None:
+            return values[: self.objective.size]
+        pos_col, neg_col = self.split
+        x = values[pos_col]
+        split = neg_col >= 0
+        x[split] -= values[neg_col[split]]
         return x
 
     def _extract(self) -> LpSolution:
@@ -520,23 +539,63 @@ class _Tableau:
         so the reported numbers carry one factorization's worth of error
         rather than the whole pivot history's.
         """
-        model = self.model
         values, duals = self._basis_solve(self.b0)
-        if model is None:
-            x = values
-            objective_value = float(self.phase2_costs[: self.n_cols] @ x)
-            _verify_packing(self.A0, x, duals, objective_value, self.iterations)
-        else:
-            x = self._recombine(values)
-            if self.sigma is not None:
-                duals *= self.sigma
-            if not self.maximize:
-                duals = -duals
-            objective_value = float(model.objective @ x)
-            _verify(model, x, duals, objective_value, self.iterations)
+        x = self._recombine(values)
+        if self.sigma is not None:
+            duals *= self.sigma
+        if not self.maximize:
+            duals = -duals
+        objective_value = float(self.objective @ x)
+        self._verify(x, duals, objective_value)
         x.setflags(write=False)
         duals.setflags(write=False)
         return LpSolution(OPTIMAL, x, objective_value, duals, self.iterations)
+
+    def _row_excess(self, lhs: np.ndarray) -> np.ndarray:
+        """How far each row's ``lhs`` exceeds its relation's side of zero:
+        ``row_sign * lhs``, and ``|lhs|`` on an ``=`` row."""
+        excess = self.row_sign * lhs
+        if self.equality is not None:
+            excess[self.equality] = np.abs(lhs[self.equality])
+        return excess
+
+    def _verify(self, x: np.ndarray, duals: np.ndarray, objective_value: float) -> None:
+        """Certify optimality against the problem's arrays: primal and
+        dual feasibility within :data:`TOL_FEAS` and the objectives within
+        :data:`TOL_GAP`, else :class:`SolverFailure`.  A nan anywhere
+        fails the check it reaches."""
+        M, b, s = self.M, self.b, self.row_sign
+        # violations stay signed: the initial 0 of a max clamps the worst
+        worst = float(np.maximum(
+            (self._row_excess(M @ x - b) / self.row_scale).max(initial=0.0),
+            (-(x if self.split is None else x[~self.free])).max(initial=0.0),
+        ))
+        if not worst <= TOL_FEAS:
+            raise SolverFailure("optimal basis fails the primal feasibility re-check",
+                                violation=worst, iterations=self.iterations)
+
+        # multiplier sign conditions per relation: s * duals >= 0 for a max
+        # problem and <= 0 for a min one; an = row's sign is 0, so its free
+        # multiplier adds only zeros
+        signed = s * duals
+        reduced = self.objective - M.T @ duals
+        if self.maximize:
+            worst_dual, var_viol = -signed.min(initial=0.0), reduced
+        else:
+            worst_dual, var_viol = signed.max(initial=0.0), -reduced
+        if self.split is not None:
+            var_viol = np.where(self.free, np.abs(reduced), var_viol)
+        worst_dual = float(np.maximum(worst_dual, (var_viol / self.cost_scale).max()))
+        if not worst_dual <= TOL_FEAS:
+            raise SolverFailure("optimal basis fails the dual feasibility re-check",
+                                violation=worst_dual, iterations=self.iterations)
+
+        dual_objective = float(duals @ b)
+        gap = abs(objective_value - dual_objective)
+        if not gap <= TOL_GAP * max(1.0, abs(objective_value)):
+            raise SolverFailure("primal and dual objectives disagree", gap=gap,
+                                primal=objective_value, dual=dual_objective,
+                                iterations=self.iterations)
 
     def _ray(self) -> np.ndarray:
         """The column part of the ray along which ``ray_col`` enters,
@@ -553,16 +612,31 @@ class _Tableau:
             d[ray] = 1.0
         return d
 
+    def _verify_ray(self, ray: np.ndarray) -> None:
+        """Certify unboundedness: along ``ray`` every row and bound holds and
+        the objective improves, each beyond roundoff of the terms involved.
+        A row's allowance is ``_RAY_TOL * max|ray|`` times its entries on
+        the ray's nonzero coordinates: an entry on a zero coordinate adds
+        no term, and no roundoff."""
+        M = self.M
+        viol = self._row_excess(M @ ray)
+        size = np.abs(ray).max() * _RAY_TOL
+        gain = float(self.objective @ ray) * (1.0 if self.maximize else -1.0)
+        if ((viol - size * (np.abs(M) @ (ray != 0.0))).max(initial=0.0) > 0.0
+                or (-ray[~self.free]).max(initial=0.0) > size
+                or gain <= size * np.abs(self.objective).sum()):
+            raise SolverFailure("unbounded ray fails the re-check", iterations=self.iterations)
+
     # -- driver -------------------------------------------------------------
 
     def run(self) -> LpSolution:
         if self.artificial.any():
             self._price_out(np.where(self.artificial, -1.0, 0.0))
             status = self._pivot_loop(phase=1)
-            # Infeasible if an artificial is left above TOL_FEAS relative
-            # to its row's right-hand side, the measure _verify applies.
+            # Infeasible if an artificial is left above TOL_FEAS times its
+            # row's scale max(1, |b_i|), the measure _verify applies.
             art = self.artificial[self.basis]
-            scale = np.maximum(1.0, self.b0[self.basis[art] - self.n_cols])
+            scale = self.row_scale[self.basis[art] - self.n_cols]
             if (self.T[:-1, -1][art] > TOL_FEAS * scale).any():
                 if status != OPTIMAL:  # phase 1 is bounded, so its ray proves nothing
                     raise SolverFailure(
@@ -570,91 +644,13 @@ class _Tableau:
                     )
                 return LpSolution(INFEASIBLE, None, float("nan"), None, self.iterations)
             self._drive_out_artificials()
-        if self.model is not None:  # a packing tableau is priced out at set-up
             self._price_out(self.phase2_costs)
         status = self._pivot_loop(phase=2)
         if status == UNBOUNDED:
-            if self.model is None:  # a packing LP has no ray to re-check
-                raise SolverFailure("unbounded ray fails the re-check", iterations=self.iterations)
-            _verify_ray(self.model, self._recombine(self._ray()), self.iterations)
+            self._verify_ray(self._recombine(self._ray()))
             value = float("inf") if self.maximize else float("-inf")
             return LpSolution(UNBOUNDED, None, value, None, self.iterations)
         return self._extract()
-
-
-def _verify(model: LpModel, x: np.ndarray, duals: np.ndarray, objective_value: float,
-            iterations: int) -> None:
-    """Certify optimality: primal feasible, dual feasible, zero gap.  A nan
-    anywhere fails the check it reaches."""
-    M, b, s = model.M, model.b, model._row_sign
-    gap = M @ x - b
-    row_viol = np.where(s == 0, np.abs(gap), np.maximum(s * gap, 0.0))
-    worst = float(np.maximum(
-        (row_viol / np.maximum(1.0, np.abs(b))).max(initial=0.0),
-        (-x[~model._free]).max(initial=0.0),
-    ))
-
-    # multiplier sign conditions per relation; an = row's sign is 0, so
-    # its free multiplier adds only zeros
-    maximize = model.sense == MAX
-    sign = s if maximize else -s
-    worst_dual = float((-sign * duals).max(initial=0.0))
-    reduced = model.objective - M.T @ duals
-    var_viol = np.maximum(reduced, 0.0) if maximize else np.maximum(-reduced, 0.0)
-    var_viol = np.where(model._free, np.abs(reduced), var_viol)
-    scale = np.maximum(1.0, np.abs(model.objective))
-    worst_dual = float(np.maximum(worst_dual, (var_viol / scale).max()))
-    _certify(worst, worst_dual, objective_value, float(duals @ b), iterations)
-
-
-def _verify_packing(P: np.ndarray, y: np.ndarray, u: np.ndarray, objective_value: float,
-                    iterations: int) -> None:
-    """:func:`_verify` of the packing LP of ``P``, on ``P`` itself: there
-    its scales are 1 and its sign masks select nothing."""
-    worst = float(np.maximum(np.maximum(P @ y - 1.0, 0.0).max(), (-y).max(initial=0.0)))
-    worst_dual = float(np.maximum((-u).max(initial=0.0), np.maximum(1.0 - P.T @ u, 0.0).max()))
-    _certify(worst, worst_dual, objective_value, float(u @ np.ones(u.size)), iterations)
-
-
-def _certify(worst: float, worst_dual: float, objective_value: float, dual_objective: float,
-             iterations: int) -> None:
-    """Raise :class:`SolverFailure` unless both violations are within
-    :data:`TOL_FEAS` and the objectives within :data:`TOL_GAP`."""
-    if not worst <= TOL_FEAS:
-        raise SolverFailure(
-            "optimal basis fails the primal feasibility re-check",
-            violation=worst,
-            iterations=iterations,
-        )
-    if not worst_dual <= TOL_FEAS:
-        raise SolverFailure(
-            "optimal basis fails the dual feasibility re-check",
-            violation=worst_dual,
-            iterations=iterations,
-        )
-    gap = abs(objective_value - dual_objective)
-    if not gap <= TOL_GAP * max(1.0, abs(objective_value)):
-        raise SolverFailure(
-            "primal and dual objectives disagree",
-            gap=gap,
-            primal=objective_value,
-            dual=dual_objective,
-            iterations=iterations,
-        )
-
-
-def _verify_ray(model: LpModel, ray: np.ndarray, iterations: int) -> None:
-    """Certify unboundedness: along ``ray`` every row and bound holds and
-    the objective improves, each beyond roundoff of the terms involved."""
-    lhs = model.M @ ray
-    s = model._row_sign
-    viol = np.where(s == 0, np.abs(lhs), s * lhs)
-    size = np.abs(ray).max() * _RAY_TOL
-    gain = float(model.objective @ ray) * (1.0 if model.sense == MAX else -1.0)
-    if ((viol - size * np.abs(model.M).sum(axis=1)).max(initial=0.0) > 0.0
-            or (-ray[~model._free]).max(initial=0.0) > size
-            or gain <= size * np.abs(model.objective).sum()):
-        raise SolverFailure("unbounded ray fails the re-check", iterations=iterations)
 
 
 def solve(model: LpModel | np.ndarray) -> LpSolution:

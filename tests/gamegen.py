@@ -78,10 +78,13 @@ def random_lp(rng) -> lp.LpModel:
 
 
 def benchmark_games(monkeypatch, workload, seed):
-    """The games of the benchmark's ``workload`` at ``seed``."""
+    """The games of the benchmark's ``workload`` at ``seed``, or, for
+    workload ``"scale-probe"``, of the traced run's scale probe."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
+    if workload == "scale-probe":
+        return workloads.scale_probe(seed).games
     return workloads.generate(workload, seed).games
 
 

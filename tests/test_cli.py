@@ -24,7 +24,6 @@ DEMO_TPASS_DECIMAL = '{"kind": "tpass", "A": [[0, 1], [-1, 0]], "pi": [0.5, 0.75
 DERIVED_BIMATRIX = '{"kind": "bimatrix", "B": [[0.5, 1.5], [-0.25, 0.75]], "C": [[0.5, -0.25], [1.5, 0.75]]}'
 NEAR_MISS_BIMATRIX = '{"kind": "bimatrix", "B": [["1/2", "3/4"], ["-1/4", "3/4"]], "C": [["1/2", "-1/4"], ["3/4", "3/4"]]}'
 PENNIES_BIMATRIX = '{"kind": "bimatrix", "B": [[1, -1], [-1, 1]], "C": [[-1, 1], [1, -1]]}'
-PENNIES_TPASS = '{"kind": "tpass", "A": [[1, -1], [-1, 1]], "pi": [0, 0], "rho": [0, 0]}'
 COORDINATION = '{"kind": "bimatrix", "B": [[1, 0], [0, 1]], "C": [[1, 0], [0, 1]]}'
 
 
@@ -104,15 +103,18 @@ class TestSolve:
         assert "not additively separable" in capsys.readouterr().err
 
     def test_refused_lp_solution_exits_3(self, write, capsys, monkeypatch):
-        # both gaps of this pair are within tol, but the joint optimum is not
-        near_half = np.array([0.5 + 3e-9, 0.5 - 3e-9])
+        # every pair of this constant game is an equilibrium, and this one
+        # passes the certificate, but with the 2e9 offsets its row gap reads
+        # -2.4e-7, so the joint optimum is beyond 2 tol
+        constant = '{"kind": "tpass", "A": [[-1.9e9, -1.9e9], [-1.9e9, -1.9e9]], ' \
+                   '"pi": [2e9, 2e9], "rho": [1e8, 1e8]}'
         monkeypatch.setattr(lp, "solve", lambda model: lp.LpSolution(
-            lp.OPTIMAL, near_half, 1.0, near_half, 1))
-        code = main(["solve", write(PENNIES_TPASS), "--method", "joint"])
+            lp.OPTIMAL, np.array([1.0, 1.0]), 1.0, np.array([1.0, 2.0]), 1))
+        code = main(["solve", write(constant), "--method", "joint"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err.startswith("solver failure: joint LP optimum -1.2e-08 is nonzero")
+        assert captured.err.startswith("solver failure: joint LP optimum 2.38e-07 is nonzero")
 
     @pytest.mark.parametrize("command", ["solve", "decompose"])
     def test_bare_tpass_error_exits_3(self, write, capsys, monkeypatch, command):

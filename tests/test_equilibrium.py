@@ -452,6 +452,23 @@ class TestJointProgram:
         assert sol.report.is_equilibrium
         assert value == 0.0
 
+    def test_zero_optimum_within_twice_tol_on_the_scale_probe(self, monkeypatch):
+        # two games of the seed-201 scale probe whose pairs pass the
+        # certificate at 1e-8.  The 2 x 6 game's gaps are 7.45e-9 each,
+        # so its optimum -1.49e-8 lies within 2 tol; the 8 x 8 game's row
+        # gap reads -1.19e-7, pure roundoff, and its optimum is refused
+        games = benchmark_games(monkeypatch, "scale-probe", 201)
+        within, beyond = games[18], games[25]
+        assert (within.shape, beyond.shape) == ((2, 6), (8, 8))
+        assert np.abs(within.A).max() > 1e7 and np.abs(beyond.A).max() > 1e8
+        sol, value = solve_joint_lp(within, 1e-8)
+        assert sol.report.is_equilibrium
+        assert -2e-8 < value < -1e-8
+        assert solve_equilibrium(beyond, 1e-8).report.is_equilibrium
+        with pytest.raises(CertificationFailure,
+                           match=r"^joint LP optimum 1.19e-07 is nonzero beyond 2 \* tol 2e-08"):
+            solve_joint_lp(beyond, 1e-8)
+
     def test_check_joint_dilemma_cases(self):
         g = dilemma()
         assert check_joint_lp(g, [1, 0], [1, 0])
@@ -600,6 +617,8 @@ def _crafted_solve(status, x, duals):
 
 _TOL = 1e-8
 _NEAR_HALF = (0.5 + 0.3 * _TOL, 0.5 - 0.3 * _TOL)
+# Z = A + pi 1' - 1 rho' = 0: every pair is an equilibrium
+_CONSTANT_GAME = TpassGame(np.full((2, 2), -1.9e9), np.full(2, 2e9), np.full(2, 1e8))
 
 
 class TestRefusals:
@@ -614,9 +633,12 @@ class TestRefusals:
              CertificationFailure, "^q from the LP sums to 1.0000001"),
             (solve_joint_lp, matching_pennies(), (lp.UNBOUNDED, None, None),
              SolverFailure, "^joint LP terminated unbounded"),
-            # both gaps are 0.6 tol, within tol, but they sum past it
-            (solve_joint_lp, matching_pennies(), (lp.OPTIMAL, _NEAR_HALF, _NEAR_HALF),
-             CertificationFailure, "^joint LP optimum -1.2e-08 is nonzero beyond tol 1e-08"),
+            # every pair of this constant game is an equilibrium, but with
+            # its 2e9 offsets the row gap of this one reads -2.4e-7, past
+            # what two gaps within tol can sum to
+            (solve_joint_lp, _CONSTANT_GAME, (lp.OPTIMAL, (1.0, 1.0), (1.0, 2.0)),
+             CertificationFailure,
+             r"^joint LP optimum 2.38e-07 is nonzero beyond 2 \* tol 2e-08"),
         ],
         ids=["negative-coordinate", "sum", "unbounded", "nonzero-joint-optimum"],
     )
@@ -627,10 +649,17 @@ class TestRefusals:
             solve(game, _TOL)
 
     def test_the_joint_refusal_is_of_a_certified_pair(self, monkeypatch):
-        monkeypatch.setattr(lp, "solve", _crafted_solve(lp.OPTIMAL, _NEAR_HALF, _NEAR_HALF))
-        sol = solve_equilibrium(matching_pennies(), _TOL)
+        monkeypatch.setattr(lp, "solve", _crafted_solve(lp.OPTIMAL, (1.0, 1.0), (1.0, 2.0)))
+        sol = solve_equilibrium(_CONSTANT_GAME, _TOL)
         assert sol.report.is_equilibrium
-        assert sol.report.row_violation + sol.report.col_violation > _TOL
+        assert sol.report.row_violation + sol.report.col_violation < -2 * _TOL
+
+    def test_two_gaps_within_tol_sum_within_the_joint_bound(self, monkeypatch):
+        # both gaps are 0.6 tol: their sum is past tol but within 2 tol
+        monkeypatch.setattr(lp, "solve", _crafted_solve(lp.OPTIMAL, _NEAR_HALF, _NEAR_HALF))
+        sol, value = solve_joint_lp(matching_pennies(), _TOL)
+        assert sol.report.is_equilibrium
+        assert -2 * _TOL < value < -_TOL
 
 
 class TestZeroSumReduction:

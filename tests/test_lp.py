@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from tpass import lp
-from tpass.equilibrium import (
-    _joint_model,
-    _onto_one_two,
-    build_dual_lp,
-    build_joint_lp,
-    build_primal_lp,
-)
+from tpass.equilibrium import _onto_one_two, build_dual_lp, build_joint_lp, build_primal_lp
 from tpass.errors import InputError, SolverFailure
 from tpass.game import TpassGame, random_tpass, zero_sum_matrix
 
@@ -161,10 +155,18 @@ class TestSolveBasics:
             )
 
     def test_overflowing_tableau_is_a_solver_failure(self):
-        # a joint LP with entries at the float limit: its pivots overflow,
-        # and the ratio test meets a nan
-        A = np.array([[1e308, -1e308], [-1e308, 1e308]])
-        model = _joint_model(A, np.full(2, -1e308), np.full(2, -1e308))
+        # the joint LP of A = [[1, -1], [-1, 1]] * 1e308 and pi = rho = -1e308
+        # (build_joint_lp's arrays, for a game too large to validate): its
+        # pivots overflow, and the ratio test meets a nan
+        big = 1e308
+        model = lp.LpModel(
+            lp.MAX, [-big, -big, -big, -big, -1.0, -1.0],
+            [[0.0, 0.0, big, -big, -1.0, 0.0], [0.0, 0.0, -big, big, -1.0, 0.0],
+             [-big, big, 0.0, 0.0, 0.0, -1.0], [big, -big, 0.0, 0.0, 0.0, -1.0],
+             [1.0, 1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, 0.0, 0.0]],
+            [lp.LE] * 4 + [lp.EQ] * 2, [big, big, big, big, 1.0, 1.0],
+            (lp.NONNEG,) * 4 + (lp.FREE, lp.FREE),
+        )
         with np.errstate(all="ignore"), pytest.raises(SolverFailure, match="non-finite"):
             lp.solve(model)
 
@@ -172,7 +174,7 @@ class TestSolveBasics:
         model = lp.LpModel("max", [1, 1], [[1, 0], [0, 1]], ["<=", "<="], [1, 1])
         nan = np.full(2, np.nan)
         with pytest.raises(SolverFailure):
-            lp._verify(model, x=nan, duals=nan, objective_value=float("nan"), iterations=0)
+            lp._Tableau(model)._verify(x=nan, duals=nan, objective_value=float("nan"))
 
 
 class TestDuals:
@@ -386,7 +388,7 @@ class TestTableauBranches:
     def test_false_ray_is_refused(self, model, false_ray, optimum):
         # neither model is unbounded: the ray re-check refuses the ray
         with pytest.raises(SolverFailure, match="ray fails the re-check"):
-            lp._verify_ray(model, np.array(false_ray), 0)
+            lp._Tableau(model)._verify_ray(np.array(false_ray))
         if optimum is None:
             with pytest.raises(SolverFailure, match="ray fails the re-check"):
                 lp.solve(model)
@@ -517,13 +519,41 @@ class TestPackingInput:
             assert sol.duals.tobytes() == want.duals.tobytes()
             assert np.float64(sol.objective_value).tobytes() == np.float64(want.objective_value).tobytes()
 
+    @pytest.mark.parametrize("source, seed", PACKING_SOURCES)
+    def test_both_set_ups_record_the_same_state(self, monkeypatch, source, seed):
+        # the matrix's tableau and its model's, right after set-up: the
+        # same attributes in the same order, every array with the same
+        # dtype and bytes (T with its phase-2 reduced costs), every other
+        # value equal
+        for P in packing_matrices(monkeypatch, source, seed):
+            packing, model = lp._Tableau(P), lp._Tableau(packing_model(P))
+            assert list(vars(packing)) == list(vars(model))
+            for name, value in vars(packing).items():
+                other = getattr(model, name)
+                if isinstance(value, np.ndarray):
+                    assert value.dtype == other.dtype, name
+                    assert value.tobytes() == other.tobytes(), name
+                else:
+                    assert value == other, name
+
+    @pytest.mark.parametrize("P", [[[1e-12]], [[1e-12, 1.0]]], ids=["tiny", "tiny-beside-one"])
+    def test_a_column_below_pivot_eps_is_no_ray(self, P):
+        # both LPs are bounded, with optimum 1e12 at y = (1e12, 0), but no
+        # entry of the first column can be pivoted on, so the solver offers
+        # it as a ray; the ray re-check refuses it on the matrix and on its
+        # model alike
+        for problem in (P, packing_model(P)):
+            with pytest.raises(SolverFailure, match=r"^unbounded ray fails the re-check \("):
+                lp.solve(problem)
+
     def test_verifiers_agree_at_and_past_each_tolerance(self, monkeypatch):
         # each optimality condition is pushed past by half and by twice its
-        # tolerance; the general and the packing verifier must raise the
-        # same message, or both pass
+        # tolerance; the re-check of the matrix's tableau and of its
+        # model's must raise the same message, or both pass
         seen = {0.5: set(), 2.0: set()}
         for P in packing_matrices(monkeypatch, "random", 5)[:300]:
-            model, sol = packing_model(P), lp.solve(P)
+            packing, model = lp._Tableau(P), lp._Tableau(packing_model(P))
+            sol = lp.solve(P)
             y, u = sol.x, sol.duals
             for factor in seen:
                 d = factor * lp.TOL_FEAS
@@ -538,8 +568,8 @@ class TestPackingInput:
                     pushed.append((y, np.where(u == 0.0, -d, u), 0.0))
                 for y2, u2, shift in pushed:
                     value = float(np.ones(y2.size) @ y2) + shift
-                    got = _outcome(lp._verify_packing, P, y2, u2, value, 7)
-                    assert got == _outcome(lp._verify, model, y2, u2, value, 7)
+                    got = _outcome(packing._verify, y2, u2, value)
+                    assert got == _outcome(model._verify, y2, u2, value)
                     seen[factor].add(got and got.split(" (")[0])
         # a zero entry of u set to -d also lowers P'u, by up to d max(P)
         assert None in seen[0.5]
@@ -578,25 +608,26 @@ def standard_form(model):
 
 
 class TestStructuralBasisSolve:
-    def test_matches_a_dense_solve_of_the_whole_basis(self, monkeypatch):
+    def test_matches_a_dense_solve_of_the_whole_basis(self, monkeypatch, tableaus):
         # the final basis of every optimal LP among the random LPs that
         # test_reference.py compares with HiGHS
         counts = {"solves": 0, "dropped row": 0, "logical outside its row": 0}
         extract = lp._Tableau._extract
 
         def spy(self):
-            A, b, costs, n_cols = standard_form(self.model)
+            model = self.given
+            A, b, costs, n_cols = standard_form(model)
             basis, rows = self.basis, self.row_ids
             whole = A[rows][:, basis]
             want_values = np.zeros(A.shape[1])
             want_values[basis] = np.linalg.solve(whole, b[rows])
-            want_duals = np.zeros(self.model.n_rows)
+            want_duals = np.zeros(model.n_rows)
             want_duals[rows] = np.linalg.solve(whole.T, costs[basis])
             values, duals = self._basis_solve(b)
             for got, want in ((values, want_values[:n_cols]), (duals, want_duals)):
                 assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
             counts["solves"] += 1
-            counts["dropped row"] += rows.size < self.model.n_rows
+            counts["dropped row"] += rows.size < model.n_rows
             counts["logical outside its row"] += any(
                 var >= n_cols and var - n_cols != row
                 for var, row in zip(basis.tolist(), rows.tolist())
