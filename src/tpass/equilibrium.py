@@ -82,20 +82,23 @@ computed once: :func:`verify_lp_pair` returns its report and
 :func:`check_joint_lp` its verdict, and their docstrings state the
 identities.  Both solvers run one body, which finds the pair by one
 of two routes and certifies it at ``tol``; a failure raises
-:class:`CertificationFailure` naming the route (primal or joint).  When
-``Z`` has a strict pure saddle, an entry that is the unique minimum of
-its row and the unique maximum of its column, that cell is the game's
-only equilibrium and the body returns it as a pure pair, found exactly
-by comparisons on ``Z``, with no LP.  The matrix-game LP stops at the
-same unit vectors, so the answer has the LP's bits, except where
-roundoff in ``Zh`` ties entries within the LP's tolerance and the LP
-may stop at another pair.  Every other game, a saddle with ties
-included, takes the LP route: solve the matrix-game LP and clean the
-simplex points read off it of roundoff.  Every other number is read
-off the one report: ``alpha = payoff_row + row_violation``, ``beta =
-payoff_col + col_violation``, the primal optimum ``rho.q - alpha``, the
-joint optimum ``-(row_violation + col_violation)`` and the slackness
-residual, the larger of the two gaps.
+:class:`CertificationFailure` naming the route (primal or joint).
+
+The kernel route solves no LP.  The LP's optimum is fixed by a square
+kernel ``Z[I, J]`` (Shapley & Snow 1950), and a strictly complementary
+pair on a nonsingular kernel is the game's only equilibrium
+(Bohnenblust, Karlin & Shapley 1950), so the LP stops there too.
+:func:`_strict_kernel` looks for such a kernel of size 1, a strict pure
+saddle, or 2, one best-response step on from the saddle search, and
+returns its pair.  A saddle's pure pair has the LP's bits, except where
+roundoff in ``Zh`` ties entries within the LP's tolerance; a 2x2
+kernel's weights agree with the LP's to roundoff.  Every other game,
+one with ties at the value included, takes the LP route: solve the
+matrix-game LP and clean the simplex points read off it of roundoff.
+Every other number is read off the one report: ``alpha = payoff_row +
+row_violation``, ``beta = payoff_col + col_violation``, the primal
+optimum ``rho.q - alpha``, the joint optimum ``-(row_violation +
+col_violation)`` and the slackness residual, the larger of the two gaps.
 
 Multiplicity: these LPs can have many optima (one per equilibrium, plus
 faces between them).  The solvers return the single vertex selected by
@@ -228,38 +231,94 @@ def _onto_one_two(Z: np.ndarray) -> np.ndarray:
     return 1.0 + (Z - low) / width
 
 
-def _strict_saddle(Z: np.ndarray) -> tuple[int, int] | None:
-    """The strict pure saddle ``(i, j)`` of ``Z`` (0-based), or None.
+# The kernel test's margin, in units of the largest |Z| entry: 16 eps
+# covers twice the roundoff of a two-term earning with rounded weights.
+_KERNEL_MARGIN = 16.0 * np.finfo(float).eps
+# Below and above these magnitudes of Z the margin's roundoff bound fails
+# (underflow) or the differences may overflow; such games take the LP.
+_KERNEL_RANGE = (2.0**-900, 2.0**1020)
 
-    ``Z[i, j]`` is a strict saddle when it is the unique maximum of its
-    column and the unique minimum of its row; it is then the matrix
-    game's only equilibrium.  Every other row's minimum is then strictly
-    smaller, so the row of the largest row minimum and that row's
-    smallest entry find it whenever it exists, and the test is exact.
-    The column is tested first, where most games without a saddle fail.
+
+def _strict_kernel(Z: np.ndarray) -> tuple[MixedStrategy, MixedStrategy] | None:
+    """The equilibrium of a strict 1x1 or 2x2 kernel of ``Z``, or None.
+
+    A kernel ``Z[I, J]`` is strict when its pair is completely mixed on
+    ``I x J`` and every row outside ``I`` earns strictly less than the
+    value, every column outside ``J`` strictly more; its pair is then
+    the matrix game's only equilibrium (Bohnenblust, Karlin & Shapley
+    1950), and the LP's optimum too.
+
+    1x1: a strict pure saddle, the unique minimum of its row and the
+    unique maximum of its column.  Every other row's minimum is then
+    strictly smaller, so the row ``i`` of the largest row minimum and
+    its smallest entry ``j`` find it whenever it exists, and the test
+    is exact.  2x2: one best-response step on from ``(i, j)``, row ``k
+    = argmax Z[:, j]`` and column ``l = argmin Z[k]``.  With ``a, b, c,
+    d = Z[i,j], Z[i,l], Z[k,j], Z[k,l]`` the kernel's weights are
+    ``(d - c, a - b) / ((a - b) + (d - c))`` on rows ``(i, k)`` and
+    ``(d - b, a - c) / ((a - c) + (d - b))`` on columns ``(j, l)``,
+    strictly positive exactly when ``a < b``, ``a < c``, ``d < b`` and
+    ``d < c``: tests exact in floats, where each denominator sums two
+    terms of one sign.  As ``d``, a row minimum, is at most ``a``, the
+    first two suffice.  Swapping ``i`` with ``k``, or ``j`` with ``l``,
+    changes no weight's bits, so a permutation of the game that leads
+    the search to the same kernel permutes the pair bit for bit; ties
+    in the search's ``argmax`` and ``argmin`` go to the first index.
+    The other rows and columns must beat the value by a margin of the
+    roundoff of their two-term earnings, so ties at the value go to the
+    LP.
     """
-    i = int(Z.min(axis=1).argmax())
+    row_min = Z.min(axis=1)
+    i = int(row_min.argmax())
     j = int(Z[i].argmin())
-    v = Z[i, j]
-    if np.count_nonzero(Z[:, j] >= v) == 1 and np.count_nonzero(Z[i] <= v) == 1:
-        return i, j
-    return None
+    a = Z.item(i, j)
+    column = Z[:, j]
+    m, n = Z.shape
+    # The column first: most games without a saddle fail there.
+    if np.count_nonzero(column >= a) == 1 and np.count_nonzero(Z[i] <= a) == 1:
+        return MixedStrategy.pure(i + 1, m), MixedStrategy.pure(j + 1, n)
+    k = int(column.argmax())
+    l = int(Z[k].argmin())
+    b, c, d = Z.item(i, l), Z.item(k, j), row_min.item(k)
+    if not (a < b and a < c):
+        return None
+    size = float(np.abs(Z).max())
+    if not _KERNEL_RANGE[0] < size < _KERNEL_RANGE[1]:
+        return None
+    margin = _KERNEL_MARGIN * size
+    ab, dc, ac, db = a - b, d - c, a - c, d - b
+    p_i, p_k = dc / (ab + dc), ab / (ab + dc)
+    q_j, q_l = db / (ac + db), ac / (ac + db)
+    earn = column * q_j + Z[:, l] * q_l
+    value = min(earn[i], earn[k])
+    earn[i] = earn[k] = -np.inf
+    if not earn.max() < value - margin:
+        return None
+    pay = Z[i] * p_i + Z[k] * p_k
+    value = max(pay[j], pay[l])
+    pay[j] = pay[l] = np.inf
+    if not pay.min() > value + margin:
+        return None
+    p, q = np.zeros(m), np.zeros(n)
+    p[i], p[k] = p_i, p_k
+    q[j], q[l] = q_j, q_l
+    return MixedStrategy(p), MixedStrategy(q)
 
 
 def _certified(game: TpassGame, route: str, tol: float) -> EquilibriumSolution:
-    """The certified solution of the game: ``(p, q)`` is the strict pure
-    saddle of ``Z`` if it has one, else the normalized multipliers and
-    values of its matrix-game LP, maximize ``1'y`` subject to ``Zh y <=
-    1`` and ``y >= 0``, which :func:`lp.solve` takes as the positive
-    matrix ``Zh`` itself; every other number comes from the pair's
-    :func:`is_equilibrium` report.  Failures name ``route``.
+    """The certified solution of the game: ``(p, q)`` is the pair of a
+    strict 1x1 or 2x2 kernel of ``Z`` if :func:`_strict_kernel` finds
+    one, else the normalized multipliers and values of its matrix-game
+    LP, maximize ``1'y`` subject to ``Zh y <= 1`` and ``y >= 0``, which
+    :func:`lp.solve` takes as the positive matrix ``Zh`` itself; every
+    other number comes from the pair's :func:`is_equilibrium` report.
+    Failures name ``route``.
     """
     _check_tol(tol)
     Z = zero_sum_matrix(game)
-    m, n = Z.shape
-    saddle = _strict_saddle(Z)
-    if saddle is not None:
-        p, q = MixedStrategy.pure(saddle[0] + 1, m), MixedStrategy.pure(saddle[1] + 1, n)
+    kernel = _strict_kernel(Z)
+    if kernel is not None:
+        p, q = kernel
     else:
         Zh = _onto_one_two(Z)
         sol = lp.solve(Zh)
@@ -289,11 +348,12 @@ def solve_equilibrium(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> Equilibr
     """Compute one equilibrium from the matrix-game LP and certify it.
 
     The LP's values normalized to sum 1 are ``q`` and its multipliers
-    normalized alike are ``p``; a game whose ``Z`` has a strict pure
-    saddle skips the LP and returns that saddle, the LP's own optimum
-    there, as a pure pair.  ``alpha = max_i (A q + pi)_i`` and ``beta
-    = max_j (rho - A' p)_j`` are the players' best-response values, and
-    ``rho.q - alpha`` is the primal LP's optimum.  One LP serves every
+    normalized alike are ``p``; a game whose ``Z`` has a strict 1x1 or
+    2x2 kernel that :func:`_strict_kernel` finds skips the LP and
+    returns that kernel's pair, the LP's own optimum there.  ``alpha =
+    max_i (A q + pi)_i`` and ``beta = max_j (rho - A' p)_j`` are the
+    players' best-response values, and ``rho.q - alpha`` is the primal
+    LP's optimum.  One LP serves every
     shape, and every scale and gauge shift of a game gives it the same
     ``Zh`` up to roundoff.  The pair must pass :func:`is_equilibrium` at
     ``tol`` or :class:`CertificationFailure` is raised, naming route
@@ -344,7 +404,7 @@ def solve_joint_lp(game: TpassGame, tol: float = TOL_EQUILIBRIUM) -> tuple[Equil
     pair's primal-dual optimal pairs.  The matrix-game LP that
     :func:`solve_equilibrium` solves gives one: ``q`` from its values and
     ``p`` from its multipliers, with no second LP, or, as there, the
-    strict pure saddle of ``Z`` with no LP at all.
+    pair of a strict 1x1 or 2x2 kernel of ``Z`` with no LP at all.
 
     Returns the certified solution together with the joint optimum
     ``(rho.q - alpha) + (pi.p - beta)``, read off the certificate as

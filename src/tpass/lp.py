@@ -12,9 +12,9 @@ machinery.
 Solver design:
 
 * A model encodes its relations once, as a row sign: ``+1`` for
-  ``<=``, ``-1`` for ``>=`` and ``0`` for ``=``.  The set-up, the
-  optimality re-check and the ray re-check read the sign; none compares
-  the relation strings again.
+  ``<=``, ``-1`` for ``>=`` and ``0`` for ``=``.  The set-up and the
+  optimality, ray and Farkas re-checks read the sign; none compares the
+  relation strings again.
 * The set-up builds only what the model has.  Free variables, if any,
   enter the tableau as a split ``x = x+ - x-``, and reported solutions
   recombine the halves; with none, ``x`` is the first ``n`` tableau
@@ -25,7 +25,8 @@ Solver design:
   surplus column.  Only when an artificial exists does phase 1 run, on
   costs formed then: it maximizes minus the artificial sum, and an
   artificial left above zero, relative to its row's right-hand side,
-  means infeasible.  Phase 1 is bounded, so a ray there is roundoff:
+  means infeasible, once phase 1's multipliers pass a Farkas re-check
+  (below).  Phase 1 is bounded, so a ray there is roundoff:
   from a basis feasible by that measure phase 2 goes on, and from any
   other the solver raises.  A packing LP's set-up forms its model's
   state from ``P`` directly, ``[P | 1; -1' | 0]`` on the slack basis.
@@ -73,8 +74,12 @@ Solver design:
   "unbounded" result is re-verified too: along the ray, recomputed from
   the basis, every row and bound must hold and the objective must
   improve, each beyond roundoff of the terms involved; a column of tiny
-  entries or a roundoff reduced cost is no ray.  A violation raises
-  :class:`SolverFailure` rather than returning a silently wrong status.
+  entries or a roundoff reduced cost is no ray.  Every "infeasible"
+  result is re-verified by Farkas's lemma: phase 1's multipliers,
+  recomputed from its final basis, must prove that no point satisfies
+  the rows and bounds, beyond roundoff likewise.  A violation, or a
+  singular final basis, raises :class:`SolverFailure` rather than
+  returning a silently wrong status.
 
 Dual sign convention (matching :func:`dualize`): for a maximize problem
 ``<=`` rows have nonnegative multipliers and ``>=`` rows nonpositive
@@ -627,6 +632,39 @@ class _Tableau:
                 or gain <= size * np.abs(self.objective).sum()):
             raise SolverFailure("unbounded ray fails the re-check", iterations=self.iterations)
 
+    def _verify_infeasible(self) -> None:
+        """Certify infeasibility by Farkas's lemma.  Phase 1's multipliers
+        ``y`` are recomputed from its final basis by one solve of ``B'y =
+        c_B``, with ``c`` -1 on the artificials and 0 elsewhere, and mapped
+        back through ``sigma``.  On the problem's arrays they must satisfy
+        ``row_sign * y >= 0``, ``M'y >= 0`` on the nonnegative variables
+        and ``= 0`` on the free ones, and ``b'y < 0``, each beyond
+        roundoff as in :meth:`_verify_ray`: ``_RAY_TOL * max|y|`` times
+        the column's sum of ``|M|``, or ``sum|b|`` for ``b'y``.  A singular
+        basis or a failed check raises :class:`SolverFailure`."""
+        basis, m = self.basis, self.n_rows
+        structural = basis < self.n_cols
+        B = np.zeros((m, m))
+        B[:, structural] = self.A0[:, basis[structural]]
+        logical = (~structural).nonzero()[0]
+        B[basis[logical] - self.n_cols, logical] = 1.0
+        try:
+            y = np.linalg.solve(B.T, np.where(self.artificial[basis], -1.0, 0.0))
+        except np.linalg.LinAlgError:
+            raise SolverFailure("infeasible basis is numerically singular",
+                                iterations=self.iterations) from None
+        if self.sigma is not None:
+            y *= self.sigma
+        M = self.M
+        size = np.abs(y).max() * _RAY_TOL
+        reduced = M.T @ y
+        if (not (-self.row_sign * y).max() <= size
+                or not (np.where(self.free, np.abs(reduced), -reduced)
+                        <= size * np.abs(M).sum(axis=0)).all()
+                or not self.b @ y < -size * np.abs(self.b).sum()):
+            raise SolverFailure("infeasibility certificate fails the re-check",
+                                iterations=self.iterations)
+
     # -- driver -------------------------------------------------------------
 
     def run(self) -> LpSolution:
@@ -642,6 +680,7 @@ class _Tableau:
                     raise SolverFailure(
                         f"phase 1 terminated {status}", iterations=self.iterations
                     )
+                self._verify_infeasible()
                 return LpSolution(INFEASIBLE, None, float("nan"), None, self.iterations)
             self._drive_out_artificials()
             self._price_out(self.phase2_costs)

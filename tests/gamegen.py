@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from tpass import lp
-from tpass.equilibrium import _onto_one_two, _strict_saddle
+from tpass.equilibrium import _onto_one_two, _strict_kernel
 from tpass.game import TpassGame, random_tpass, zero_sum_matrix
 
 finite_entries = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
@@ -101,13 +101,16 @@ PACKING_SOURCES = [("small-sweep", 1), ("small-sweep", 201), ("large-lp", 1), ("
 
 def packing_matrices(monkeypatch, source, seed):
     """Positive matrices ``P`` for :func:`lp.solve`: the matrix-game LP's
-    ``Zh`` of every game of a benchmark workload that takes the LP route,
-    or, for source ``"random"``, 1200 matrices of 1..10 per side whose
+    ``Zh`` of every game of a benchmark workload with no strict pure
+    saddle, the games that take the LP route and those whose strict
+    2 x 2 kernel the solvers answer without it, or, for source ``"random"``, 1200 matrices of 1..10 per side whose
     entries are U(1, 2), 10^U(-3, 3) or 10^U(-6, 6), one of the three
     per matrix, from numpy rng ``seed``."""
     if source != "random":
         Zs = (zero_sum_matrix(g) for g in benchmark_games(monkeypatch, source, seed))
-        return [_onto_one_two(Z) for Z in Zs if _strict_saddle(Z) is None]
+        pairs = ((Z, _strict_kernel(Z)) for Z in Zs)
+        return [_onto_one_two(Z) for Z, pair in pairs
+                if pair is None or np.count_nonzero(pair[0].weights) == 2]
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(1200):

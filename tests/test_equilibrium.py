@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +47,67 @@ def _strict_saddles(Z):
     row_min = (Z[:, None, :] > Z[:, :, None]).sum(axis=2) == n - 1
     col_max = (Z[None, :, :] < Z[:, None, :]).sum(axis=1) == m - 1
     return [tuple(cell) for cell in np.argwhere(row_min & col_max).tolist()]
+
+
+def _strict_kernels(Z, candidates=None):
+    """Every strict 2 x 2 kernel of ``Z`` among ``candidates`` (default
+    all), as ``((i, k), (j, l), p, q)``: its rows, its columns and its
+    weights on them in ``Fraction``.  A kernel ``[[a, b], [c, d]]`` is
+    strict when its pair is completely mixed and every other row earns
+    strictly less than its value, every other column strictly more, in
+    exact arithmetic.  A float difference has the sign of the exact
+    one, so the screen for a mixed pair compares the entries."""
+    m, n = Z.shape
+    if candidates is None:
+        candidates = itertools.product(itertools.combinations(range(m), 2),
+                                       itertools.combinations(range(n), 2))
+    X, out = None, []
+    for (i, k), (j, l) in candidates:
+        a, b, c, d = Z[i, j], Z[i, l], Z[k, j], Z[k, l]
+        if not (np.sign(a - b) == np.sign(d - c) != 0 and np.sign(a - c) == np.sign(d - b) != 0):
+            continue
+        X = X or [[Fraction(x) for x in row] for row in Z.tolist()]
+        a, b, c, d = X[i][j], X[i][l], X[k][j], X[k][l]
+        den = a - b - c + d
+        p, q = (d - c) / den, (d - b) / den
+        value = (a * d - b * c) / den
+        if (all(X[r][j] * q + X[r][l] * (1 - q) < value for r in range(m) if r not in (i, k))
+                and all(X[i][s] * p + X[k][s] * (1 - p) > value for s in range(n) if s not in (j, l))):
+            out.append(((i, k), (j, l), (p, 1 - p), (q, 1 - q)))
+    return out
+
+
+def _one_step_cells(Z):
+    """``(i, k), (j, l)``: the rows and columns of the kernel one
+    best-response step on from the saddle search.  Row ``i`` has the
+    largest row minimum, ``j`` is its smallest column, ``k`` the row of
+    the largest entry in column ``j`` and ``l`` row ``k``'s smallest
+    column."""
+    i = int(Z.min(axis=1).argmax())
+    j = int(Z[i].argmin())
+    k = int(Z[:, j].argmax())
+    return (i, k), (j, int(Z[k].argmin()))
+
+
+def _one_step_kernel(Z):
+    """The kernel of :func:`_one_step_cells` if it is strict
+    (:func:`_strict_kernels`), or None."""
+    (i, k), (j, l) = _one_step_cells(Z)
+    rows, cols = tuple(sorted({i, k})), tuple(sorted({j, l}))
+    if len(rows) < 2 or len(cols) < 2:
+        return None
+    found = _strict_kernels(Z, [(rows, cols)])
+    return found[0] if found else None
+
+
+def _support(pair):
+    """The rows and columns where a pair puts weight."""
+    return tuple(tuple(np.flatnonzero(s.weights).tolist()) for s in pair)
+
+
+def _lp_route_only(monkeypatch):
+    """Send every game to the LP route: the kernel search finds none."""
+    monkeypatch.setattr(equilibrium, "_strict_kernel", lambda Z: None)
 
 
 def _bits(record):
@@ -265,10 +328,12 @@ class TestSolveEquilibrium:
                               "payoff_row", "payoff_col"):
                     assert getattr(sol.report, field) == getattr(report, field)
 
-    def test_large_games_take_few_pivots(self, tableaus):
+    def test_large_games_take_few_pivots(self, monkeypatch, tableaus):
         # steepest-edge pricing solves these 36 matrix-game LPs in 267
         # pivots, where Dantzig's rule took 425; lower the bound as the
-        # count falls, never raise it
+        # count falls, never raise it.  One of these games has a strict
+        # 2 x 2 kernel, which skips the LP
+        _lp_route_only(monkeypatch)
         for shape in ((64, 64), (200, 10), (10, 200)):
             for seed in range(12):
                 solve_equilibrium(random_tpass(*shape, -1.0, 1.0, seed=seed))
@@ -411,9 +476,11 @@ class TestJointProgram:
         assert value == pytest.approx(whole.objective_value, abs=1e-9)
 
     @pytest.mark.parametrize("m, n", [(4, 4), (60, 40), (200, 10)])
-    def test_joint_optimum_is_the_matrix_game_lp_and_its_duals(self, tableaus, m, n):
+    def test_joint_optimum_is_the_matrix_game_lp_and_its_duals(self, monkeypatch, tableaus, m, n):
         # the joint LP's optima are the LP pair's primal-dual pairs, so the
-        # joint route reads its pair off the primal route's one LP
+        # joint route reads its pair off the primal route's one LP; the
+        # 4 x 4 game has a strict 2 x 2 kernel, which skips the LP
+        _lp_route_only(monkeypatch)
         g = random_tpass(m, n, -1.0, 1.0, seed=99_000 + m + n)
         primal = solve_equilibrium(g)
         tableaus.clear()
@@ -456,8 +523,11 @@ class TestJointProgram:
         # two games of the seed-201 scale probe whose pairs pass the
         # certificate at 1e-8.  The 2 x 6 game's gaps are 7.45e-9 each,
         # so its optimum -1.49e-8 lies within 2 tol; the 8 x 8 game's row
-        # gap reads -1.19e-7, pure roundoff, and its optimum is refused
+        # gap reads -1.19e-7, pure roundoff, and its optimum is refused.
+        # These are the LP route's pairs: the 2 x 6 game has a strict
+        # 2 x 2 kernel, whose pair's gaps read -7.45e-9 and +7.45e-9
         games = benchmark_games(monkeypatch, "scale-probe", 201)
+        _lp_route_only(monkeypatch)
         within, beyond = games[18], games[25]
         assert (within.shape, beyond.shape) == ((2, 6), (8, 8))
         assert np.abs(within.A).max() > 1e7 and np.abs(beyond.A).max() > 1e8
@@ -509,8 +579,10 @@ class TestFeasibleStart:
         for m, n in ((3, 5), (4, 4), (7, 2), (60, 40)):
             g = random_tpass(m, n, -1.0, 1.0, seed=int(rng.integers(1 << 32)))
             g = TpassGame(g.A * 10.0**k, g.pi * 10.0**k, g.rho * 10.0**k)
-            # a game with a strict pure saddle is answered without an LP
-            lp_route = not _strict_saddles(zero_sum_matrix(g))
+            # a game with a strict pure saddle, or whose kernel one step
+            # on from the saddle search is strict, is answered without an LP
+            Z = zero_sum_matrix(g)
+            lp_route = not _strict_saddles(Z) and _one_step_kernel(Z) is None
             lp_routes += lp_route
             for solve in (solve_equilibrium, solve_joint_lp):
                 tableaus.clear()
@@ -527,8 +599,9 @@ class TestFeasibleStart:
     def test_the_lp_as_a_model_gives_every_field_alike(self, monkeypatch):
         # lp.solve(Zh) solves the LP that LpModel(MAX, 1, Zh, <=, 1) states,
         # on the same pivots, so wrapping Zh in that model changes no bit
-        # of either solver's solutions
+        # of either solver's solutions.  Every game takes the LP route
         games = _saddle_test_games(monkeypatch, "small-sweep", 1)
+        _lp_route_only(monkeypatch)
         real, models = lp.solve, []
         calls = _lp_calls(monkeypatch)
         packing = _every_field(games)
@@ -600,7 +673,7 @@ class TestCertificateIdentities:
 
         monkeypatch.setattr(lp, "solve", swapped)
         # these games have strict pure saddles, which skip the LP
-        monkeypatch.setattr(equilibrium, "_strict_saddle", lambda Z: None)
+        _lp_route_only(monkeypatch)
         solve = solve_joint_lp if route == "joint" else solve_equilibrium
         with pytest.raises(CertificationFailure, match=f"^{route} LP solution failed"):
             solve(game)
@@ -645,6 +718,8 @@ class TestRefusals:
     def test_refusals_of_a_doubtful_lp_solution(self, monkeypatch, solve, game, crafted, error,
                                                 message):
         monkeypatch.setattr(lp, "solve", _crafted_solve(*crafted))
+        # matching pennies is a strict 2 x 2 kernel, which skips the LP
+        _lp_route_only(monkeypatch)
         with pytest.raises(error, match=message):
             solve(game, _TOL)
 
@@ -657,6 +732,7 @@ class TestRefusals:
     def test_two_gaps_within_tol_sum_within_the_joint_bound(self, monkeypatch):
         # both gaps are 0.6 tol: their sum is past tol but within 2 tol
         monkeypatch.setattr(lp, "solve", _crafted_solve(lp.OPTIMAL, _NEAR_HALF, _NEAR_HALF))
+        _lp_route_only(monkeypatch)
         sol, value = solve_joint_lp(matching_pennies(), _TOL)
         assert sol.report.is_equilibrium
         assert -2 * _TOL < value < -_TOL
@@ -726,13 +802,19 @@ def _lp_calls(monkeypatch):
 class TestStrictSaddle:
     @_SADDLE_SOURCES
     def test_strict_saddle_is_found_exactly_when_one_exists(self, monkeypatch, source, seed):
+        # the search returns a pure pair, a 1 x 1 kernel, exactly at a
+        # strict saddle, and any other pair it returns is mixed
         games = _saddle_test_games(monkeypatch, source, seed)
         found = 0
         for g in games:
             Z = zero_sum_matrix(g)
             cells = _strict_saddles(Z)
             assert len(cells) <= 1
-            assert equilibrium._strict_saddle(Z) == (cells[0] if cells else None)
+            pair = equilibrium._strict_kernel(Z)
+            support = None if pair is None else _support(pair)
+            pure = support is not None and support[0] + support[1] in cells[:1]
+            assert pure == bool(cells)
+            assert support is None or pure or (len(support[0]), len(support[1])) == (2, 2)
             found += bool(cells)
         assert 0.3 * len(games) < found < 0.7 * len(games)
 
@@ -746,7 +828,7 @@ class TestStrictSaddle:
         calls = _lp_calls(monkeypatch)
         saddle = _every_field(games)
         assert calls == []
-        monkeypatch.setattr(equilibrium, "_strict_saddle", lambda Z: None)
+        _lp_route_only(monkeypatch)
         assert _every_field(games) == saddle
         assert len(calls) == 2 * len(games)
 
@@ -772,3 +854,119 @@ class TestStrictSaddle:
             sol, other = solve(g), solve(permuted)
             assert np.array_equal(other.p.weights, sol.p.weights[rows])
             assert np.array_equal(other.q.weights, sol.q.weights[cols])
+
+
+class TestStrictKernel:
+    @_SADDLE_SOURCES
+    def test_a_mixed_pair_is_the_one_strict_2x2_kernel(self, monkeypatch, source, seed):
+        # the search returns a mixed pair exactly where the kernel one step
+        # on from the saddle search is strict; the scan of every 2 x 2
+        # kernel then finds that one alone, and the pair is its weights
+        # to within roundoff
+        games = _saddle_test_games(monkeypatch, source, seed)
+        found = 0
+        for g in games:
+            Z = zero_sum_matrix(g)
+            pair = equilibrium._strict_kernel(Z)
+            if pair is not None and _support(pair) in (((i,), (j,)) for i, j in _strict_saddles(Z)):
+                continue
+            kernel = _one_step_kernel(Z)
+            assert (pair is None) == (kernel is None)
+            if pair is None:
+                continue
+            found += 1
+            assert _strict_kernels(Z) == [kernel]
+            (rows, cols, p, q) = kernel
+            assert _support(pair) == (rows, cols)
+            for s, index, exact in ((pair[0], rows, p), (pair[1], cols, q)):
+                assert np.allclose(s.weights[list(index)], [float(w) for w in exact],
+                                   rtol=0.0, atol=1e-15)
+        assert found > {"small-sweep": 600, "integer": 50}[source]
+
+    @pytest.mark.parametrize("seed", [1, 201])
+    def test_exact_ties_go_to_the_lp(self, monkeypatch, seed):
+        # a copy of a kernel row or column, or the mean of the two, earns
+        # the value (the mean up to its roundoff), so the equilibrium is
+        # no longer unique and no kernel is strict, whatever path the
+        # search takes.  On integer games every exact tie of the search's
+        # kernel is refused too
+        games = _saddle_test_games(monkeypatch, "small-sweep", seed)
+        fired = 0
+        for g in games:
+            Z = zero_sum_matrix(g)
+            pair = equilibrium._strict_kernel(Z)
+            if pair is None or len(_support(pair)[0]) == 1:
+                continue
+            (i, k), (j, l) = _support(pair)
+            fired += 1
+            for row in (Z[i], Z[k], (Z[i] + Z[k]) / 2):
+                assert equilibrium._strict_kernel(np.vstack([Z, row])) is None
+            for col in (Z[:, j], Z[:, l], (Z[:, j] + Z[:, l]) / 2):
+                assert equilibrium._strict_kernel(np.column_stack([Z, col])) is None
+        assert fired > 600
+        ties = 0
+        for g in _saddle_test_games(monkeypatch, "integer", 17):
+            Z = zero_sum_matrix(g)
+            (i, k), (j, l) = _one_step_cells(Z)
+            a, b, c, d = Z[i, j], Z[i, l], Z[k, j], Z[k, l]
+            if not (a < b and a < c and d < b and d < c) or _one_step_kernel(Z) is not None:
+                continue
+            # a mixed kernel that is not strict: some row or column ties
+            # its value or beats it
+            ties += 1
+            assert equilibrium._strict_kernel(Z) is None
+        assert ties > 50
+
+    @pytest.mark.parametrize("seed", [1, 201])
+    def test_the_kernel_pair_is_the_lp_route_pair(self, monkeypatch, seed):
+        games = [g for g in _saddle_test_games(monkeypatch, "small-sweep", seed)
+                 if _one_step_kernel(zero_sum_matrix(g)) is not None]
+        assert len(games) > 600
+        kernel = [(solve_equilibrium(g), solve_joint_lp(g)[0]) for g in games]
+        calls = _lp_calls(monkeypatch)
+        _lp_route_only(monkeypatch)
+        for g, sols in zip(games, kernel):
+            for sol, lp_sol in zip(sols, (solve_equilibrium(g), solve_joint_lp(g)[0])):
+                assert np.abs(sol.p.weights - lp_sol.p.weights).max() <= 1e-12
+                assert np.abs(sol.q.weights - lp_sol.q.weights).max() <= 1e-12
+                assert sol.report.is_equilibrium
+        assert len(calls) == 2 * len(games)
+
+    def test_matching_pennies_solves_no_lp(self, monkeypatch):
+        calls = _lp_calls(monkeypatch)
+        sol, (joint, value) = solve_equilibrium(matching_pennies()), solve_joint_lp(matching_pennies())
+        assert calls == []
+        for s in (sol, joint):
+            assert s.p.weights.tolist() == s.q.weights.tolist() == [0.5, 0.5]
+            assert (s.alpha, s.beta) == (0.0, 0.0)
+        assert value == 0.0
+
+    @given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**64 - 1), st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_permuting_a_kernel_game_permutes_its_pair(self, m, n, seed, data):
+        # on games without ties, which the search breaks by order
+        g = random_tpass(m, n, -1.0, 1.0, seed=seed)
+        pair = equilibrium._strict_kernel(zero_sum_matrix(g))
+        assume(pair is not None and len(_support(pair)[0]) == 2)
+        rows = np.array(data.draw(st.permutations(range(g.m))))
+        cols = np.array(data.draw(st.permutations(range(g.n))))
+        permuted = TpassGame(g.A[rows][:, cols], g.pi[rows], g.rho[cols])
+        for solve in (solve_equilibrium, lambda game: solve_joint_lp(game)[0]):
+            sol, other = solve(g), solve(permuted)
+            assert np.array_equal(other.p.weights, sol.p.weights[rows])
+            assert np.array_equal(other.q.weights, sol.q.weights[cols])
+
+    @pytest.mark.parametrize("seed", [1, 201])
+    def test_a_power_of_two_scale_leaves_the_pair_bit_for_bit(self, monkeypatch, seed):
+        # 2^k scales Z exactly, so every comparison and ratio of the search
+        # is unchanged; the tolerance scales with the game
+        games = [g for g in _saddle_test_games(monkeypatch, "small-sweep", seed)
+                 if _one_step_kernel(zero_sum_matrix(g)) is not None][:40]
+        for g in games:
+            base = solve_equilibrium(g)
+            for k in range(-20, 21):
+                s = 2.0**k
+                scaled = TpassGame(g.A * s, g.pi * s, g.rho * s)
+                for sol in (solve_equilibrium(scaled, 1e-8 * s), solve_joint_lp(scaled, 1e-8 * s)[0]):
+                    assert sol.p.weights.tobytes() == base.p.weights.tobytes()
+                    assert sol.q.weights.tobytes() == base.q.weights.tobytes()

@@ -399,6 +399,46 @@ class TestTableauBranches:
         assert sol.objective_value == 0.0
         assert np.allclose(sol.x, optimum, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("sense", [lp.MAX, lp.MIN])
+    def test_infeasibility_needs_a_farkas_certificate(self, sense):
+        # x1 + x2 >= 1 and x1 - x2 = 0 hold at (0.5, 0.5), and -x1 >= 0 at
+        # x1 = 0.  The multipliers of the starting basis, -1 on each
+        # artificial row, prove nothing: M'y is negative on x1 in the first
+        # model, and b'y is 0 in the second
+        cost = [1.0, 1.0] if sense == lp.MIN else [-1.0, -1.0]
+        for model in (lp.LpModel(sense, cost, [[1.0, 1.0], [1.0, -1.0]], [lp.GE, lp.EQ],
+                                 [1.0, 0.0], (lp.NONNEG, lp.FREE)),
+                      lp.LpModel(sense, cost[:1], [[-1.0]], [lp.GE], [0.0])):
+            with pytest.raises(SolverFailure,
+                               match="^infeasibility certificate fails the re-check"):
+                lp._Tableau(model)._verify_infeasible()
+            assert lp.solve(model).status == lp.OPTIMAL
+        # x1 >= 1 and -x1 <= 2 hold at x1 = 1.  On the basis of x1 and the
+        # first row's artificial, y = (-1, -1) has M'y = 0 and b'y = -3,
+        # but a <= row's multiplier must not be negative
+        model = lp.LpModel(sense, cost[:1], [[1.0], [-1.0]], [lp.GE, lp.LE], [1.0, 2.0])
+        tableau = lp._Tableau(model)
+        tableau.basis = np.array([0, tableau.n_cols])
+        with pytest.raises(SolverFailure, match="^infeasibility certificate fails the re-check"):
+            tableau._verify_infeasible()
+        # with x1 + x2 <= -1 added the rows cannot hold, and phase 1's
+        # multipliers certify it
+        infeasible = lp.LpModel(sense, cost, [[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]],
+                                [lp.GE, lp.EQ, lp.LE], [1.0, 0.0, -1.0], (lp.NONNEG, lp.FREE))
+        assert lp.solve(infeasible).status == lp.INFEASIBLE
+
+    def test_a_singular_phase_1_basis_is_refused(self):
+        # LP 1027 of tests/test_reference.py's stream with M times 1e-6:
+        # feasible at x = (1e6, 0, 1e6, 0), but phase 1 blows the tableau
+        # up and stops on a singular basis with an artificial above zero
+        model = lp.LpModel(
+            lp.MAX, [-2.0, -3.0, -2.0, 2.0],
+            1e-6 * np.array([[0, 1, 0, 2], [3, 2, -3, 1], [-2, 2, -1, -3], [-2, -3, 1, 2]]),
+            [lp.LE] * 4, [0.0, 0.0, 0.0, -1.0],
+        )
+        with pytest.raises(SolverFailure, match="^infeasible basis is numerically singular"):
+            lp.solve(model)
+
     def test_drive_out_pivot(self, drive_outs):
         model = lp.LpModel(
             lp.MAX,

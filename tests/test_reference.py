@@ -179,11 +179,12 @@ def test_small_lps_match_highs(monkeypatch):
 def test_scaled_lps_match_highs_or_fail(k, part):
     """The random LPs with the constraint matrix, or every entry, times
     ``10**k``.  Tiny or huge entries may make the solver refuse
-    (``SolverFailure``), but never return a status HiGHS disagrees with."""
+    (``SolverFailure``), but never return a status HiGHS disagrees with.
+    At ``10**-6`` all 2000 are read: LP 1027 was reported infeasible."""
     scale = 10.0**k
     rng = np.random.default_rng(5)
     refused = 0
-    for _ in range(1000):
+    for _ in range(2000 if k == -6 else 1000):
         model = random_lp(rng)
         if part == "M":
             model = replace(model, M=scale * model.M)
@@ -202,6 +203,21 @@ def test_scaled_lps_match_highs_or_fail(k, part):
         if status == lp.OPTIMAL:
             assert sol.objective_value == pytest.approx(value, rel=1e-7, abs=1e-7 * value_scale)
     assert refused <= 10
+
+
+def test_a_feasible_lp_is_refused_not_called_infeasible():
+    # LP 1027 of the stream with M times 1e-6: HiGHS finds the optimum
+    # -4e6 at x = (1e6, 0, 1e6, 0), but phase 1 stops with an artificial
+    # above zero on a blown-up tableau.  Its final basis is singular, so
+    # the Farkas re-check refuses the answer
+    rng = np.random.default_rng(5)
+    models = [random_lp(rng) for _ in range(1028)]
+    model = replace(models[1027], M=1e-6 * models[1027].M)
+    status, value = highs_reference(model)
+    assert status == lp.OPTIMAL
+    assert value == pytest.approx(-4e6, rel=1e-9)
+    with pytest.raises(SolverFailure, match="^infeasible basis is numerically singular"):
+        lp.solve(model)
 
 
 def test_large_scale_statuses_match_highs():
