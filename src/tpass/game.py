@@ -134,8 +134,7 @@ class MixedStrategy:
     @classmethod
     def pure(cls, i: int, size: int) -> "MixedStrategy":
         """The vertex strategy playing pure strategy ``i`` (1-based)."""
-        if not 1 <= i <= size:
-            raise InputError(f"pure strategy index {i} out of range 1..{size}")
+        i = _one_based(i, size, "pure strategy index")
         w = np.zeros(size)
         w[i - 1] = 1.0
         return cls(w)
@@ -170,6 +169,19 @@ class EquilibriumReport:
     @property
     def max_violation(self) -> float:
         return max(self.row_violation, self.col_violation, self.simplex_violation)
+
+
+def _one_based(i, size: int, name: str) -> int:
+    """A 1-based index as an ``int`` in ``1..size``; any integer type is
+    taken, through ``operator.index``, and anything else is an
+    :class:`InputError`."""
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {i!r}") from None
+    if not 1 <= i <= size:
+        raise InputError(f"{name} {i} out of range 1..{size}")
+    return i
 
 
 def simplex_deviation(w: np.ndarray) -> float:
@@ -215,10 +227,8 @@ def pure_payoffs(game: TpassGame, i: int, j: int) -> tuple[float, float]:
     Indices are 1-based.  The two payoffs always sum to
     ``pi[i] + rho[j]``.
     """
-    if not 1 <= i <= game.m:
-        raise InputError(f"row index {i} out of range 1..{game.m}")
-    if not 1 <= j <= game.n:
-        raise InputError(f"column index {j} out of range 1..{game.n}")
+    i = _one_based(i, game.m, "row index")
+    j = _one_based(j, game.n, "column index")
     a = game.A[i - 1, j - 1]
     return float(a + game.pi[i - 1]), float(-a + game.rho[j - 1])
 

@@ -43,8 +43,10 @@ Solver design:
   leaves the basis takes over a column of zeros instead, which every
   later pivot keeps zero and phase 2 prices at zero, so it never
   re-enters.  Basic artificials left over from phase 1 are driven out
-  by degenerate pivots; rows that cannot be pivoted are redundant and
-  are dropped with a zero dual.
+  by degenerate pivots.  A row that cannot be pivoted is redundant: it
+  stays, zeroed, with its artificial basic at zero, and the
+  refactorization reads it as a logical with a zero dual.  So the
+  tableau keeps every row, and its final basis decodes the whole solve.
 * One chooser serves both pricing rules.  The default is steepest-edge
   pricing (Goldfarb & Reid 1977): a favorable column ``j`` is priced by
   its reduced cost over the length of its edge, ``d_j / sqrt(1 +
@@ -240,7 +242,8 @@ class _Tableau:
     and an artificial on every other row.  ``T`` holds the nonbasic
     columns only, in the order of ``nonbasic``, then the right-hand side;
     its last row holds the reduced costs and the objective value.
-    ``basis[i]`` is the variable basic in row ``i``.
+    ``basis[i]`` is the variable basic in row ``i``, for every row: a
+    redundant row keeps its artificial basic to the end.
     """
 
     def __init__(self, problem):
@@ -339,7 +342,6 @@ class _Tableau:
         self.T = T
         self.basis = n_cols + np.arange(m)
         self.nonbasic = np.arange(n_cols)
-        self.row_ids = np.arange(m)
         self.A0, self.b0 = A0, b0
         self.n_cols, self.n_rows = n_cols, m
         self.artificial = artificial
@@ -442,7 +444,7 @@ class _Tableau:
 
     def _pivot_loop(self, phase: int) -> str:
         T = self.T
-        stall_limit = self._STALL_PER_ROW * max(1, T.shape[0] - 1)
+        stall_limit = self._STALL_PER_ROW * max(1, self.n_rows)
         # from the size of the full tableau: rows and standard-form columns
         hard_cap = 10_000 + 200 * (2 * self.n_rows + self.n_cols + 2)
         bland = False
@@ -469,8 +471,12 @@ class _Tableau:
                 )
 
     def _drive_out_artificials(self) -> None:
+        """Pivot each artificial left basic by phase 1 out of the basis, at
+        zero level, on its row's largest entry.  A row with no entry above
+        ``PIVOT_EPS`` is redundant: its entries are set to exactly 0, so no
+        later pivot selects or changes it, and its artificial stays basic
+        at zero, a logical of cost 0 for :meth:`_basis_solve`."""
         T = self.T
-        drop = []
         # a pivot replaces only its own row's basic variable
         for ri in np.flatnonzero(self.artificial[self.basis]).tolist():
             row = T[ri, :-1]
@@ -483,11 +489,7 @@ class _Tableau:
                 ties = candidates[size == size.max()]
                 self._pivot(ri, int(ties[np.argmin(self.nonbasic[ties])]))
             else:
-                drop.append(ri)  # redundant row: zero outside artificials
-        if drop:
-            self.T = np.delete(self.T, drop, axis=0)
-            self.basis = np.delete(self.basis, drop)
-            self.row_ids = np.delete(self.row_ids, drop)
+                row[:] = 0.0
 
     # -- result assembly ---------------------------------------------------
 
@@ -496,19 +498,17 @@ class _Tableau:
         c_B``, with ``B`` the final basis matrix rebuilt from the pristine
         data.
 
-        A basic logical is the unit column of its row, of phase-2 cost 0,
-        so the dual of that row is 0 and the row drops out.  The basic
-        columns ``S`` of ``A0`` then solve the square system on the rows
-        ``R`` left over: ``A0[R, S] z_S = rhs[R]`` and ``A0[R, S]' y_R =
-        c_S``.  Returns ``z`` over the columns of ``A0``, zero off ``S``,
-        and ``y`` over the model rows, zero off ``R``.
+        A basic logical, a redundant row's artificial among them, is the
+        unit column of its row, of phase-2 cost 0, so the dual of that row
+        is 0 and the row drops out.  The basic columns ``S`` of ``A0`` then
+        solve the square system on the rows ``R`` whose logical is
+        nonbasic: ``A0[R, S] z_S = rhs[R]`` and ``A0[R, S]' y_R = c_S``.
+        Returns ``z`` over the columns of ``A0``, zero off ``S``, and ``y``
+        over the model rows, zero off ``R``.
         """
-        basis = self.basis
+        basis, nonbasic = self.basis, self.nonbasic
         cols = basis[basis < self.n_cols]
-        live = np.zeros(self.n_rows, dtype=bool)
-        live[self.row_ids] = True
-        live[basis[basis >= self.n_cols] - self.n_cols] = False
-        rows = live.nonzero()[0]
+        rows = np.sort(nonbasic[nonbasic >= self.n_cols]) - self.n_cols
         z = np.zeros(self.n_cols)
         y = np.zeros(self.n_rows)
         k = rows.size
@@ -749,10 +749,14 @@ def check_complementary_slackness(
     Checks ``|dual_i * slack_i|`` over constraints and
     ``|x_j * reduced_cost_j|`` over variables, where
     ``reduced_cost = objective - M^T duals``.  Returns ``(ok, residual)``
-    with ``ok = residual <= tol``.
+    with ``ok = residual <= tol``.  Raises :class:`InputError` when
+    ``sol`` is not optimal or not of the model's shape.
     """
     if sol.status != OPTIMAL:
         raise InputError(f"complementary slackness needs an optimal solution, got {sol.status!r}")
+    if (sol.x.size, sol.duals.size) != (model.n_vars, model.n_rows):
+        raise InputError(f"solution is {sol.duals.size}x{sol.x.size} (rows x variables), "
+                         f"but the model is {model.n_rows}x{model.n_vars}")
     slacks = model.b - model.M @ sol.x
     residual = float(np.abs(sol.duals * slacks).max(initial=0.0))
     reduced = model.objective - model.M.T @ sol.duals

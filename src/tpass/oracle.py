@@ -53,13 +53,9 @@ _EXACT = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
-def _supports(count: int):
-    for size in range(1, count + 1):
-        yield from combinations(range(count), size)
-
-
 def _by_size(count: int) -> list[np.ndarray]:
-    """The supports of each size as an index array, in ``_supports`` order."""
+    """The supports of each size as an index array, by size and then
+    lexicographically."""
     return [np.array(list(combinations(range(count), size))) for size in range(1, count + 1)]
 
 
@@ -174,9 +170,9 @@ def enumerate_equilibria(
     # size and then lexicographically
     col_count = 2 ** n - 1
     places, ps, qs = [], [], []
-    col_sets = _by_size(n)
+    row_sets, col_sets = _by_size(m), _by_size(n)
     row_start = 0
-    for I in _by_size(m):
+    for I in row_sets:
         col_start = 0
         for J in col_sets:
             pair = np.arange(len(I) * len(J))
@@ -203,7 +199,8 @@ def enumerate_equilibria(
     place = np.concatenate(places)
     order = np.argsort(place)
     place, P, Q = place[order], np.concatenate(ps)[order], np.concatenate(qs)[order]
-    row_supports, col_supports = list(_supports(m)), list(_supports(n))
+    row_supports, col_supports = ([tuple(s) for S in sets for s in S.tolist()]
+                                  for sets in (row_sets, col_sets))
     found: list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray]] = []
     for i, (p, q) in enumerate(zip(P, Q)):
         row_value = float(p @ B @ q)
@@ -239,8 +236,12 @@ def cross_check(
     point at that value: ``max_i (Z q)_i <= v + tol`` and
     ``min_j (p'Z)_j >= v - tol``.  A pair on a degenerate face that the
     enumeration represents by other points is confirmed too.  Raises
-    :class:`InputError` where :func:`enumerate_equilibria` does.
+    :class:`InputError` when ``sol`` is not of the game's shape, checked
+    before the enumeration runs, and where :func:`enumerate_equilibria`
+    does.
     """
+    if (len(sol.p), len(sol.q)) != game.shape:
+        raise InputError(f"solution is {len(sol.p)}x{len(sol.q)}, but the game is {game.m}x{game.n}")
     Z = zero_sum_matrix(game)
     values = [
         float(pe.weights @ Z @ qe.weights)

@@ -130,6 +130,21 @@ class TestPurePayoffs:
             with pytest.raises(InputError):
                 pure_payoffs(g, i, j)
 
+    @pytest.mark.parametrize("index", [2.0, 1.5, "1", None, np.float64(1.0)])
+    def test_non_integer_index_is_an_input_error(self, index):
+        g = dilemma()
+        with pytest.raises(InputError, match="must be an integer"):
+            MixedStrategy.pure(index, 3)
+        with pytest.raises(InputError, match="must be an integer"):
+            pure_payoffs(g, 1, index)
+        with pytest.raises(InputError, match="must be an integer"):
+            pure_payoffs(g, index, 1)
+
+    @pytest.mark.parametrize("index", [np.int64(2), np.uint8(2)])
+    def test_numpy_integers_are_indices(self, index):
+        assert MixedStrategy.pure(index, 3).weights.tolist() == [0.0, 1.0, 0.0]
+        assert pure_payoffs(dilemma(), index, index) == pure_payoffs(dilemma(), 2, 2)
+
     @given(games())
     def test_pair_sums_to_bonus_total(self, g):
         for i in range(1, g.m + 1):

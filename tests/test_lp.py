@@ -276,6 +276,14 @@ class TestComplementarySlackness:
         with pytest.raises(InputError):
             lp.check_complementary_slackness(model, bad)
 
+    def test_solution_of_another_model_is_an_input_error(self):
+        model = box_problem()
+        other = build_primal_lp(random_tpass(3, 2, -1.0, 1.0, seed=1))
+        want = (f"^solution is {other.n_rows}x{other.n_vars} \\(rows x variables\\), "
+                f"but the model is {model.n_rows}x{model.n_vars}$")
+        with pytest.raises(InputError, match=want):
+            lp.check_complementary_slackness(model, lp.solve(other))
+
 
 class TestOneTableau:
     def test_joint_lp_is_solved_on_one_tableau(self, tableaus):
@@ -305,14 +313,15 @@ def beale():
 
 @pytest.fixture
 def drive_outs(monkeypatch):
-    """(pivots, dropped rows) of each drive-out of phase-1 artificials."""
+    """(pivots, redundant rows) of each drive-out of phase-1 artificials:
+    the redundant rows are those whose artificial is still basic after it."""
     log = []
     drive_out = lp._Tableau._drive_out_artificials
 
     def spy(self):
-        pivots, rows = self.iterations, self.row_ids.size
+        pivots = self.iterations
         drive_out(self)
-        log.append((self.iterations - pivots, rows - self.row_ids.size))
+        log.append((self.iterations - pivots, int(self.artificial[self.basis].sum())))
 
     monkeypatch.setattr(lp._Tableau, "_drive_out_artificials", spy)
     return log
@@ -455,20 +464,26 @@ class TestTableauBranches:
         assert sol.x.tolist() == [0.0, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize(
-        "M, b, duals",
+        "M, b, x, duals, pivots",
         [
-            ([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0], [1.0, 0.0]),
-            ([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], [1.0, 0.0]),
+            ([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], 1),
+            ([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], [1.0, 0.0], [1.0, 0.0], 1),
+            # row 3 is row 1 plus row 2: its entries are zero only after
+            # phase 1's two pivots
+            ([[1.0, 1.0], [1.0, -1.0], [2.0, 0.0]], [1.0, 0.0, 1.0], [0.5, 0.5],
+             [0.5, 0.5, 0.0], 2),
         ],
-        ids=["zero-row", "duplicated-row"],
+        ids=["zero-row", "duplicated-row", "sum-of-rows"],
     )
-    def test_redundant_equality_row_is_dropped(self, drive_outs, M, b, duals):
-        model = lp.LpModel(lp.MAX, [1.0, 0.0], M, [lp.EQ, lp.EQ], b)
+    def test_redundant_equality_row_is_dropped(self, drive_outs, M, b, x, duals, pivots):
+        model = lp.LpModel(lp.MAX, [1.0, 0.0], M, [lp.EQ] * len(b), b)
         sol = lp.solve(model)
         assert drive_outs == [(0, 1)]
         assert sol.status == lp.OPTIMAL
-        assert sol.objective_value == 1.0
+        assert sol.objective_value == x[0]  # the objective is x1
+        assert sol.x.tolist() == x
         assert sol.duals.tolist() == duals
+        assert sol.iterations == pivots
 
     def test_tiny_pivot_gives_way_to_a_stable_one(self, monkeypatch):
         # x1 prices best under steepest edge, but its ratio-test pivot is
@@ -651,26 +666,26 @@ class TestStructuralBasisSolve:
     def test_matches_a_dense_solve_of_the_whole_basis(self, monkeypatch, tableaus):
         # the final basis of every optimal LP among the random LPs that
         # test_reference.py compares with HiGHS
-        counts = {"solves": 0, "dropped row": 0, "logical outside its row": 0}
+        counts = {"solves": 0, "redundant row": 0, "logical outside its row": 0}
         extract = lp._Tableau._extract
 
         def spy(self):
             model = self.given
             A, b, costs, n_cols = standard_form(model)
-            basis, rows = self.basis, self.row_ids
-            whole = A[rows][:, basis]
+            # every row, a redundant one with its basic artificial's unit
+            # column
+            basis = self.basis
+            whole = A[:, basis]
             want_values = np.zeros(A.shape[1])
-            want_values[basis] = np.linalg.solve(whole, b[rows])
-            want_duals = np.zeros(model.n_rows)
-            want_duals[rows] = np.linalg.solve(whole.T, costs[basis])
+            want_values[basis] = np.linalg.solve(whole, b)
+            want_duals = np.linalg.solve(whole.T, costs[basis])
             values, duals = self._basis_solve(b)
             for got, want in ((values, want_values[:n_cols]), (duals, want_duals)):
                 assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
             counts["solves"] += 1
-            counts["dropped row"] += rows.size < model.n_rows
+            counts["redundant row"] += self.artificial[basis].any()
             counts["logical outside its row"] += any(
-                var >= n_cols and var - n_cols != row
-                for var, row in zip(basis.tolist(), rows.tolist())
+                var >= n_cols and var - n_cols != row for row, var in enumerate(basis.tolist())
             )
             return extract(self)
 

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -133,14 +135,21 @@ def indifference_solution(payoffs, support, opp_support, full_size, tol):
     return full / total
 
 
+def supports(count):
+    """The nonempty subsets of ``range(count)``, by size and then
+    lexicographically."""
+    for size in range(1, count + 1):
+        yield from combinations(range(count), size)
+
+
 def per_pair_enumeration(bg, tol=1e-8):
     """The enumeration as one loop over support pairs, a system at a time:
     the reference the stacked solves must reproduce bit for bit."""
     m, n = bg.shape
     B, C = bg.B, bg.C
     found = []
-    for rows in oracle._supports(m):
-        for cols in oracle._supports(n):
+    for rows in supports(m):
+        for cols in supports(n):
             q = indifference_solution(B, rows, cols, n, tol)
             if q is None:
                 continue
@@ -339,6 +348,14 @@ class TestCrossCheck:
         sol = solve_equilibrium(g)
         with pytest.raises(InputError, match="at most 5x5$"):
             cross_check(g, sol)
+
+    def test_solution_of_another_shape_is_an_input_error(self):
+        sol = solve_equilibrium(random_tpass(3, 2, -1.0, 1.0, seed=1))
+        with pytest.raises(InputError, match="^solution is 3x2, but the game is 2x2$"):
+            cross_check(dilemma(), sol)
+        # checked before the enumeration, which would refuse a 6x2 game
+        with pytest.raises(InputError, match="^solution is 3x2, but the game is 6x2$"):
+            cross_check(random_tpass(6, 2, -1.0, 1.0, seed=1), sol)
 
     def test_agreement_on_random_games(self):
         for g in random_games(60, seed_base=90_000, min_dim=2, max_dim=4, rng_seed=7):
