@@ -140,10 +140,14 @@ def decompose(bg: BimatrixGame, tol: float | None = None) -> DecompositionResult
     S, tol, residual = _separability(bg, tol)
     if not residual <= tol:
         raise NotSeparable(residual, tol)
-    rho_1 = S[0, 0] / 2.0
-    pi = S[:, 0] - rho_1
-    rho = S[0, :] - pi[0]
-    A = bg.B - pi[:, None]
+    with np.errstate(over="ignore"):
+        rho_1 = S[0, 0] / 2.0
+        pi = S[:, 0] - rho_1
+        rho = S[0, :] - pi[0]
+        A = bg.B - pi[:, None]
+    # B is finite, so A = B - pi 1' is finite only where pi is
+    if not (np.isfinite(A).all() and np.isfinite(rho).all()):
+        raise InputError("payoffs overflow: pi, rho and A must be finite")
     game = TpassGame(A, pi, rho)
     max_residual = float(np.abs(bg.C - (-A + rho[None, :])).max())
     # plus a few ulps of the payoffs, the roundoff of an exact split

@@ -133,7 +133,15 @@ class MixedStrategy:
 
     @classmethod
     def pure(cls, i: int, size: int) -> "MixedStrategy":
-        """The vertex strategy playing pure strategy ``i`` (1-based)."""
+        """The vertex strategy playing pure strategy ``i`` (1-based) of
+        ``size``, an integer of at least 1 taken like ``i`` through
+        ``operator.index``; anything else is an :class:`InputError`."""
+        try:
+            size = operator.index(size)
+        except TypeError:
+            raise InputError(f"size must be an integer, got {size!r}") from None
+        if size < 1:
+            raise InputError(f"size must be at least 1, got {size}")
         i = _one_based(i, size, "pure strategy index")
         w = np.zeros(size)
         w[i - 1] = 1.0

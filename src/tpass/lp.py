@@ -11,26 +11,29 @@ machinery.
 
 Solver design:
 
-* A model encodes its relations once, as a row sign: ``+1`` for
-  ``<=``, ``-1`` for ``>=`` and ``0`` for ``=``.  The set-up and the
-  optimality, ray and Farkas re-checks read the sign; none compares the
-  relation strings again.
-* The set-up builds only what the model has.  Free variables, if any,
+* The tableau solves one form: ``maximize c'x`` subject to ``M x
+  (row sign) b`` with ``b >= 0``.  A model encodes its relations once,
+  as a row sign: ``+1`` for ``<=``, ``-1`` for ``>=`` and ``0`` for
+  ``=``.  :func:`solve` alone knows what it was given: it negates a
+  minimize model's objective and each row with a negative right-hand
+  side, passes a packing LP's ``P`` with unit costs, right-hand sides
+  and row signs, and maps the answer back once.  A sign of ``+1`` or
+  ``-1`` is exact, so the set-up and the optimality, ray and Farkas
+  re-checks, which read only that form, judge the given arrays bit for
+  bit; none compares the relation strings again.
+* The set-up builds only what the problem has.  Free variables, if any,
   enter the tableau as a split ``x = x+ - x-``, and reported solutions
   recombine the halves; with none, ``x`` is the first ``n`` tableau
-  values.  Rows with a negative right-hand side, if any, are negated so
-  every right-hand side is nonnegative.  Each row has one logical
-  variable with a ``+1`` in that row: a slack on a ``<=`` row, an
-  artificial on ``=`` and ``>=`` rows; a ``>=`` row also gets a ``-1``
-  surplus column.  Only when an artificial exists does phase 1 run, on
-  costs formed then: it maximizes minus the artificial sum, and an
-  artificial left above zero, relative to its row's right-hand side,
-  means infeasible, once phase 1's multipliers pass a Farkas re-check
-  (below).  Phase 1 is bounded, so a ray there is roundoff:
-  from a basis feasible by that measure phase 2 goes on, and from any
-  other the solver raises.  A packing LP's set-up forms its model's
-  state from ``P`` directly, ``[P | 1; -1' | 0]`` on the slack basis.
-  Both set-ups end priced out for phase 2, on the logical basis.
+  values.  Each row has one logical variable with a ``+1`` in that
+  row: a slack on a ``<=`` row, an artificial on ``=`` and ``>=`` rows;
+  a ``>=`` row also gets a ``-1`` surplus column.  Only when an
+  artificial exists does phase 1 run, on costs formed then: it
+  maximizes minus the artificial sum, and an artificial left above
+  zero, relative to its row's right-hand side, means infeasible, once
+  phase 1's multipliers pass a Farkas re-check (below).  Phase 1 is
+  bounded, so a ray there is roundoff: from a basis feasible by that
+  measure phase 2 goes on, and from any other the solver raises.  The
+  set-up ends priced out for phase 2, on the logical basis.
 * The tableau stores only the nonbasic columns (the dictionary form of
   the simplex method), with the right-hand side and the reduced-cost
   row.  The starting basis is the identity, the logicals, so the
@@ -230,57 +233,41 @@ class LpSolution:
 class _Tableau:
     """Mutable solver state; private to a single :func:`solve` call.
 
-    Both set-ups record the same state in the same order: the problem as
-    given, for the re-checks (``M``, ``b``, ``row_sign``, ``free``,
-    ``objective``, ``maximize``, the ``=`` rows ``equality`` and the
-    scales ``row_scale`` and ``cost_scale``), the row signs ``sigma``
-    applied and the column maps ``split`` of the free variables (each
-    None when unneeded), then the tableau.  The columns ``0..n_cols-1``
-    are the structural variables (free ones split in two) and then one
-    ``-1`` surplus column per ``>=`` row; variable ``n_cols + i`` is row
-    ``i``'s logical, whose column is ``+e_i``: a slack on a ``<=`` row
-    and an artificial on every other row.  ``T`` holds the nonbasic
-    columns only, in the order of ``nonbasic``, then the right-hand side;
-    its last row holds the reduced costs and the objective value.
-    ``basis[i]`` is the variable basic in row ``i``, for every row: a
-    redundant row keeps its artificial basic to the end.
+    The one problem it solves is ``maximize c'x`` subject to ``M x
+    (row_sign) b`` with ``b >= 0`` and the variables of the mask ``free``
+    free, the rest nonnegative.  It keeps that problem for the re-checks
+    (``M``, ``b``, ``row_sign``, ``free``, ``objective`` for ``c``, the
+    ``=`` rows ``equality`` and the scales ``row_scale`` and
+    ``cost_scale``), the column maps ``split`` of the free variables
+    (None when there are none), then the tableau.  The columns
+    ``0..n_cols-1`` are the structural variables (free ones split in two)
+    and then one ``-1`` surplus column per ``>=`` row; variable ``n_cols +
+    i`` is row ``i``'s logical, whose column is ``+e_i``: a slack on a
+    ``<=`` row and an artificial on every other row.  ``T`` holds the
+    nonbasic columns only, in the order of ``nonbasic``, then the
+    right-hand side; its last row holds the reduced costs and the
+    objective value.  ``basis[i]`` is the variable basic in row ``i``, for
+    every row: a redundant row keeps its artificial basic to the end.
+    The tableau starts on the logical basis, of cost 0, priced out for
+    phase 2.
     """
 
-    def __init__(self, problem):
+    def __init__(self, c, M, row_sign, b, free):
         self.iterations = 0
-        if isinstance(problem, LpModel):
-            self._set_up_model(problem)
-        else:
-            self._set_up_packing(problem)
-
-    def _set_up_model(self, model: LpModel) -> None:
-        self.M, self.b, self.row_sign = model.M, model.b, model._row_sign
-        self.free, self.objective = model._free, model.objective
-        self.maximize = model.sense == MAX
-        equality = (model._row_sign == 0).nonzero()[0]
+        self.M, self.b, self.row_sign, self.free, self.objective = M, b, row_sign, free, c
+        equality = (row_sign == 0).nonzero()[0]
         self.equality = equality if equality.size else None
-        self.row_scale = np.maximum(1.0, np.abs(model.b))
-        self.cost_scale = np.maximum(1.0, np.abs(model.objective))
+        self.row_scale = np.maximum(1.0, b)
+        self.cost_scale = np.maximum(1.0, np.abs(c))
 
-        m, n = model.n_rows, model.n_vars
-        c = model.objective if self.maximize else -model.objective
-        rows, rhs, kind = model.M, model.b, model._row_sign
-
-        # Row normalization: nonnegative rhs, with the applied sign sigma
-        # kept so original duals can be recovered.  kind is +1 for <=, -1
-        # for >= and 0 for = after the flip; a >= row gets a surplus
-        # column, and every row but a <= one an artificial logical.
-        flip = rhs < 0
-        self.sigma = None
-        if flip.any():
-            self.sigma = np.where(flip, -1.0, 1.0)
-            rows, rhs, kind = rows * self.sigma[:, None], rhs * self.sigma, kind * self.sigma
-        surplus = (kind < 0).nonzero()[0]
+        # a >= row gets a surplus column, and every row but a <= one an
+        # artificial logical
+        m, n = M.shape
+        surplus = (row_sign < 0).nonzero()[0]
 
         # Split free variables, if any: x[j] = column pos_col[j] - column
         # neg_col[j], with split = (pos_col, neg_col).  With none, x[j] is
         # column j.
-        free = model._free
         self.split = None
         n_struct = n
         if free.any():
@@ -293,58 +280,27 @@ class _Tableau:
         T = np.zeros((m + 1, n_cols + 1))
         costs = np.zeros(n_cols + m)
         if self.split is not None:
-            T[:m, pos_col] = rows
-            T[:m, neg_col[free]] = -rows[:, free]
+            T[:m, pos_col] = M
+            T[:m, neg_col[free]] = -M[:, free]
             costs[pos_col] = c
             costs[neg_col[free]] = -c[free]
         else:
-            T[:m, :n] = rows
+            T[:m, :n] = M
             costs[:n] = c
         if surplus.size:
             T[surplus, np.arange(n_struct, n_cols)] = -1.0
-        T[:m, -1] = rhs
-        artificial = np.zeros(n_cols + m, dtype=bool)
-        artificial[n_cols:] = kind <= 0
-        # The pristine columns are the (flipped) model rows themselves
-        # when no column was split or added.
-        A0 = T[:m, :n_cols].copy() if self.split is not None or surplus.size else rows
-        self._start(T, A0, rhs, costs, artificial)
-
-    def _set_up_packing(self, P) -> None:
-        """The packing LP of ``P`` as ``LpModel(MAX, ones(n), P, [LE] *
-        m, ones(m))`` would set it up, with no model built."""
-        P = _frozen(P, float, "P")
-        if P.ndim != 2 or P.size == 0:
-            raise InputError(f"P must be a nonempty 2-d array, got shape {P.shape}")
-        if not (P.min() > 0.0 and P.max() < np.inf):  # a nan fails both
-            raise InputError("P must have positive finite entries")
-        m, n = P.shape
-        ones = np.ones(m)  # b, the row sign of <= rows and max(1, |b|)
-        costs = np.zeros(n + m)
-        costs[:n] = 1.0
-        self.M, self.b, self.row_sign = P, ones, ones
-        self.free, self.objective = np.zeros(n, dtype=bool), costs[:n]
-        self.maximize, self.equality = True, None
-        self.row_scale, self.cost_scale = ones, self.objective
-        self.sigma = self.split = None
-        T = np.empty((m + 1, n + 1))
-        T[:m, :n] = P
-        T[:m, -1] = 1.0
-        T[-1, -1] = 0.0
-        self._start(T, P, ones, costs, np.zeros(n + m, dtype=bool))
-
-    def _start(self, T, A0, b0, costs, artificial) -> None:
-        """Start on the logical basis, of cost 0, so ``T`` gets the phase-2
-        reduced costs ``0 - costs``; ``A0`` and ``b0``, the pristine columns
-        and right-hand side, are for the final refactorization."""
-        m, n_cols = T.shape[0] - 1, T.shape[1] - 1
+        T[:m, -1] = b
+        # the logicals are basic at cost 0, so the reduced costs are -costs
         np.subtract(0.0, costs[:n_cols], out=T[-1, :-1])
         self.T = T
         self.basis = n_cols + np.arange(m)
         self.nonbasic = np.arange(n_cols)
-        self.A0, self.b0 = A0, b0
+        # The pristine columns, for the final refactorization, are the rows
+        # themselves when no column was split or added.
+        self.A0 = T[:m, :n_cols].copy() if self.split is not None or surplus.size else M
         self.n_cols, self.n_rows = n_cols, m
-        self.artificial = artificial
+        self.artificial = np.zeros(n_cols + m, dtype=bool)
+        self.artificial[n_cols:] = row_sign <= 0
         self.phase2_costs = costs
 
     # -- tableau mechanics ------------------------------------------------
@@ -544,12 +500,8 @@ class _Tableau:
         so the reported numbers carry one factorization's worth of error
         rather than the whole pivot history's.
         """
-        values, duals = self._basis_solve(self.b0)
+        values, duals = self._basis_solve(self.b)
         x = self._recombine(values)
-        if self.sigma is not None:
-            duals *= self.sigma
-        if not self.maximize:
-            duals = -duals
         objective_value = float(self.objective @ x)
         self._verify(x, duals, objective_value)
         x.setflags(write=False)
@@ -579,18 +531,13 @@ class _Tableau:
             raise SolverFailure("optimal basis fails the primal feasibility re-check",
                                 violation=worst, iterations=self.iterations)
 
-        # multiplier sign conditions per relation: s * duals >= 0 for a max
-        # problem and <= 0 for a min one; an = row's sign is 0, so its free
-        # multiplier adds only zeros
-        signed = s * duals
+        # multiplier sign conditions per relation: s * duals >= 0; an = row's
+        # sign is 0, so its free multiplier adds only zeros
+        worst_dual = -(s * duals).min(initial=0.0)
         reduced = self.objective - M.T @ duals
-        if self.maximize:
-            worst_dual, var_viol = -signed.min(initial=0.0), reduced
-        else:
-            worst_dual, var_viol = signed.max(initial=0.0), -reduced
         if self.split is not None:
-            var_viol = np.where(self.free, np.abs(reduced), var_viol)
-        worst_dual = float(np.maximum(worst_dual, (var_viol / self.cost_scale).max()))
+            reduced = np.where(self.free, np.abs(reduced), reduced)
+        worst_dual = float(np.maximum(worst_dual, (reduced / self.cost_scale).max()))
         if not worst_dual <= TOL_FEAS:
             raise SolverFailure("optimal basis fails the dual feasibility re-check",
                                 violation=worst_dual, iterations=self.iterations)
@@ -626,7 +573,7 @@ class _Tableau:
         M = self.M
         viol = self._row_excess(M @ ray)
         size = np.abs(ray).max() * _RAY_TOL
-        gain = float(self.objective @ ray) * (1.0 if self.maximize else -1.0)
+        gain = float(self.objective @ ray)
         if ((viol - size * (np.abs(M) @ (ray != 0.0))).max(initial=0.0) > 0.0
                 or (-ray[~self.free]).max(initial=0.0) > size
                 or gain <= size * np.abs(self.objective).sum()):
@@ -635,13 +582,13 @@ class _Tableau:
     def _verify_infeasible(self) -> None:
         """Certify infeasibility by Farkas's lemma.  Phase 1's multipliers
         ``y`` are recomputed from its final basis by one solve of ``B'y =
-        c_B``, with ``c`` -1 on the artificials and 0 elsewhere, and mapped
-        back through ``sigma``.  On the problem's arrays they must satisfy
-        ``row_sign * y >= 0``, ``M'y >= 0`` on the nonnegative variables
-        and ``= 0`` on the free ones, and ``b'y < 0``, each beyond
-        roundoff as in :meth:`_verify_ray`: ``_RAY_TOL * max|y|`` times
-        the column's sum of ``|M|``, or ``sum|b|`` for ``b'y``.  A singular
-        basis or a failed check raises :class:`SolverFailure`."""
+        c_B``, with ``c`` -1 on the artificials and 0 elsewhere.  On the
+        problem's arrays they must satisfy ``row_sign * y >= 0``, ``M'y >=
+        0`` on the nonnegative variables and ``= 0`` on the free ones, and
+        ``b'y < 0``, each beyond roundoff as in :meth:`_verify_ray`:
+        ``_RAY_TOL * max|y|`` times the column's sum of ``|M|``, or
+        ``sum|b|`` for ``b'y``.  A singular basis or a failed check raises
+        :class:`SolverFailure`."""
         basis, m = self.basis, self.n_rows
         structural = basis < self.n_cols
         B = np.zeros((m, m))
@@ -653,8 +600,6 @@ class _Tableau:
         except np.linalg.LinAlgError:
             raise SolverFailure("infeasible basis is numerically singular",
                                 iterations=self.iterations) from None
-        if self.sigma is not None:
-            y *= self.sigma
         M = self.M
         size = np.abs(y).max() * _RAY_TOL
         reduced = M.T @ y
@@ -687,9 +632,35 @@ class _Tableau:
         status = self._pivot_loop(phase=2)
         if status == UNBOUNDED:
             self._verify_ray(self._recombine(self._ray()))
-            value = float("inf") if self.maximize else float("-inf")
-            return LpSolution(UNBOUNDED, None, value, None, self.iterations)
+            return LpSolution(UNBOUNDED, None, float("inf"), None, self.iterations)
         return self._extract()
+
+
+def _set_up(problem) -> tuple[_Tableau, np.ndarray | None, float]:
+    """The tableau of ``problem`` in the one form it solves, with the signs
+    that map its answer back: ``sigma``, each row's sign (None when no row
+    is negated), and the sense, ``1.0`` to maximize or ``-1.0`` to
+    minimize.
+
+    A minimize model's objective is negated, and so is each row of a
+    model with ``b < 0``.  Any other input is validated as the matrix
+    ``P`` of the packing LP ``maximize 1'y`` subject to ``P y <= 1``.
+    """
+    if not isinstance(problem, LpModel):
+        P = _frozen(problem, float, "P")
+        if P.ndim != 2 or P.size == 0:
+            raise InputError(f"P must be a nonempty 2-d array, got shape {P.shape}")
+        if not (P.min() > 0.0 and P.max() < np.inf):  # a nan fails both
+            raise InputError("P must have positive finite entries")
+        m, n = P.shape
+        ones = np.ones(m)  # b and the row sign of <= rows
+        return _Tableau(np.ones(n), P, ones, ones, np.zeros(n, dtype=bool)), None, 1.0
+    sense = 1.0 if problem.sense == MAX else -1.0
+    M, row_sign, b, sigma = problem.M, problem._row_sign, problem.b, None
+    if (b < 0).any():
+        sigma = np.where(b < 0, -1.0, 1.0)
+        M, row_sign, b = M * sigma[:, None], row_sign * sigma, b * sigma
+    return _Tableau(sense * problem.objective, M, row_sign, b, problem._free), sigma, sense
 
 
 def solve(model: LpModel | np.ndarray) -> LpSolution:
@@ -701,13 +672,29 @@ def solve(model: LpModel | np.ndarray) -> LpSolution:
     1``, ``y >= 0``: the solution of ``LpModel(MAX, ones(n), P, [LE] *
     m, ones(m))``, bit for bit, with no model built.
 
+    Both inputs are set up as one form, ``maximize c'x`` with every
+    right-hand side nonnegative, and the tableau solves and re-checks
+    that form.  The answer is mapped back here: each dual times its
+    row's sign and the sense, a model's objective recomputed from ``x``,
+    and ``-inf`` for an unbounded minimize model.  Each sign is ``+1`` or
+    ``-1``, so the re-checks' residuals are those of the given arrays,
+    bit for bit.
+
     Deterministic: the same input always follows the same pivot path and
     returns the same solution and iteration count.  Raises
     :class:`SolverFailure` when the numbers cannot be trusted (a singular
     final basis, a failed re-check, the iteration limit) instead of
     returning a doubtful status.
     """
-    return _Tableau(model).run()
+    tableau, sigma, sense = _set_up(model)
+    sol = tableau.run()
+    if sol.status == INFEASIBLE or (sigma is None and sense > 0):
+        return sol
+    if sol.status == UNBOUNDED:
+        return LpSolution(UNBOUNDED, None, sense * sol.objective_value, None, sol.iterations)
+    duals = sense * (sol.duals if sigma is None else sol.duals * sigma)
+    duals.setflags(write=False)
+    return LpSolution(OPTIMAL, sol.x, float(model.objective @ sol.x), duals, sol.iterations)
 
 
 def dualize(model: LpModel) -> LpModel:

@@ -21,14 +21,16 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 @pytest.fixture
 def tableaus(monkeypatch):
     """Each solve's tableau, as set up, with the argument it was set up
-    from as ``given``."""
+    from as ``given`` and the row signs its set-up applied as ``flips``
+    (None when it negated no row)."""
     made = []
+    set_up = lp._set_up
 
-    class Spy(lp._Tableau):
-        def __init__(self, model, *args):
-            super().__init__(model, *args)
-            self.given = model
-            made.append(self)
+    def spy(problem):
+        tableau, sigma, sense = set_up(problem)
+        tableau.given, tableau.flips = problem, sigma
+        made.append(tableau)
+        return tableau, sigma, sense
 
-    monkeypatch.setattr(lp, "_Tableau", Spy)
+    monkeypatch.setattr(lp, "_set_up", spy)
     return made

@@ -552,6 +552,15 @@ def folder(tmp_path_factory):
                 "C": [[1e-323, 0.0, -1e-323], [1e-323, 1e-323, -1e-323]]}),
     ["enumerate", GAME],
 ))
+# separable games whose gauge-fixed split overflows, in A and in rho
+@example(invocation=(
+    json.dumps({"kind": "bimatrix", "B": [[0.0, 1.7e+308]], "C": [[-8.5e+307, -8.5e+307]]}),
+    ["solve", GAME],
+))
+@example(invocation=(
+    json.dumps({"kind": "bimatrix", "B": [[0.0, 0.0]], "C": [[-8.5e+307, 1.7e+308]]}),
+    ["solve", GAME],
+))
 def test_every_input_maps_to_a_documented_exit_code(folder, invocation):
     doc, argv = invocation
     game, out = folder / "game.json", folder / "out.json"

@@ -97,6 +97,17 @@ class TestSeparability:
             with pytest.raises(InputError, match="B \\+ C must be finite"):
                 check(bg, tol)
 
+    @pytest.mark.parametrize(
+        "B, C",
+        [([[0.0, 1.7e308]], [[-8.5e307, -8.5e307]]), ([[0.0, 0.0]], [[-8.5e307, 1.7e308]])],
+        ids=["A", "rho"],
+    )
+    def test_overflowing_split_rejected(self, B, C):
+        # B + C is finite and separable, but the gauge-fixed split
+        # overflows: A = B - pi 1' in the first game, rho in the second
+        with pytest.raises(InputError, match="^payoffs overflow: pi, rho and A must be finite$"):
+            decompose(BimatrixGame(B, C))
+
     def test_negative_tol_rejected(self):
         with pytest.raises(InputError):
             is_separable_sum(compose(dilemma()), tol=-1.0)

@@ -105,6 +105,15 @@ class TestTypes:
         with pytest.raises(InputError):
             MixedStrategy.pure(0, 3)
 
+    @pytest.mark.parametrize(
+        "size, message",
+        [(3.0, "must be an integer"), ("3", "must be an integer"), (None, "must be an integer"),
+         (0, "must be at least 1"), (-1, "must be at least 1")],
+    )
+    def test_pure_strategy_size_must_be_a_positive_integer(self, size, message):
+        with pytest.raises(InputError, match=f"^size {message}"):
+            MixedStrategy.pure(1, size)
+
     def test_array_of_strategy_is_a_writable_copy(self):
         s = MixedStrategy([0.25, 0.75])
         copied = np.array(s)

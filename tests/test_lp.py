@@ -174,7 +174,7 @@ class TestSolveBasics:
         model = lp.LpModel("max", [1, 1], [[1, 0], [0, 1]], ["<=", "<="], [1, 1])
         nan = np.full(2, np.nan)
         with pytest.raises(SolverFailure):
-            lp._Tableau(model)._verify(x=nan, duals=nan, objective_value=float("nan"))
+            lp._set_up(model)[0]._verify(x=nan, duals=nan, objective_value=float("nan"))
 
 
 class TestDuals:
@@ -397,7 +397,7 @@ class TestTableauBranches:
     def test_false_ray_is_refused(self, model, false_ray, optimum):
         # neither model is unbounded: the ray re-check refuses the ray
         with pytest.raises(SolverFailure, match="ray fails the re-check"):
-            lp._Tableau(model)._verify_ray(np.array(false_ray))
+            lp._set_up(model)[0]._verify_ray(np.array(false_ray))
         if optimum is None:
             with pytest.raises(SolverFailure, match="ray fails the re-check"):
                 lp.solve(model)
@@ -420,13 +420,13 @@ class TestTableauBranches:
                       lp.LpModel(sense, cost[:1], [[-1.0]], [lp.GE], [0.0])):
             with pytest.raises(SolverFailure,
                                match="^infeasibility certificate fails the re-check"):
-                lp._Tableau(model)._verify_infeasible()
+                lp._set_up(model)[0]._verify_infeasible()
             assert lp.solve(model).status == lp.OPTIMAL
         # x1 >= 1 and -x1 <= 2 hold at x1 = 1.  On the basis of x1 and the
         # first row's artificial, y = (-1, -1) has M'y = 0 and b'y = -3,
         # but a <= row's multiplier must not be negative
         model = lp.LpModel(sense, cost[:1], [[1.0], [-1.0]], [lp.GE, lp.LE], [1.0, 2.0])
-        tableau = lp._Tableau(model)
+        tableau = lp._set_up(model)[0]
         tableau.basis = np.array([0, tableau.n_cols])
         with pytest.raises(SolverFailure, match="^infeasibility certificate fails the re-check"):
             tableau._verify_infeasible()
@@ -490,7 +490,7 @@ class TestTableauBranches:
         # 1e-9; the stability scan takes x2 first, Bland the tiny pivot.
         model = lp.LpModel(lp.MAX, [10.0, 1.0], [[1e-9, 1.0], [1.0, 0.0]], [lp.LE, lp.LE],
                            [1e-9, 5.0])
-        tableau = lp._Tableau(model)
+        tableau = lp._set_up(model)[0]
         tableau._price_out(tableau.phase2_costs)
         assert tableau._choose(bland=False) == (1, 0)
         assert tableau._choose(bland=True) == (0, 0)
@@ -528,11 +528,33 @@ class TestSetUpBranches:
             tableaus.clear()
             plain = lp.solve(lp.LpModel(lp.MAX, np.ones(n), Zh, [lp.LE] * m, np.ones(m)))
             flipped = lp.solve(lp.LpModel(lp.MAX, np.ones(n), -Zh, [lp.GE] * m, -np.ones(m)))
-            assert tableaus[0].sigma is None and tableaus[1].sigma is not None
+            assert tableaus[0].flips is None and tableaus[1].flips is not None
             assert flipped.iterations == plain.iterations
             assert np.array_equal(flipped.x, plain.x)
             assert flipped.objective_value == plain.objective_value
             assert np.array_equal(flipped.duals, -plain.duals)
+
+    def test_a_minimize_model_solves_as_its_maximize_twin(self):
+        # minimizing c'x is maximizing -c'x: the same pivots and x, duals
+        # that are exact negations (sign bits too) and the objective
+        # negated, or the infinity of each sense for an unbounded LP
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(2000):
+            model = random_lp(rng)
+            rows = (model.M, model.rel, model.b, model.bounds)
+            low = lp.solve(lp.LpModel(lp.MIN, model.objective, *rows))
+            high = lp.solve(lp.LpModel(lp.MAX, -model.objective, *rows))
+            assert low.status == high.status
+            assert low.iterations == high.iterations
+            seen.add(low.status)
+            if low.status == lp.OPTIMAL:
+                assert low.x.tobytes() == high.x.tobytes()
+                assert low.duals.tobytes() == (-high.duals).tobytes()
+                assert low.objective_value == -high.objective_value
+            elif low.status == lp.UNBOUNDED:
+                assert -low.objective_value == high.objective_value == np.inf
+        assert seen == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
 
 
 def _outcome(verify, *args):
@@ -576,12 +598,13 @@ class TestPackingInput:
 
     @pytest.mark.parametrize("source, seed", PACKING_SOURCES)
     def test_both_set_ups_record_the_same_state(self, monkeypatch, source, seed):
-        # the matrix's tableau and its model's, right after set-up: the
-        # same attributes in the same order, every array with the same
-        # dtype and bytes (T with its phase-2 reduced costs), every other
-        # value equal
+        # the matrix's tableau and its model's, right after set-up: no row
+        # negated and the maximize sense, the same attributes in the same
+        # order, every array with the same dtype and bytes (T with its
+        # phase-2 reduced costs), every other value equal
         for P in packing_matrices(monkeypatch, source, seed):
-            packing, model = lp._Tableau(P), lp._Tableau(packing_model(P))
+            (packing, *signs), (model, *model_signs) = lp._set_up(P), lp._set_up(packing_model(P))
+            assert signs == model_signs == [None, 1.0]
             assert list(vars(packing)) == list(vars(model))
             for name, value in vars(packing).items():
                 other = getattr(model, name)
@@ -607,7 +630,7 @@ class TestPackingInput:
         # model's must raise the same message, or both pass
         seen = {0.5: set(), 2.0: set()}
         for P in packing_matrices(monkeypatch, "random", 5)[:300]:
-            packing, model = lp._Tableau(P), lp._Tableau(packing_model(P))
+            packing, model = lp._set_up(P)[0], lp._set_up(packing_model(P))[0]
             sol = lp.solve(P)
             y, u = sol.x, sol.duals
             for factor in seen:

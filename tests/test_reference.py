@@ -141,7 +141,7 @@ def test_every_set_up_branch_at_once_matches_highs(sense, tableaus):
     )
     sol = lp.solve(model)
     (tableau,) = tableaus
-    assert tableau.split and tableau.sigma.tolist() == [1.0, 1.0, -1.0, -1.0]
+    assert tableau.split and tableau.flips.tolist() == [1.0, 1.0, -1.0, -1.0]
     assert tableau.n_cols == model.n_vars + 1 + 2
     assert tableau.artificial.tolist() == [False] * 6 + [False, True, True, False]
     status, value = highs_reference(model)
